@@ -14,8 +14,7 @@ provides:
 - ``process``: the multiplier-process supremum, its symmetrized form, the
   rearranged-noise event A_u, order-statistic envelopes, and the
   normalized ratio statistic;
-- ``recovery``: basis pursuit and LASSO with the rate-driven penalty,
-  plus grid experiments for success rates and error scaling;
+- ``recovery``: basis pursuit and LASSO with the rate-driven penalty;
 - ``gelfand``: localized-width fixed points and kernel-section diameter
   experiments for random measurement matrices;
 - ``harness``: the deterministic batch runner behind the ``lab`` CLI.
@@ -72,7 +71,6 @@ from .recovery import (
     rate_penalty,
     lasso,
     make_recovery_problem,
-    recovery_experiment,
 )
 
 __all__ = [
@@ -111,7 +109,6 @@ __all__ = [
     "rate_penalty",
     "lasso",
     "make_recovery_problem",
-    "recovery_experiment",
     "FixedPointResult",
     "KernelDiameterResult",
     "empirical_process_width",

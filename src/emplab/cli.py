@@ -21,7 +21,14 @@ import numpy as np
 
 from ._version import __version__
 from .distributions import ConfigurationError
-from .harness import EXPERIMENTS, ExperimentConfig, IntegrityError, run, summarize
+from .harness import (
+    EXPERIMENTS,
+    ExperimentConfig,
+    IntegrityError,
+    dropped_cells,
+    run,
+    summarize,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,7 +98,11 @@ def _run_experiment(args) -> int:
         return 1
     print(json.dumps(manifest.to_dict(), sort_keys=True, indent=1))
     if manifest.failed:
-        print(f"runtime failure: {len(manifest.failed)} task(s) failed", file=sys.stderr)
+        print(
+            f"runtime failure: {len(manifest.failed)} task(s) failed; "
+            f"cells dropped from the CSV: {dropped_cells(manifest.failed)}",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

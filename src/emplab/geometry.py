@@ -162,7 +162,7 @@ def _sorted_abs_desc(Z: np.ndarray) -> np.ndarray:
 
 
 def _l1_cap_l2_support_sorted(A: np.ndarray, rho: float, r: float) -> np.ndarray:
-    """Exact sup над rho*B1 cap r*B2 from rows sorted as |z| descending.
+    """Exact sup over rho*B1 cap r*B2 from rows sorted as |z| descending.
 
     Evaluates the one-dimensional dual  min_{mu>=0} rho*mu + r*||soft(z,mu)||_2
     at every breakpoint mu = a_k, at mu = 0, and at the closed-form interior

@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import product
 from pathlib import Path
@@ -41,6 +41,7 @@ from .geometry import IndexSetSpec, gaussian_mean_width, index_set_from_dict
 from .process import multiplier_stats
 from .recovery import (
     DEFAULT_LASSO_C1,
+    RecoveryProblem,
     basis_pursuit,
     rate_penalty,
     lasso,
@@ -48,8 +49,6 @@ from .recovery import (
     recovery_success,
 )
 from .streams import child_path
-
-EXPERIMENTS = ("widths", "multiplier", "recovery", "gelfand", "moments")
 
 
 class IntegrityError(RuntimeError):
@@ -68,7 +67,6 @@ class ExperimentConfig:
     trials: int
     master_seed: int
     output_dir: str
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -87,7 +85,6 @@ class ExperimentConfig:
             "trials": self.trials,
             "master_seed": self.master_seed,
             "output_dir": self.output_dir,
-            "tolerances": self.tolerances,
         }
 
     @classmethod
@@ -99,7 +96,6 @@ class ExperimentConfig:
                 trials=int(d["trials"]),
                 master_seed=int(d["master_seed"]),
                 output_dir=str(d.get("output_dir", "results")),
-                tolerances=dict(d.get("tolerances", {})),
             )
         except KeyError as exc:
             raise ConfigurationError(f"config missing required key: {exc.args[0]}") from exc
@@ -124,19 +120,18 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _grid_value(config: ExperimentConfig, key, default=None):
-    return config.grids.get(key, default)
-
-
 # ---------------------------------------------------------------------------
 # experiment adapters
 #
-# Each adapter provides:
+# An adapter is the whole definition of one experiment:
 #   cells(config)                      -> list of cell dicts
-#   trial(config, cell, ci, ti)       -> per-trial record dict
+#   trial(config, cell, ci, ti)        -> per-trial record dict
 #   rows(config, cell, ci, records)    -> list of CSV row dicts
-#   columns                            -> CSV header
-#   row_key_is_cell                    -> rows are per cell (vs per trial)
+#   criteria(rows)                     -> data-level pass/fail checks on the CSV
+#   columns                            -> CSV header; without a "trial"
+#                                         column the rows are per cell
+#   group, values                      -> summary aggregation: the columns to
+#                                         group rows by and the ones to summarize
 
 def _x_spec(family: str, n: int, nu) -> DistributionSpec:
     if family == "student_t" and nu is None:
@@ -150,20 +145,21 @@ def _x_spec(family: str, n: int, nu) -> DistributionSpec:
 
 class _WidthsAdapter:
     columns = ["cell", "trial", "family", "n", "r", "mean", "stderr", "draws", "d2", "D"]
-    row_key_is_cell = False
+    group = ["family", "n", "r"]
+    values = ["mean", "stderr", "D"]
 
     @staticmethod
     def cells(config):
-        sets = _grid_value(config, "sets")
+        sets = config.grids.get("sets")
         if not sets:
             raise ConfigurationError("widths experiment needs grids.sets")
-        radii = _grid_value(config, "radii", [None])
+        radii = config.grids.get("radii", [None])
         return [{"set": s, "radius": r} for s, r in product(sets, radii)]
 
     @staticmethod
     def trial(config, cell, ci, ti):
         spec = index_set_from_dict(cell["set"])
-        draws = int(_grid_value(config, "draws", 10000))
+        draws = int(config.grids.get("draws", 10000))
         est = gaussian_mean_width(
             spec,
             draws,
@@ -185,13 +181,51 @@ class _WidthsAdapter:
     def rows(config, cell, ci, records):
         return [dict(cell=ci, trial=ti, **rec) for ti, rec in records]
 
+    @staticmethod
+    def criteria(rows: list[dict]) -> list[dict]:
+        crits = []
+        # phi(r) = mean/r nonincreasing in r for a fixed set, within 3 se bands
+        by_set: dict[str, list[dict]] = {}
+        for r in rows:
+            if isinstance(r.get("r"), (int, float)):
+                by_set.setdefault(r["family"], []).append(r)
+        checked = False
+        for fam, rs in by_set.items():
+            radii = sorted({r["r"] for r in rs})
+            if len(radii) < 2:
+                continue
+            checked = True
+            ok = True
+            stats = []
+            for rad in radii:
+                vals = np.array([r["mean"] for r in rs if r["r"] == rad])
+                ses = np.array([r["stderr"] for r in rs if r["r"] == rad])
+                se = float(np.sqrt((ses**2).sum()) / len(ses))
+                stats.append((rad, float(vals.mean()) / rad, se / rad))
+            for (r1, p1, s1), (r2, p2, s2) in zip(stats, stats[1:]):
+                if p2 > p1 + 3.0 * (s1 + s2) + 1e-12:
+                    ok = False
+            crits.append({
+                "name": f"localized_width_ratio_monotone {fam}",
+                "status": "pass" if ok else "fail",
+                "detail": "mean/r nonincreasing in r within 3 se",
+            })
+        if not checked:
+            crits.append({
+                "name": "localized_width_ratio_monotone",
+                "status": "insufficient-data",
+                "detail": "need >= 2 radii for one set",
+            })
+        return crits
+
 
 class _MultiplierAdapter:
     columns = [
         "cell", "trial", "n", "N", "x_family", "noise_family", "u_grid",
         "A_u", "sup_centred", "sup_symmetrized", "C_hat", "ratio",
     ]
-    row_key_is_cell = False
+    group = ["n", "N", "x_family", "noise_family"]
+    values = ["sup_centred", "sup_symmetrized", "C_hat", "ratio"]
 
     @staticmethod
     def cells(config):
@@ -206,16 +240,16 @@ class _MultiplierAdapter:
 
     @staticmethod
     def _set_spec(config, n) -> IndexSetSpec:
-        d = dict(_grid_value(config, "set", {"family": "l1_ball", "rho": 1.0}))
+        d = dict(config.grids.get("set", {"family": "l1_ball", "rho": 1.0}))
         d["dim"] = n
         return index_set_from_dict(d)
 
     @staticmethod
     def trial(config, cell, ci, ti):
         spec = _MultiplierAdapter._set_spec(config, cell["n"])
-        dist = _x_spec(cell["x_family"], cell["n"], _grid_value(config, "nu"))
-        noise = NoiseSpec(cell["noise_family"], q0=float(_grid_value(config, "q0", 3.0)))
-        u_grid = [float(u) for u in _grid_value(config, "u_grid", [2.0, 4.0, 8.0])]
+        dist = _x_spec(cell["x_family"], cell["n"], config.grids.get("nu"))
+        noise = NoiseSpec(cell["noise_family"], q0=float(config.grids.get("q0", 3.0)))
+        u_grid = [float(u) for u in config.grids.get("u_grid", [2.0, 4.0, 8.0])]
         batch = sample_batch(dist, noise, cell["N"], child_path(config.master_seed, ci, ti))
         stats = multiplier_stats(batch, spec, noise, u_grid=u_grid)
         return {
@@ -236,7 +270,7 @@ class _MultiplierAdapter:
         spec = _MultiplierAdapter._set_spec(config, cell["n"])
         width = gaussian_mean_width(
             spec,
-            int(_grid_value(config, "width_draws", 20000)),
+            int(config.grids.get("width_draws", 20000)),
             seed_path=child_path(config.master_seed, ci, 1_000_000),
         )
         rows = []
@@ -248,6 +282,30 @@ class _MultiplierAdapter:
             rows.append(dict(cell=ci, trial=ti, **rec))
         return rows
 
+    @staticmethod
+    def criteria(rows: list[dict]) -> list[dict]:
+        crits = []
+        by_n: dict[int, list[float]] = {}
+        for r in rows:
+            if isinstance(r.get("ratio"), (int, float)) and math.isfinite(r["ratio"]):
+                by_n.setdefault(r["n"], []).append(r["ratio"])
+        if len(by_n) >= 2:
+            lo_n, hi_n = min(by_n), max(by_n)
+            lo, hi = np.mean(by_n[lo_n]), np.mean(by_n[hi_n])
+            ok = hi <= 1.5 * lo and hi <= 10.0
+            crits.append({
+                "name": f"ratio_two_scale n={lo_n}->{hi_n}",
+                "status": "pass" if ok else "fail",
+                "detail": f"mean ratio {lo:.3f} -> {hi:.3f}; bound 1.5x and <= 10",
+            })
+        else:
+            crits.append({
+                "name": "ratio_two_scale",
+                "status": "insufficient-data",
+                "detail": "need >= 2 distinct n",
+            })
+        return crits
+
 
 class _RecoveryAdapter:
     columns = [
@@ -255,7 +313,8 @@ class _RecoveryAdapter:
         "success_rate", "err_l1_med", "err_l2_med", "trials",
         "bp_unconverged", "lasso_unconverged",
     ]
-    row_key_is_cell = True
+    group = ["n", "s", "N", "family"]
+    values = ["success_rate", "err_l1_med", "err_l2_med"]
 
     @staticmethod
     def cells(config):
@@ -270,22 +329,18 @@ class _RecoveryAdapter:
 
     @staticmethod
     def trial(config, cell, ci, ti):
-        dist = _x_spec(cell["x_family"], cell["n"], _grid_value(config, "nu"))
-        noise_family = _grid_value(config, "noise_family", "symmetric_pareto")
-        q0 = float(_grid_value(config, "q0", 3.0))
+        dist = _x_spec(cell["x_family"], cell["n"], config.grids.get("nu"))
+        noise_family = config.grids.get("noise_family", "symmetric_pareto")
+        q0 = float(config.grids.get("q0", 3.0))
         noise = NoiseSpec(noise_family, q0=q0) if noise_family != "none" else None
-        c1 = float(_grid_value(config, "c1", DEFAULT_LASSO_C1))
+        c1 = float(config.grids.get("c1", DEFAULT_LASSO_C1))
         lam = rate_penalty(noise, cell["N"], cell["n"], c1) if noise else 0.0
         path = child_path(config.master_seed, ci, ti)
 
-        clean = make_recovery_problem(dist, cell["N"], cell["s"], path)
-        bp = basis_pursuit(clean, tol=float(_grid_value(config, "bp_tol", 1e-8)))
-        if noise is not None:
-            noisy = make_recovery_problem(dist, cell["N"], cell["s"], path, noise=noise, lam=lam)
-        else:
-            noisy = clean
-            noisy.lam = lam
-        la = lasso(noisy, tol=float(_grid_value(config, "lasso_tol", 1e-8)))
+        noisy = make_recovery_problem(dist, cell["N"], cell["s"], path, noise=noise, lam=lam)
+        clean = RecoveryProblem(noisy.Gamma, noisy.Gamma @ noisy.v0, noisy.v0, cell["s"])
+        bp = basis_pursuit(clean)
+        la = lasso(noisy)
         return {
             "nu": dist.tail_param if dist.tail_param is not None else "",
             "q0": q0 if noise is not None else "",
@@ -300,8 +355,6 @@ class _RecoveryAdapter:
     @staticmethod
     def rows(config, cell, ci, records):
         recs = [rec for _, rec in records]
-        if not recs:
-            return []
         return [{
             "cell": ci,
             "n": cell["n"],
@@ -319,13 +372,72 @@ class _RecoveryAdapter:
             "lasso_unconverged": sum(r["lasso_unconverged"] for r in recs),
         }]
 
+    @staticmethod
+    def criteria(rows: list[dict]) -> list[dict]:
+        crits = []
+        # rate: slope of log median l2 error vs log N, per (n, s, family)
+        series: dict[tuple, list[tuple[float, float]]] = {}
+        for r in rows:
+            key = (r["n"], r["s"], r["family"])
+            if isinstance(r.get("err_l2_med"), (int, float)) and r["err_l2_med"] > 0:
+                series.setdefault(key, []).append((r["N"], r["err_l2_med"]))
+        rated = False
+        for key, pts in series.items():
+            if len(pts) < 3:
+                continue
+            rated = True
+            pts.sort()
+            slope, _, se = loglog_slope([p[0] for p in pts], [p[1] for p in pts])
+            ok = abs(slope + 0.5) <= 0.15
+            crits.append({
+                "name": f"lasso_error_rate n={key[0]} s={key[1]} {key[2]}",
+                "status": "pass" if ok else "fail",
+                "detail": f"log-log slope {slope:.3f} (se {se:.3f}), target -0.5 +/- 0.15",
+            })
+        if not rated:
+            crits.append({
+                "name": "lasso_error_rate",
+                "status": "insufficient-data",
+                "detail": "need >= 3 N values for a fixed (n, s, family)",
+            })
+        # monotone success in N
+        mono_checked = False
+        by_ns: dict[tuple, list[dict]] = {}
+        for r in rows:
+            by_ns.setdefault((r["n"], r["s"], r["family"]), []).append(r)
+        for key, rs in by_ns.items():
+            if len(rs) < 2:
+                continue
+            mono_checked = True
+            rs.sort(key=lambda r: r["N"])
+            ok = True
+            for a, b in zip(rs, rs[1:]):
+                pa, pb = a["success_rate"], b["success_rate"]
+                ta, tb = a["trials"], b["trials"]
+                se = math.sqrt(pa * (1 - pa) / max(ta, 1) + pb * (1 - pb) / max(tb, 1))
+                if pb < pa - 3.0 * se - 1e-12:
+                    ok = False
+            crits.append({
+                "name": f"bp_success_monotone n={key[0]} s={key[1]} {key[2]}",
+                "status": "pass" if ok else "fail",
+                "detail": "success rate nondecreasing in N within 3 se",
+            })
+        if not mono_checked:
+            crits.append({
+                "name": "bp_success_monotone",
+                "status": "insufficient-data",
+                "detail": "need >= 2 N values for a fixed (n, s, family)",
+            })
+        return crits
+
 
 class _GelfandAdapter:
     columns = [
         "cell", "trial", "n", "m", "family", "x_family",
         "r_G", "r_G_confident", "r_X", "r_X_confident", "diam_lb",
     ]
-    row_key_is_cell = False
+    group = ["n", "m", "family", "x_family"]
+    values = ["r_G", "r_X", "diam_lb"]
 
     @staticmethod
     def cells(config):
@@ -341,8 +453,8 @@ class _GelfandAdapter:
     @staticmethod
     def trial(config, cell, ci, ti):
         spec = index_set_from_dict(cell["set"])
-        dist = _x_spec(cell["x_family"], spec.dim, _grid_value(config, "nu"))
-        probes = int(_grid_value(config, "probes", 200))
+        dist = _x_spec(cell["x_family"], spec.dim, config.grids.get("nu"))
+        probes = int(config.grids.get("probes", 200))
         res = kernel_section_diameter(
             dist, spec, cell["m"], probes, child_path(config.master_seed, ci, ti)
         )
@@ -350,13 +462,11 @@ class _GelfandAdapter:
 
     @staticmethod
     def rows(config, cell, ci, records):
-        if not records:
-            return []
         spec = index_set_from_dict(cell["set"])
-        dist = _x_spec(cell["x_family"], spec.dim, _grid_value(config, "nu"))
-        gamma = float(_grid_value(config, "gamma", 1.0))
-        draws = int(_grid_value(config, "width_draws", 2000))
-        tol = float(_grid_value(config, "fp_tol", 1e-2))
+        dist = _x_spec(cell["x_family"], spec.dim, config.grids.get("nu"))
+        gamma = float(config.grids.get("gamma", 1.0))
+        draws = int(config.grids.get("width_draws", 2000))
+        tol = float(config.grids.get("fp_tol", 1e-2))
         path = child_path(config.master_seed, ci, 1_000_000)
         rg = r_G_fixed_point(spec, gamma, cell["m"], tol, draws, child_path(path, 0))
         rx = r_X_fixed_point(dist, spec, gamma, cell["m"], tol, draws, child_path(path, 1))
@@ -377,14 +487,37 @@ class _GelfandAdapter:
             })
         return rows
 
+    @staticmethod
+    def criteria(rows: list[dict]) -> list[dict]:
+        crits = []
+        by_cell: dict[int, list[dict]] = {}
+        for r in rows:
+            by_cell.setdefault(r["cell"], []).append(r)
+        for ci, rs in sorted(by_cell.items()):
+            if len(rs) < 20:
+                crits.append({
+                    "name": f"kernel_diameter_bound cell{ci}",
+                    "status": "insufficient-data",
+                    "detail": f"{len(rs)} draws (< 20)",
+                })
+                continue
+            exceed = sum(r["diam_lb"] > 2.0 * r["r_G"] for r in rs) / len(rs)
+            crits.append({
+                "name": f"kernel_diameter_bound cell{ci}",
+                "status": "pass" if exceed <= 0.05 else "fail",
+                "detail": f"fraction above 2*r_G = {exceed:.3f} (allowed 0.05)",
+            })
+        return crits
+
 
 class _MomentsAdapter:
     columns = ["cell", "trial", "family", "tail_param", "n_samples", "q", "ratio"]
-    row_key_is_cell = False
+    group = ["family", "q"]
+    values = ["ratio"]
 
     @staticmethod
     def cells(config):
-        laws = _grid_value(config, "laws")
+        laws = config.grids.get("laws")
         if not laws:
             raise ConfigurationError("moments experiment needs grids.laws")
         return [dict(law) for law in laws]
@@ -392,8 +525,8 @@ class _MomentsAdapter:
     @staticmethod
     def trial(config, cell, ci, ti):
         dist = DistributionSpec(cell["family"], 1, tail_param=cell.get("tail_param"))
-        p = int(_grid_value(config, "p", 20))
-        n_samples = int(_grid_value(config, "n_samples", 100000))
+        p = int(config.grids.get("p", 20))
+        n_samples = int(config.grids.get("n_samples", 100000))
         profile = moment_growth_profile(
             dist, p, n_samples, child_path(config.master_seed, ci, ti)
         )
@@ -415,6 +548,25 @@ class _MomentsAdapter:
                 })
         return rows
 
+    @staticmethod
+    def criteria(rows: list[dict]) -> list[dict]:
+        crits = []
+        q2 = [r["ratio"] for r in rows if r.get("q") == 2]
+        if q2:
+            worst = max(abs(v * math.sqrt(2.0) - 1.0) for v in q2)
+            crits.append({
+                "name": "unit_variance_normalization",
+                "status": "pass" if worst <= 0.05 else "fail",
+                "detail": f"max |sqrt(2)*ratio(q=2) - 1| = {worst:.4f} (allowed 0.05)",
+            })
+        else:
+            crits.append({
+                "name": "unit_variance_normalization",
+                "status": "insufficient-data",
+                "detail": "no q=2 rows",
+            })
+        return crits
+
 
 _ADAPTERS = {
     "widths": _WidthsAdapter,
@@ -423,6 +575,7 @@ _ADAPTERS = {
     "gelfand": _GelfandAdapter,
     "moments": _MomentsAdapter,
 }
+EXPERIMENTS = tuple(_ADAPTERS)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +597,18 @@ class ExperimentManifest:
         return dict(self.__dict__)
 
 
-def _run_task(config: ExperimentConfig, cell, ci: int, ti: int):
-    adapter = _ADAPTERS[config.experiment]
-    return ci, ti, adapter.trial(config, cell, ci, ti)
+def dropped_cells(failed: list) -> list[int]:
+    """Cells left out of the CSV because at least one of their trials failed."""
+    return sorted({f["cell"] for f in failed})
+
+
+def _run_task(task) -> tuple[dict | None, str | None]:
+    """One (cell, trial): ``(record, None)``, or ``(None, repr(exc))`` if it raised."""
+    config, cell, ci, ti = task
+    try:
+        return _ADAPTERS[config.experiment].trial(config, cell, ci, ti), None
+    except Exception as exc:  # noqa: BLE001 - recorded in manifest.failed, not fatal
+        return None, repr(exc)
 
 
 def _format_value(v) -> str:
@@ -488,50 +650,34 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = [(ci, ti) for ci in range(len(cells)) for ti in range(config.trials)]
-    results: dict[tuple[int, int], dict] = {}
-    failed: list[dict] = []
-
+    tasks = [(config, cell, ci, ti)
+             for ci, cell in enumerate(cells) for ti in range(config.trials)]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_run_task, config, cells[ci], ci, ti): (ci, ti)
-                for ci, ti in tasks
-            }
-            for fut, key in futures.items():
-                try:
-                    ci, ti, rec = fut.result()
-                    results[(ci, ti)] = rec
-                except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                    failed.append({"cell": key[0], "trial": key[1], "error": repr(exc)})
+            outcomes = list(pool.map(_run_task, tasks))
     else:
-        for ci, ti in tasks:
-            try:
-                _, _, rec = _run_task(config, cells[ci], ci, ti)
-                results[(ci, ti)] = rec
-            except Exception as exc:  # noqa: BLE001
-                failed.append({"cell": ci, "trial": ti, "error": repr(exc)})
+        outcomes = map(_run_task, tasks)
 
-    failed_cells = {f["cell"] for f in failed}
+    records: list[list[tuple[int, dict]]] = [[] for _ in cells]
+    failed: list[dict] = []
+    for (_, _, ci, ti), (rec, error) in zip(tasks, outcomes):
+        if error is None:
+            records[ci].append((ti, rec))
+        else:
+            failed.append({"cell": ci, "trial": ti, "error": error})
+
+    dropped = dropped_cells(failed)
     rows: list[dict] = []
     seed_ledger: dict[str, list[int]] = {}
     for ci, cell in enumerate(cells):
-        if ci in failed_cells:
+        if ci in dropped or not records[ci]:
             continue
-        records = sorted(
-            ((ti, rec) for (c, ti), rec in results.items() if c == ci),
-            key=lambda item: item[0],
-        )
-        if config.trials > 0 and not records:
-            continue
-        cell_rows = adapter.rows(config, cell, ci, records)
-        rows.extend(cell_rows)
-        if adapter.row_key_is_cell:
-            if cell_rows:
-                seed_ledger[f"cell{ci}"] = [config.master_seed, ci]
-        else:
-            for ti, _ in records:
+        rows.extend(adapter.rows(config, cell, ci, records[ci]))
+        if "trial" in adapter.columns:
+            for ti, _ in records[ci]:
                 seed_ledger[f"cell{ci}/trial{ti}"] = [config.master_seed, ci, ti]
+        else:
+            seed_ledger[f"cell{ci}"] = [config.master_seed, ci]
 
     csv_path = out_dir / f"{config.experiment}.csv"
     _write_csv(csv_path, adapter.columns, rows)
@@ -611,12 +757,14 @@ class SummaryReport:
     experiment: str
     aggregates: list
     criteria: list
+    dropped_cells: list
 
     def format_lines(self) -> list[str]:
         lines = [f"experiment: {self.experiment}"]
         for agg in self.aggregates:
             desc = ", ".join(f"{k}={v}" for k, v in agg.items())
             lines.append("  " + desc)
+        lines.append(f"dropped cells (a trial failed): {self.dropped_cells or 'none'}")
         lines.append("criteria:")
         for crit in self.criteria:
             lines.append(f"  [{crit['status']:>17}] {crit['name']}: {crit['detail']}")
@@ -648,186 +796,12 @@ def _aggregate(rows: list[dict], group_cols: list[str], value_cols: list[str]) -
     return out
 
 
-def _recovery_criteria(rows: list[dict]) -> list[dict]:
-    crits = []
-    # rate: slope of log median l2 error vs log N, per (n, s, family)
-    series: dict[tuple, list[tuple[float, float]]] = {}
-    for r in rows:
-        key = (r["n"], r["s"], r["family"])
-        if isinstance(r.get("err_l2_med"), (int, float)) and r["err_l2_med"] > 0:
-            series.setdefault(key, []).append((r["N"], r["err_l2_med"]))
-    rated = False
-    for key, pts in series.items():
-        if len(pts) < 3:
-            continue
-        rated = True
-        pts.sort()
-        slope, _, se = loglog_slope([p[0] for p in pts], [p[1] for p in pts])
-        ok = abs(slope + 0.5) <= 0.15
-        crits.append({
-            "name": f"lasso_error_rate n={key[0]} s={key[1]} {key[2]}",
-            "status": "pass" if ok else "fail",
-            "detail": f"log-log slope {slope:.3f} (se {se:.3f}), target -0.5 +/- 0.15",
-        })
-    if not rated:
-        crits.append({
-            "name": "lasso_error_rate",
-            "status": "insufficient-data",
-            "detail": "need >= 3 N values for a fixed (n, s, family)",
-        })
-    # monotone success in N
-    mono_checked = False
-    by_ns: dict[tuple, list[dict]] = {}
-    for r in rows:
-        by_ns.setdefault((r["n"], r["s"], r["family"]), []).append(r)
-    for key, rs in by_ns.items():
-        if len(rs) < 2:
-            continue
-        mono_checked = True
-        rs.sort(key=lambda r: r["N"])
-        ok = True
-        for a, b in zip(rs, rs[1:]):
-            pa, pb = a["success_rate"], b["success_rate"]
-            ta, tb = a["trials"], b["trials"]
-            se = math.sqrt(pa * (1 - pa) / max(ta, 1) + pb * (1 - pb) / max(tb, 1))
-            if pb < pa - 3.0 * se - 1e-12:
-                ok = False
-        crits.append({
-            "name": f"bp_success_monotone n={key[0]} s={key[1]} {key[2]}",
-            "status": "pass" if ok else "fail",
-            "detail": "success rate nondecreasing in N within 3 se",
-        })
-    if not mono_checked:
-        crits.append({
-            "name": "bp_success_monotone",
-            "status": "insufficient-data",
-            "detail": "need >= 2 N values for a fixed (n, s, family)",
-        })
-    return crits
-
-
-def _multiplier_criteria(rows: list[dict]) -> list[dict]:
-    crits = []
-    by_n: dict[int, list[float]] = {}
-    for r in rows:
-        if isinstance(r.get("ratio"), (int, float)) and math.isfinite(r["ratio"]):
-            by_n.setdefault(r["n"], []).append(r["ratio"])
-    if len(by_n) >= 2:
-        lo_n, hi_n = min(by_n), max(by_n)
-        lo, hi = np.mean(by_n[lo_n]), np.mean(by_n[hi_n])
-        ok = hi <= 1.5 * lo and hi <= 10.0
-        crits.append({
-            "name": f"ratio_two_scale n={lo_n}->{hi_n}",
-            "status": "pass" if ok else "fail",
-            "detail": f"mean ratio {lo:.3f} -> {hi:.3f}; bound 1.5x and <= 10",
-        })
-    else:
-        crits.append({
-            "name": "ratio_two_scale",
-            "status": "insufficient-data",
-            "detail": "need >= 2 distinct n",
-        })
-    return crits
-
-
-def _gelfand_criteria(rows: list[dict]) -> list[dict]:
-    crits = []
-    by_cell: dict[int, list[dict]] = {}
-    for r in rows:
-        by_cell.setdefault(r["cell"], []).append(r)
-    for ci, rs in sorted(by_cell.items()):
-        if len(rs) < 20:
-            crits.append({
-                "name": f"kernel_diameter_bound cell{ci}",
-                "status": "insufficient-data",
-                "detail": f"{len(rs)} draws (< 20)",
-            })
-            continue
-        exceed = sum(r["diam_lb"] > 2.0 * r["r_G"] for r in rs) / len(rs)
-        crits.append({
-            "name": f"kernel_diameter_bound cell{ci}",
-            "status": "pass" if exceed <= 0.05 else "fail",
-            "detail": f"fraction above 2*r_G = {exceed:.3f} (allowed 0.05)",
-        })
-    return crits
-
-
-def _moments_criteria(rows: list[dict]) -> list[dict]:
-    crits = []
-    q2 = [r["ratio"] for r in rows if r.get("q") == 2]
-    if q2:
-        worst = max(abs(v * math.sqrt(2.0) - 1.0) for v in q2)
-        crits.append({
-            "name": "unit_variance_normalization",
-            "status": "pass" if worst <= 0.05 else "fail",
-            "detail": f"max |sqrt(2)*ratio(q=2) - 1| = {worst:.4f} (allowed 0.05)",
-        })
-    else:
-        crits.append({
-            "name": "unit_variance_normalization",
-            "status": "insufficient-data",
-            "detail": "no q=2 rows",
-        })
-    return crits
-
-
-def _widths_criteria(rows: list[dict]) -> list[dict]:
-    crits = []
-    # phi(r) = mean/r nonincreasing in r for a fixed set, within 3 se bands
-    by_set: dict[str, list[dict]] = {}
-    for r in rows:
-        if isinstance(r.get("r"), (int, float)):
-            by_set.setdefault(r["family"], []).append(r)
-    checked = False
-    for fam, rs in by_set.items():
-        radii = sorted({r["r"] for r in rs})
-        if len(radii) < 2:
-            continue
-        checked = True
-        ok = True
-        stats = []
-        for rad in radii:
-            vals = np.array([r["mean"] for r in rs if r["r"] == rad])
-            ses = np.array([r["stderr"] for r in rs if r["r"] == rad])
-            se = float(np.sqrt((ses**2).sum()) / len(ses))
-            stats.append((rad, float(vals.mean()) / rad, se / rad))
-        for (r1, p1, s1), (r2, p2, s2) in zip(stats, stats[1:]):
-            if p2 > p1 + 3.0 * (s1 + s2) + 1e-12:
-                ok = False
-        crits.append({
-            "name": f"localized_width_ratio_monotone {fam}",
-            "status": "pass" if ok else "fail",
-            "detail": "mean/r nonincreasing in r within 3 se",
-        })
-    if not checked:
-        crits.append({
-            "name": "localized_width_ratio_monotone",
-            "status": "insufficient-data",
-            "detail": "need >= 2 radii for one set",
-        })
-    return crits
-
-
-_CRITERIA = {
-    "recovery": _recovery_criteria,
-    "multiplier": _multiplier_criteria,
-    "gelfand": _gelfand_criteria,
-    "moments": _moments_criteria,
-    "widths": _widths_criteria,
-}
-
-_AGG_COLUMNS = {
-    "widths": (["family", "n", "r"], ["mean", "stderr", "D"]),
-    "multiplier": (["n", "N", "x_family", "noise_family"],
-                   ["sup_centred", "sup_symmetrized", "C_hat", "ratio"]),
-    "recovery": (["n", "s", "N", "family"], ["success_rate", "err_l1_med", "err_l2_med"]),
-    "gelfand": (["n", "m", "family", "x_family"], ["r_G", "r_X", "diam_lb"]),
-    "moments": (["family", "q"], ["ratio"]),
-}
-
-
 def summarize(results_dir: str | Path) -> SummaryReport:
-    """Verify checksums, aggregate per cell, and evaluate data-level criteria."""
+    """Verify checksums, aggregate per cell, and evaluate data-level criteria.
+
+    Cells dropped after a failed trial are reported apart from the criteria,
+    which see only the rows in the CSV.
+    """
     out_dir = Path(results_dir)
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
@@ -841,12 +815,17 @@ def summarize(results_dir: str | Path) -> SummaryReport:
             raise IntegrityError(f"checksum mismatch for {name}")
 
     experiment = manifest["experiment"]
+    adapter = _ADAPTERS[experiment]
     rows = _read_rows(out_dir / f"{experiment}.csv")
-    group_cols, value_cols = _AGG_COLUMNS[experiment]
-    aggregates = _aggregate(rows, group_cols, value_cols)
-    criteria = _CRITERIA[experiment](rows) if rows else [{
+    aggregates = _aggregate(rows, adapter.group, adapter.values)
+    criteria = adapter.criteria(rows) if rows else [{
         "name": "any",
         "status": "insufficient-data",
         "detail": "no rows",
     }]
-    return SummaryReport(experiment=experiment, aggregates=aggregates, criteria=criteria)
+    return SummaryReport(
+        experiment=experiment,
+        aggregates=aggregates,
+        criteria=criteria,
+        dropped_cells=dropped_cells(manifest["failed"]),
+    )

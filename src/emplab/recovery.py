@@ -1,4 +1,4 @@
-"""Sparse recovery: basis pursuit, LASSO, and the rate experiments.
+"""Sparse recovery: basis pursuit, LASSO, and the rate-driven penalty.
 
 The measurement model is y_i = <v0, X_i> - xi_i with an s-sparse ground
 truth v0.  ``lasso`` minimizes
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -258,69 +257,3 @@ def calibrate_lasso_c1(
         if med < best_err:
             best_c1, best_err = c1, med
     return best_c1
-
-
-def recovery_experiment(config: dict, seed_path: int | SeedPath) -> list[dict]:
-    """Run the (n, s, N, family) grid; one aggregated row per cell.
-
-    ``config`` keys: ``n`` (list), ``s`` (list), ``N`` (list), ``x_family``
-    (list of coordinate families; student_t uses df = 2 ln n unless
-    ``nu`` is given), ``trials`` (int), and optional ``q0``,
-    ``noise_family``, ``c1``, ``nu``, ``bp_tol``, ``lasso_tol``.
-    """
-    trials = int(config["trials"])
-    if trials == 0:
-        return []
-    q0 = float(config.get("q0", 3.0))
-    noise_family = config.get("noise_family", "symmetric_pareto")
-    c1 = float(config.get("c1", DEFAULT_LASSO_C1))
-    bp_tol = float(config.get("bp_tol", 1e-8))
-    lasso_tol = float(config.get("lasso_tol", 1e-8))
-    cells = list(product(config["n"], config["s"], config["N"], config["x_family"]))
-    rows = []
-    for cell_idx, (n, s, N, family) in enumerate(cells):
-        n, s, N = int(n), int(s), int(N)
-        if family == "student_t":
-            nu = float(config.get("nu", 2.0 * math.log(n)))
-            dist = DistributionSpec("student_t", n, tail_param=nu)
-        else:
-            dist = DistributionSpec(family, n, tail_param=config.get("nu"))
-        noise = NoiseSpec(noise_family, q0=q0) if noise_family != "none" else None
-        lam = rate_penalty(noise, N, n, c1) if noise is not None else 0.0
-
-        successes = 0
-        bp_flags = 0
-        lasso_flags = 0
-        errs = {1.0: [], 2.0: []}
-        for t in range(trials):
-            path = child_path(seed_path, cell_idx, t)
-            clean = make_recovery_problem(dist, N, s, path)
-            bp = basis_pursuit(clean, tol=bp_tol)
-            bp_flags += int(not bp.converged)
-            successes += int(recovery_success(bp, clean.v0))
-            if noise is not None:
-                noisy = make_recovery_problem(dist, N, s, path, noise=noise, lam=lam)
-                la = lasso(noisy, tol=lasso_tol)
-            else:
-                la = lasso(RecoveryProblem(clean.Gamma, clean.y, clean.v0, s, lam), tol=lasso_tol)
-            lasso_flags += int(not la.converged)
-            errs[1.0].append(la.errors_lp[1.0])
-            errs[2.0].append(la.errors_lp[2.0])
-        rows.append(
-            {
-                "n": n,
-                "s": s,
-                "N": N,
-                "family": family,
-                "nu": dist.tail_param if dist.tail_param is not None else "",
-                "q0": q0 if noise is not None else "",
-                "lambda": lam,
-                "success_rate": successes / trials if trials else math.nan,
-                "err_l1_med": float(np.median(errs[1.0])) if errs[1.0] else math.nan,
-                "err_l2_med": float(np.median(errs[2.0])) if errs[2.0] else math.nan,
-                "trials": trials,
-                "bp_unconverged": bp_flags,
-                "lasso_unconverged": lasso_flags,
-            }
-        )
-    return rows

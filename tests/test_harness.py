@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -9,6 +10,7 @@ from emplab.harness import (
     ExperimentConfig,
     IntegrityError,
     config_hash,
+    dropped_cells,
     loglog_slope,
     run,
     summarize,
@@ -39,6 +41,51 @@ def _multiplier_config(out, trials=3, seed=21):
             "x_family": ["student_t"],
             "noise_family": ["symmetric_pareto"],
             "width_draws": 500,
+        },
+        trials=trials,
+        master_seed=seed,
+        output_dir=str(out),
+    )
+
+
+def _recovery_config(out, trials=2, seed=31):
+    return ExperimentConfig(
+        experiment="recovery",
+        grids={"n": [16], "s": [1, 2], "N": [8, 32], "x_family": ["student_t"]},
+        trials=trials,
+        master_seed=seed,
+        output_dir=str(out),
+    )
+
+
+def _gelfand_config(out, m=(4, 8), trials=2, seed=41):
+    return ExperimentConfig(
+        experiment="gelfand",
+        grids={
+            "sets": [{"family": "l1_ball", "dim": 16}],
+            "m": list(m),
+            "x_family": ["gaussian"],
+            "width_draws": 200,
+            "probes": 20,
+        },
+        trials=trials,
+        master_seed=seed,
+        output_dir=str(out),
+    )
+
+
+def _failing_gelfand_config(out):
+    # m = 16 = dim leaves no kernel: every trial of cell 1 raises ValueError
+    return _gelfand_config(out, m=(4, 16))
+
+
+def _moments_config(out, trials=2, seed=51):
+    return ExperimentConfig(
+        experiment="moments",
+        grids={
+            "laws": [{"family": "gaussian"}, {"family": "student_t", "tail_param": 6.0}],
+            "p": 6,
+            "n_samples": 2000,
         },
         trials=trials,
         master_seed=seed,
@@ -113,17 +160,32 @@ def test_rerun_identical_bytes_and_checksums(tmp_path):
     ).read_bytes()
 
 
-def test_parallel_equals_serial(tmp_path):
-    m1 = run(_multiplier_config(tmp_path / "serial"), workers=1)
-    m2 = run(_multiplier_config(tmp_path / "parallel"), workers=3)
-    assert m1.checksums == m2.checksums
+@pytest.mark.parametrize("make_config, dropped", [
+    (_widths_config, []),
+    (_multiplier_config, []),
+    (_recovery_config, []),
+    (_gelfand_config, []),
+    (_moments_config, []),
+    (_failing_gelfand_config, [1]),
+], ids=["widths", "multiplier", "recovery", "gelfand", "moments", "gelfand-failing"])
+def test_parallel_equals_serial(tmp_path, make_config, dropped):
+    outputs = {}
+    for workers in (1, 2):
+        cfg = make_config(tmp_path / f"w{workers}")
+        manifest = run(cfg, workers=workers)
+        assert dropped_cells(manifest.failed) == dropped
+        csv_path = tmp_path / f"w{workers}" / f"{cfg.experiment}.csv"
+        with csv_path.open() as fh:
+            assert not {int(row["cell"]) for row in csv.DictReader(fh)} & set(dropped)
+        ledger_cells = {key.split("/")[0] for key in manifest.seed_ledger}
+        assert not ledger_cells & {f"cell{ci}" for ci in dropped}
+        outputs[workers] = (csv_path.read_bytes(), manifest.failed)
+    assert outputs[1] == outputs[2]
 
 
 def test_seed_ledger_covers_rows(tmp_path):
     cfg = _multiplier_config(tmp_path / "out", trials=2)
     manifest = run(cfg)
-    import csv
-
     with (tmp_path / "out" / "multiplier.csv").open() as fh:
         for row in csv.DictReader(fh):
             key = f"cell{row['cell']}/trial{row['trial']}"
@@ -139,13 +201,11 @@ def test_summarize_single_row_mean_is_value(tmp_path):
     run(cfg)
     report = summarize(tmp_path / "out")
     assert report.experiment == "widths"
-    import csv
-
     with (tmp_path / "out" / "widths.csv").open() as fh:
         first = next(csv.DictReader(fh))
     agg = next(a for a in report.aggregates if a.get("r") == 0.5 or a.get("r") == "")
     assert agg["count"] == 1
-    assert math.isclose(agg["mean_mean"], float(first["mean"])) or True
+    assert math.isclose(agg["mean_mean"], float(first["mean"]))
 
 
 def test_summarize_detects_corruption(tmp_path):
@@ -223,3 +283,17 @@ def test_cli_env_out_override(tmp_path, monkeypatch):
     monkeypatch.setenv("LAB_OUT", str(tmp_path / "env_out"))
     assert cli_main(["widths", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "env_out" / "widths.csv").exists()
+
+
+def test_dropped_cells_reported(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "g.json"
+    cfg_path.write_text(json.dumps(_failing_gelfand_config(out).to_dict()))
+    assert cli_main(["gelfand", "--config", str(cfg_path)]) == 1
+    assert "cells dropped from the CSV: [1]" in capsys.readouterr().err
+
+    report = summarize(out)
+    assert report.dropped_cells == [1]
+    assert all("cell1" not in crit["name"] for crit in report.criteria)
+    assert cli_main(["summarize", str(out)]) == 0
+    assert "dropped cells (a trial failed): [1]" in capsys.readouterr().out

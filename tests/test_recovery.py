@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from emplab.distributions import DistributionSpec, NoiseSpec
+from emplab.harness import ExperimentConfig, run
 from emplab.recovery import (
     RecoveryProblem,
     basis_pursuit,
@@ -11,7 +13,6 @@ from emplab.recovery import (
     lasso,
     lasso_objective,
     make_recovery_problem,
-    recovery_experiment,
     recovery_success,
 )
 
@@ -184,14 +185,20 @@ def test_make_recovery_problem_construction():
     assert np.allclose(clean.y, clean.Gamma @ clean.v0)
 
 
-def test_recovery_experiment_zero_sparsity_always_succeeds():
-    rows = recovery_experiment(
-        {"n": [16], "s": [0], "N": [8], "x_family": ["gaussian"],
-         "trials": 5, "noise_family": "none"},
-        seed_path=(31,),
+def test_recovery_zero_sparsity_always_succeeds(tmp_path):
+    config = ExperimentConfig(
+        experiment="recovery",
+        grids={"n": [16], "s": [0], "N": [8], "x_family": ["gaussian"],
+               "noise_family": "none"},
+        trials=5,
+        master_seed=31,
+        output_dir=str(tmp_path),
     )
+    run(config)
+    with (tmp_path / "recovery.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1
-    assert rows[0]["success_rate"] == 1.0
+    assert float(rows[0]["success_rate"]) == 1.0
 
 
 def test_error_shape_in_sparsity():
