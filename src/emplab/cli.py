@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers")
+        p.add_argument("--workers", type=int, default=1, help="parallel worker processes (>= 1)")
 
     p = sub.add_parser("summarize", help="aggregate a results directory")
     p.add_argument("results_dir", help="directory containing manifest.json")

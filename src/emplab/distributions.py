@@ -247,7 +247,7 @@ def sample_coordinates(spec: DistributionSpec, size, rng: np.random.Generator) -
         sign = 2.0 * rng.integers(0, 2, size=size).astype(np.float64) - 1.0
         out = sign * mag
     if spec.scale != 1.0:
-        out = spec.scale * out
+        out *= spec.scale  # out is a fresh array: scale it in place
     return out
 
 

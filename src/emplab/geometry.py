@@ -387,7 +387,7 @@ def gaussian_mean_width(
     rng = rng_from_path(seed_path, "gaussian")
     values = np.empty(draws)
     done = 0
-    chunk = max(1, 4_000_000 // spec.dim)
+    chunk = max(1, 1_000_000 // spec.dim)
     while done < draws:
         take = min(chunk, draws - done)
         G = rng.standard_normal((take, spec.dim))
@@ -407,7 +407,7 @@ def gaussian_order_stat_means(
     rng = rng_from_path(seed_path, "gaussian")
     acc = np.zeros(n)
     done = 0
-    chunk = max(1, 4_000_000 // n)
+    chunk = max(1, 1_000_000 // n)
     while done < n_draws:
         take = min(chunk, n_draws - done)
         G = rng.standard_normal((take, n))

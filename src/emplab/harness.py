@@ -3,24 +3,26 @@
 Five experiments (``widths``, ``multiplier``, ``recovery``, ``gelfand``,
 ``moments``) share one execution model: a config defines a grid of cells;
 each (cell, trial) is a pure function of (config, master_seed, cell index,
-trial index); per-trial records are aggregated into CSV rows in a fixed
-order.  Reruns with the same config and seed produce byte-identical CSVs
+trial index), and so is a cell's shared work of (config, master_seed, cell
+index); their records are aggregated into CSV rows in a fixed order.  Reruns with the same config and seed produce byte-identical CSVs
 at any worker count, because seeds derive from indices and rows are merged
 in deterministic key order.
 
 Artifacts per run: ``<experiment>.csv`` (canonical formatting: fixed
 column order, repr floats, '.' decimal, '\\n' newlines), ``summary.json``
 (derived, deterministic) and ``manifest.json`` (config hash, version,
-timestamps, per-file checksums, seed ledger).
+timestamps, per-file checksums, seed ledger, workers and BLAS threads).
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import product
@@ -126,7 +128,12 @@ def config_hash(config: ExperimentConfig) -> str:
 # An adapter is the whole definition of one experiment:
 #   cells(config)                      -> list of cell dicts
 #   trial(config, cell, ci, ti)        -> per-trial record dict
-#   rows(config, cell, ci, records)    -> list of CSV row dicts
+#   cell(config, cell, ci)             -> optional per-cell record, shared by the
+#                                         cell's rows (None: no per-cell work)
+#   cell_cost(cell)                    -> relative cost of cell(), to start the
+#                                         longest cell tasks first
+#   rows(config, cell, ci, records, cell_result)
+#                                      -> list of CSV row dicts
 #   criteria(rows)                     -> data-level pass/fail checks on the CSV
 #   columns                            -> CSV header; without a "trial"
 #                                         column the rows are per cell
@@ -143,7 +150,11 @@ def _x_spec(family: str, n: int, nu) -> DistributionSpec:
     return DistributionSpec(family, n, tail_param=nu)
 
 
-class _WidthsAdapter:
+class _Adapter:
+    cell = None
+
+
+class _WidthsAdapter(_Adapter):
     columns = ["cell", "trial", "family", "n", "r", "mean", "stderr", "draws", "d2", "D"]
     group = ["family", "n", "r"]
     values = ["mean", "stderr", "D"]
@@ -178,7 +189,7 @@ class _WidthsAdapter:
         }
 
     @staticmethod
-    def rows(config, cell, ci, records):
+    def rows(config, cell, ci, records, cell_result):
         return [dict(cell=ci, trial=ti, **rec) for ti, rec in records]
 
     @staticmethod
@@ -219,7 +230,7 @@ class _WidthsAdapter:
         return crits
 
 
-class _MultiplierAdapter:
+class _MultiplierAdapter(_Adapter):
     columns = [
         "cell", "trial", "n", "N", "x_family", "noise_family", "u_grid",
         "A_u", "sup_centred", "sup_symmetrized", "C_hat", "ratio",
@@ -266,13 +277,20 @@ class _MultiplierAdapter:
         }
 
     @staticmethod
-    def rows(config, cell, ci, records):
+    def cell(config, cell, ci):
         spec = _MultiplierAdapter._set_spec(config, cell["n"])
-        width = gaussian_mean_width(
+        return gaussian_mean_width(
             spec,
             int(config.grids.get("width_draws", 20000)),
             seed_path=child_path(config.master_seed, ci, 1_000_000),
         )
+
+    @staticmethod
+    def cell_cost(cell):
+        return cell["n"]
+
+    @staticmethod
+    def rows(config, cell, ci, records, width):
         rows = []
         for ti, rec in records:
             rec = dict(rec)
@@ -307,7 +325,7 @@ class _MultiplierAdapter:
         return crits
 
 
-class _RecoveryAdapter:
+class _RecoveryAdapter(_Adapter):
     columns = [
         "cell", "n", "s", "N", "family", "nu", "q0", "lambda",
         "success_rate", "err_l1_med", "err_l2_med", "trials",
@@ -353,7 +371,7 @@ class _RecoveryAdapter:
         }
 
     @staticmethod
-    def rows(config, cell, ci, records):
+    def rows(config, cell, ci, records, cell_result):
         recs = [rec for _, rec in records]
         return [{
             "cell": ci,
@@ -431,7 +449,7 @@ class _RecoveryAdapter:
         return crits
 
 
-class _GelfandAdapter:
+class _GelfandAdapter(_Adapter):
     columns = [
         "cell", "trial", "n", "m", "family", "x_family",
         "r_G", "r_G_confident", "r_X", "r_X_confident", "diam_lb",
@@ -461,7 +479,7 @@ class _GelfandAdapter:
         return {"diam_lb": res.lower_bound, "kernel_dim": res.kernel_dim}
 
     @staticmethod
-    def rows(config, cell, ci, records):
+    def cell(config, cell, ci):
         spec = index_set_from_dict(cell["set"])
         dist = _x_spec(cell["x_family"], spec.dim, config.grids.get("nu"))
         gamma = float(config.grids.get("gamma", 1.0))
@@ -470,6 +488,17 @@ class _GelfandAdapter:
         path = child_path(config.master_seed, ci, 1_000_000)
         rg = r_G_fixed_point(spec, gamma, cell["m"], tol, draws, child_path(path, 0))
         rx = r_X_fixed_point(dist, spec, gamma, cell["m"], tol, draws, child_path(path, 1))
+        return rg, rx
+
+    @staticmethod
+    def cell_cost(cell):
+        # r_X resamples draws x m x dim coordinates at every bisection step
+        return cell["m"] * int(cell["set"]["dim"])
+
+    @staticmethod
+    def rows(config, cell, ci, records, fixed_points):
+        spec = index_set_from_dict(cell["set"])
+        rg, rx = fixed_points
         rows = []
         for ti, rec in records:
             rows.append({
@@ -510,7 +539,7 @@ class _GelfandAdapter:
         return crits
 
 
-class _MomentsAdapter:
+class _MomentsAdapter(_Adapter):
     columns = ["cell", "trial", "family", "tail_param", "n_samples", "q", "ratio"]
     group = ["family", "q"]
     values = ["ratio"]
@@ -533,7 +562,7 @@ class _MomentsAdapter:
         return {"profile": profile, "n_samples": n_samples}
 
     @staticmethod
-    def rows(config, cell, ci, records):
+    def rows(config, cell, ci, records, cell_result):
         rows = []
         for ti, rec in records:
             for q, ratio in rec["profile"]:
@@ -592,23 +621,83 @@ class ExperimentManifest:
     seed_ledger: dict
     failed: list
     rows: int
+    workers: int
+    blas_threads: int | None
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
 
 def dropped_cells(failed: list) -> list[int]:
-    """Cells left out of the CSV because at least one of their trials failed."""
+    """Cells left out of the CSV because at least one of their tasks failed."""
     return sorted({f["cell"] for f in failed})
 
 
-def _run_task(task) -> tuple[dict | None, str | None]:
-    """One (cell, trial): ``(record, None)``, or ``(None, repr(exc))`` if it raised."""
+def _run_task(task) -> tuple[object, str | None]:
+    """One trial, or with ``ti=None`` one cell's shared work.
+
+    Returns ``(record, None)``, or ``(None, repr(exc))`` if it raised.
+    """
     config, cell, ci, ti = task
+    adapter = _ADAPTERS[config.experiment]
     try:
-        return _ADAPTERS[config.experiment].trial(config, cell, ci, ti), None
+        if ti is None:
+            return adapter.cell(config, cell, ci), None
+        return adapter.trial(config, cell, ci, ti), None
     except Exception as exc:  # noqa: BLE001 - recorded in manifest.failed, not fatal
         return None, repr(exc)
+
+
+# (get, set) thread-count entry points of the OpenBLAS builds numpy and
+# scipy ship (64-bit and 32-bit integer interface), then of a plain build
+_OPENBLAS_THREAD_API = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) functions of every OpenBLAS loaded into this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip()
+                            for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_API:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get_threads, set_threads = getattr(lib, get_name), getattr(lib, set_name)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                controls.append((get_threads, set_threads))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin every loaded OpenBLAS to one thread; restore the counts on exit.
+
+    Yields the thread count in force, or None when no OpenBLAS is loaded.
+    Pool workers forked inside inherit the pin, so k workers run k BLAS
+    threads on k cores instead of each spinning up one per core.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield 1 if controls else None
+    finally:
+        for (_, set_threads), n in zip(controls, previous):
+            set_threads(n)
 
 
 def _format_value(v) -> str:
@@ -643,28 +732,42 @@ def _utc_now() -> str:
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
-    """Execute all grid cells x trials and write CSV + summary + manifest."""
+    """Execute all grid cells x trials and write CSV + summary + manifest.
+
+    Every task runs with one BLAS thread per process.  The cells' shared
+    work (``adapter.cell``) is queued ahead of the trials, longest first.
+    """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     adapter = _ADAPTERS[config.experiment]
     cells = adapter.cells(config)
     started = _utc_now()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = [(config, cell, ci, ti)
-             for ci, cell in enumerate(cells) for ti in range(config.trials)]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_task, tasks))
-    else:
-        outcomes = map(_run_task, tasks)
+    cell_tasks = []
+    if adapter.cell is not None and config.trials > 0:
+        cell_tasks = sorted(((config, cell, ci, None) for ci, cell in enumerate(cells)),
+                            key=lambda task: adapter.cell_cost(task[1]), reverse=True)
+    tasks = cell_tasks + [(config, cell, ci, ti)
+                          for ci, cell in enumerate(cells) for ti in range(config.trials)]
+    with _one_blas_thread() as blas_threads:
+        if workers > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(_run_task, tasks))
+        else:
+            outcomes = list(map(_run_task, tasks))
 
     records: list[list[tuple[int, dict]]] = [[] for _ in cells]
+    cell_results: list = [None] * len(cells)
     failed: list[dict] = []
     for (_, _, ci, ti), (rec, error) in zip(tasks, outcomes):
-        if error is None:
-            records[ci].append((ti, rec))
-        else:
+        if error is not None:
             failed.append({"cell": ci, "trial": ti, "error": error})
+        elif ti is None:
+            cell_results[ci] = rec
+        else:
+            records[ci].append((ti, rec))
 
     dropped = dropped_cells(failed)
     rows: list[dict] = []
@@ -672,7 +775,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     for ci, cell in enumerate(cells):
         if ci in dropped or not records[ci]:
             continue
-        rows.extend(adapter.rows(config, cell, ci, records[ci]))
+        rows.extend(adapter.rows(config, cell, ci, records[ci], cell_results[ci]))
         if "trial" in adapter.columns:
             for ti, _ in records[ci]:
                 seed_ledger[f"cell{ci}/trial{ti}"] = [config.master_seed, ci, ti]
@@ -706,6 +809,8 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
         seed_ledger=seed_ledger,
         failed=failed,
         rows=len(rows),
+        workers=workers,
+        blas_threads=blas_threads,
     )
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest.to_dict(), sort_keys=True, indent=1) + "\n"
@@ -764,7 +869,7 @@ class SummaryReport:
         for agg in self.aggregates:
             desc = ", ".join(f"{k}={v}" for k, v in agg.items())
             lines.append("  " + desc)
-        lines.append(f"dropped cells (a trial failed): {self.dropped_cells or 'none'}")
+        lines.append(f"dropped cells (a task failed): {self.dropped_cells or 'none'}")
         lines.append("criteria:")
         for crit in self.criteria:
             lines.append(f"  [{crit['status']:>17}] {crit['name']}: {crit['detail']}")
@@ -799,7 +904,7 @@ def _aggregate(rows: list[dict], group_cols: list[str], value_cols: list[str]) -
 def summarize(results_dir: str | Path) -> SummaryReport:
     """Verify checksums, aggregate per cell, and evaluate data-level criteria.
 
-    Cells dropped after a failed trial are reported apart from the criteria,
+    Cells dropped after a failed task are reported apart from the criteria,
     which see only the rows in the CSV.
     """
     out_dir = Path(results_dir)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from emplab.distributions import ConfigurationError
 from emplab.harness import (
     ExperimentConfig,
     IntegrityError,
+    _one_blas_thread,
+    _openblas_thread_controls,
     config_hash,
     dropped_cells,
     loglog_slope,
@@ -32,7 +35,7 @@ def _widths_config(out, trials=2, seed=11):
     )
 
 
-def _multiplier_config(out, trials=3, seed=21):
+def _multiplier_config(out, trials=3, seed=21, width_draws=500):
     return ExperimentConfig(
         experiment="multiplier",
         grids={
@@ -40,7 +43,7 @@ def _multiplier_config(out, trials=3, seed=21):
             "N": [16],
             "x_family": ["student_t"],
             "noise_family": ["symmetric_pareto"],
-            "width_draws": 500,
+            "width_draws": width_draws,
         },
         trials=trials,
         master_seed=seed,
@@ -77,6 +80,11 @@ def _gelfand_config(out, m=(4, 8), trials=2, seed=41):
 def _failing_gelfand_config(out):
     # m = 16 = dim leaves no kernel: every trial of cell 1 raises ValueError
     return _gelfand_config(out, m=(4, 16))
+
+
+def _failing_width_config(out):
+    # one width draw makes every cell's gaussian_mean_width (a cell task) raise
+    return _multiplier_config(out, width_draws=1)
 
 
 def _moments_config(out, trials=2, seed=51):
@@ -160,20 +168,30 @@ def test_rerun_identical_bytes_and_checksums(tmp_path):
     ).read_bytes()
 
 
-@pytest.mark.parametrize("make_config, dropped", [
+# failed tasks as (cell, trial); trial None is a cell's shared work, and the
+# multiplier cells' widths run longest (largest n) first
+@pytest.mark.parametrize("make_config, failed", [
     (_widths_config, []),
     (_multiplier_config, []),
     (_recovery_config, []),
     (_gelfand_config, []),
     (_moments_config, []),
-    (_failing_gelfand_config, [1]),
-], ids=["widths", "multiplier", "recovery", "gelfand", "moments", "gelfand-failing"])
-def test_parallel_equals_serial(tmp_path, make_config, dropped):
+    (_failing_gelfand_config, [(1, 0), (1, 1)]),
+    (_failing_width_config, [(1, None), (0, None)]),
+], ids=["widths", "multiplier", "recovery", "gelfand", "moments", "gelfand-failing",
+        "multiplier-failing-cell"])
+def test_parallel_equals_serial(tmp_path, make_config, failed):
+    dropped = sorted({ci for ci, _ in failed})
+    blas_threads = 1 if _openblas_thread_controls() else None
     outputs = {}
     for workers in (1, 2):
         cfg = make_config(tmp_path / f"w{workers}")
         manifest = run(cfg, workers=workers)
+        assert [(f["cell"], f["trial"]) for f in manifest.failed] == failed
         assert dropped_cells(manifest.failed) == dropped
+        assert (manifest.workers, manifest.blas_threads) == (workers, blas_threads)
+        summary = json.loads((tmp_path / f"w{workers}" / "summary.json").read_text())
+        assert not {"workers", "blas_threads"} & set(summary)
         csv_path = tmp_path / f"w{workers}" / f"{cfg.experiment}.csv"
         with csv_path.open() as fh:
             assert not {int(row["cell"]) for row in csv.DictReader(fh)} & set(dropped)
@@ -181,6 +199,33 @@ def test_parallel_equals_serial(tmp_path, make_config, dropped):
         assert not ledger_cells & {f"cell{ci}" for ci in dropped}
         outputs[workers] = (csv_path.read_bytes(), manifest.failed)
     assert outputs[1] == outputs[2]
+
+
+def _blas_threads():
+    return [get() for get, _ in _openblas_thread_controls()]
+
+
+def test_blas_pinned_to_one_thread_and_restored():
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    original = _blas_threads()
+    for _, set_threads in controls:
+        set_threads(2)
+    try:
+        with _one_blas_thread() as threads:
+            assert threads == 1
+            assert _blas_threads() == [1] * len(controls)
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                assert pool.submit(_blas_threads).result() == [1] * len(controls)
+        assert _blas_threads() == [2] * len(controls)
+        with pytest.raises(RuntimeError, match="boom"):
+            with _one_blas_thread():
+                raise RuntimeError("boom")
+        assert _blas_threads() == [2] * len(controls)
+    finally:
+        for (_, set_threads), n in zip(controls, original):
+            set_threads(n)
 
 
 def test_seed_ledger_covers_rows(tmp_path):
@@ -277,6 +322,15 @@ def test_cli_seed_and_out_overrides(tmp_path):
     assert manifest["seed_ledger"]["cell0/trial0"][0] == 999
 
 
+def test_cli_rejects_workers_below_one(tmp_path, capsys):
+    cfg_path = tmp_path / "w.json"
+    cfg_path.write_text(json.dumps(_widths_config(tmp_path / "out", trials=1).to_dict()))
+    for workers in ("0", "-3"):
+        assert cli_main(["widths", "--config", str(cfg_path), "--workers", workers]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_env_out_override(tmp_path, monkeypatch):
     cfg_path = tmp_path / "w.json"
     cfg_path.write_text(json.dumps(_widths_config(tmp_path / "out", trials=1).to_dict()))
@@ -296,4 +350,4 @@ def test_dropped_cells_reported(tmp_path, capsys):
     assert report.dropped_cells == [1]
     assert all("cell1" not in crit["name"] for crit in report.criteria)
     assert cli_main(["summarize", str(out)]) == 0
-    assert "dropped cells (a trial failed): [1]" in capsys.readouterr().out
+    assert "dropped cells (a task failed): [1]" in capsys.readouterr().out
