@@ -33,7 +33,7 @@ def bp_phase():
         wins = 0
         for t in range(trials):
             prob = make_recovery_problem(dist, N, s, (SEED, N, t))
-            wins += int(recovery_success(basis_pursuit(prob, tol=1e-8), prob.v0))
+            wins += int(recovery_success(basis_pursuit(prob), prob.v0))
         bar = "#" * int(round(20 * wins / trials))
         print(f"  N={N:>3}  success {wins / trials:5.2f}  {bar}")
 

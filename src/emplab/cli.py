@@ -186,7 +186,7 @@ def _selftest() -> int:
     # basis pursuit on an identity system
     prob = recovery.RecoveryProblem(np.eye(4), np.array([1.0, -2.0, 0.0, 3.0]),
                                     np.array([1.0, -2.0, 0.0, 3.0]), 4)
-    res = recovery.basis_pursuit(prob, tol=1e-10)
+    res = recovery.basis_pursuit(prob)
     check("basis pursuit identity", float(np.abs(res.v_hat - prob.y).max()) < 1e-9)
 
     # determinism of a sampled batch

@@ -91,16 +91,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"config must be a JSON object, got {type(d).__name__}")
         try:
-            return cls(
-                experiment=d["experiment"],
-                grids=dict(d.get("grids", {})),
-                trials=int(d["trials"]),
-                master_seed=int(d["master_seed"]),
-                output_dir=str(d.get("output_dir", "results")),
-            )
+            fields = {
+                "experiment": d["experiment"],
+                "grids": dict(d.get("grids", {})),
+                "trials": int(d["trials"]),
+                "master_seed": int(d["master_seed"]),
+                "output_dir": str(d.get("output_dir", "results")),
+            }
         except KeyError as exc:
             raise ConfigurationError(f"config missing required key: {exc.args[0]}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed config: {exc}") from exc
+        return cls(**fields)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":

@@ -276,7 +276,7 @@ def _bp_success_rate(n, s, N, trials, seed_block):
     wins = 0
     for t in range(trials):
         prob = make_recovery_problem(dist, N, s, (seed_block, N, t))
-        res = basis_pursuit(prob, tol=1e-8)
+        res = basis_pursuit(prob)
         wins += int(recovery_success(res, prob.v0))
     return wins / trials
 
@@ -328,7 +328,7 @@ def test_criterion_09_solver_oracles():
         y = Gamma @ v0
         from emplab.recovery import RecoveryProblem
 
-        res = basis_pursuit(RecoveryProblem(Gamma, y, v0, s), tol=1e-10)
+        res = basis_pursuit(RecoveryProblem(Gamma, y, v0, s))
         worst_bp = max(worst_bp, abs(res.objective - basis_pursuit_enum(Gamma, y)))
 
     worst_la = 0.0

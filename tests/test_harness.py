@@ -133,6 +133,12 @@ def test_config_validation():
         ExperimentConfig.from_json("{not json")
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_json('{"experiment": "widths"}')
+    good = {"experiment": "widths", "grids": {}, "trials": 1, "master_seed": 0}
+    for bad in ({"trials": "x"}, {"master_seed": "abc"}, {"grids": [1]}):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig.from_dict({**good, **bad})
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.from_json(json.dumps([good]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +301,8 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["widths", "--config", str(missing)]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{")
+    assert cli_main(["widths", "--config", str(bad)]) == 2
+    bad.write_text('{"experiment": "widths", "trials": "x", "master_seed": 0}')
     assert cli_main(["widths", "--config", str(bad)]) == 2
 
 

@@ -100,13 +100,13 @@ def test_lasso_errors_lp_keys():
 def test_bp_identity_system():
     y = np.array([1.0, -2.0, 0.0, 3.0])
     prob = RecoveryProblem(np.eye(4), y, y, 4)
-    res = basis_pursuit(prob, tol=1e-10)
+    res = basis_pursuit(prob)
     np.testing.assert_allclose(res.v_hat, y, atol=1e-9)
 
 
 def test_bp_zero_rhs():
     prob = RecoveryProblem(RNG.standard_normal((3, 8)), np.zeros(3), np.zeros(8), 0)
-    res = basis_pursuit(prob, tol=1e-10)
+    res = basis_pursuit(prob)
     assert np.all(res.v_hat == 0.0)
     assert res.converged
 
@@ -114,7 +114,7 @@ def test_bp_zero_rhs():
 def test_bp_feasibility_at_termination():
     for _ in range(10):
         prob = _random_sparse_instance(16, 8, 2, RNG)
-        res = basis_pursuit(prob, tol=1e-8)
+        res = basis_pursuit(prob)
         assert res.residual <= 1e-8 * max(1.0, np.linalg.norm(prob.y))
 
 
@@ -124,7 +124,7 @@ def test_bp_one_sparse_gaussian_recovery():
     v0 = np.zeros(n)
     v0[0] = 1.0
     prob = RecoveryProblem(Gamma, Gamma @ v0, v0, 1)
-    res = basis_pursuit(prob, tol=1e-10)
+    res = basis_pursuit(prob)
     assert np.linalg.norm(res.v_hat - v0) < 1e-6
 
 
@@ -132,7 +132,7 @@ def test_bp_matches_support_enumeration():
     for trial in range(20):
         n, N = 10, 5
         prob = _random_sparse_instance(n, N, 2, RNG)
-        res = basis_pursuit(prob, tol=1e-10)
+        res = basis_pursuit(prob)
         oracle = basis_pursuit_enum(prob.Gamma, prob.y)
         assert res.objective == pytest.approx(oracle, rel=1e-6, abs=1e-8)
 
@@ -143,8 +143,42 @@ def test_bp_rank_deficient_flagged():
     Gamma = np.vstack([row, row])
     y = np.array([1.0, 2.0])
     prob = RecoveryProblem(Gamma, y, np.zeros(6), 0)
-    res = basis_pursuit(prob, tol=1e-10)
+    res = basis_pursuit(prob)
     assert not res.converged
+
+
+def test_bp_tall_consistent_system_recovers():
+    # N > n: the QR reduction keeps n rows and the solution is unique
+    prob = _random_sparse_instance(8, 20, 3, RNG)
+    res = basis_pursuit(prob)
+    assert res.converged
+    np.testing.assert_allclose(res.v_hat, prob.v0, atol=1e-9)
+
+
+def test_bp_tall_inconsistent_system_flagged():
+    # y off the range of Gamma: the reduced n-row system is solvable, so only
+    # the residual check on Gamma v = y can flag it
+    prob = _random_sparse_instance(8, 20, 3, RNG, noise_sd=0.1)
+    res = basis_pursuit(prob)
+    assert not res.converged
+    assert res.residual > 1e-3
+    assert np.all(res.v_hat == 0.0)
+
+
+def test_bp_converges_where_splitting_stalled(tmp_path):
+    # operator splitting left one of these three solves unconverged
+    config = ExperimentConfig(
+        experiment="recovery",
+        grids={"n": [128], "s": [4], "N": [12], "x_family": ["student_t"],
+               "noise_family": "symmetric_pareto", "q0": 3.0, "c1": 2.0},
+        trials=3,
+        master_seed=13002184953475769461,
+        output_dir=str(tmp_path),
+    )
+    run(config)
+    with (tmp_path / "recovery.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["bp_unconverged"] for row in rows] == ["0"]
 
 
 # ---------------------------------------------------------------------------
