@@ -3,17 +3,22 @@
 For an index set V and a threshold gamma*sqrt(m), the gaussian fixed point
 r_G is the smallest radius r with  l*(V cap rB2) <= gamma * r * sqrt(m);
 r_X replaces the gaussian width by the empirical-process width of an
-arbitrary isotropic ensemble.  Both are found by bisection on the
-nonincreasing map  phi(r) = width(r)/r, with Monte-Carlo confidence bands.
+arbitrary isotropic ensemble.  Each fixed point draws its Monte-Carlo
+sample once (gaussians, or the normalized sums m^{-1/2} sum_i X_i) and
+bisects on it.  On a fixed sample phi(r) = width(r)/r is nonincreasing,
+because each sample's support is concave in r and 0 at r = 0, so the
+bisection is exact on the sample; ``confident`` says whether the bracket
+also holds within 3 Monte-Carlo standard errors.
 
 ``kernel_section_diameter`` draws an m x n measurement matrix, computes an
 orthonormal kernel basis by a rank-revealing factorization, and certifies
-a lower bound on diam(ker cap V) by rescaling probe directions to the
-boundary of V through the exact gauge.
+a lower bound on diam(ker cap V) by rescaling all probe directions to the
+boundary of V at once through the exact gauge.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +26,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .distributions import DistributionSpec, sample_coordinates
-from .geometry import IndexSetSpec, WidthEstimate, d2, gauge, localized_support_batch
+from .geometry import IndexSetSpec, WidthEstimate, d2, gauge_batch, localized_support_batch
 from .geometry import _make_width_estimate
 from .streams import SeedPath, as_seed_path, child_path, rng_from_path
 
@@ -39,6 +44,24 @@ class FixedPointResult:
     bracketed: bool
 
 
+def _normalized_sums(
+    dist: DistributionSpec, dim: int, m: int, draws: int, rng: np.random.Generator
+) -> np.ndarray:
+    """draws x dim normalized sums m^{-1/2} sum_{i<=m} X_i, sampled in chunks."""
+    if draws < 2:
+        raise ValueError("draws must be >= 2")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    sums = np.empty((draws, dim))
+    chunk = max(1, 4_000_000 // (m * dim))
+    inv_sqrt_m = 1.0 / math.sqrt(m)
+    for done in range(0, draws, chunk):
+        take = min(chunk, draws - done)
+        X = sample_coordinates(dist, (take, m, dim), rng)
+        sums[done:done + take] = X.sum(axis=1) * inv_sqrt_m
+    return sums
+
+
 def empirical_process_width(
     dist: DistributionSpec,
     spec: IndexSetSpec,
@@ -52,26 +75,39 @@ def empirical_process_width(
     The inner normalized sum is a single vector per draw, so each support
     value is exact.
     """
+    sums = _normalized_sums(dist, spec.dim, m, draws, rng_from_path(seed_path, "X"))
+    return _make_width_estimate(
+        localized_support_batch(spec, sums, localized_radius), spec, localized_radius
+    )
+
+
+def _gaussian_sample(spec: IndexSetSpec, draws: int, seed_path) -> np.ndarray:
+    """The draws x dim gaussians that gaussian_mean_width draws on seed_path."""
     if draws < 2:
         raise ValueError("draws must be >= 2")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    rng = rng_from_path(seed_path, "X")
-    values = np.empty(draws)
-    done = 0
-    chunk = max(1, 4_000_000 // (m * spec.dim))
-    inv_sqrt_m = 1.0 / math.sqrt(m)
-    while done < draws:
-        take = min(chunk, draws - done)
-        X = sample_coordinates(dist, (take, m, spec.dim), rng)
-        sums = X.sum(axis=1) * inv_sqrt_m
-        values[done:done + take] = localized_support_batch(spec, sums, localized_radius)
-        done += take
-    return _make_width_estimate(values, spec, localized_radius)
+    return rng_from_path(seed_path, "gaussian").standard_normal((draws, spec.dim))
 
 
-def _fixed_point(width_fn, spec, gamma, m, tol, seed_path) -> FixedPointResult:
-    """Bisection on r for the predicate width(r) <= gamma * r * sqrt(m)."""
+def _width_curve(spec: IndexSetSpec, sample: np.ndarray):
+    """r -> width of V cap rB2 on one fixed sample (rows), memoised on r.
+
+    For each row z, r -> sup_{V cap rB2} |<v, z>| is concave with value 0
+    at r = 0, so width(r)/r is nonincreasing in r on the sample.
+    """
+
+    @functools.cache
+    def width(r: float) -> WidthEstimate:
+        return _make_width_estimate(localized_support_batch(spec, sample, r), spec, r)
+
+    return width
+
+
+def _fixed_point(width_fn, spec, gamma, m, tol) -> FixedPointResult:
+    """Bisection on r for the predicate width(r) <= gamma * r * sqrt(m).
+
+    ``width_fn`` evaluates one fixed sample, so the predicate is monotone
+    in r and the bracket is exact for that sample.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     if m < 1:
@@ -79,10 +115,9 @@ def _fixed_point(width_fn, spec, gamma, m, tol, seed_path) -> FixedPointResult:
     if tol <= 0:
         raise ValueError("tol must be > 0")
     threshold = gamma * math.sqrt(m)
-    path = as_seed_path(seed_path)
 
     r_hi = d2(spec)
-    est_hi = width_fn(r_hi, child_path(path, 0))
+    est_hi = width_fn(r_hi)
     if est_hi.mean > threshold * r_hi:
         # not bracketable: even the full set fails the width condition
         return FixedPointResult(
@@ -97,11 +132,9 @@ def _fixed_point(width_fn, spec, gamma, m, tol, seed_path) -> FixedPointResult:
 
     r_lo = 0.0
     est_lo = None
-    k = 1
     while r_hi - r_lo > tol:
         mid = 0.5 * (r_lo + r_hi)
-        est = width_fn(mid, child_path(path, k))
-        k += 1
+        est = width_fn(mid)
         if est.mean <= threshold * mid:
             r_hi, est_hi = mid, est
         else:
@@ -129,13 +162,13 @@ def r_G_fixed_point(
     draws: int,
     seed_path: int | SeedPath = (0,),
 ) -> FixedPointResult:
-    """Smallest r (within tol) with gaussian width of V cap rB2 <= gamma r sqrt(m)."""
-    from .geometry import gaussian_mean_width
+    """Smallest r (within tol) with gaussian width of V cap rB2 <= gamma r sqrt(m).
 
-    def width_fn(r, path):
-        return gaussian_mean_width(spec, draws, localized_radius=r, seed_path=path)
-
-    return _fixed_point(width_fn, spec, gamma, m, tol, seed_path)
+    Every radius is evaluated on the one gaussian sample that
+    ``gaussian_mean_width(spec, draws, r, seed_path)`` draws.
+    """
+    width = _width_curve(spec, _gaussian_sample(spec, draws, seed_path))
+    return _fixed_point(width, spec, gamma, m, tol)
 
 
 def r_X_fixed_point(
@@ -147,16 +180,15 @@ def r_X_fixed_point(
     draws: int,
     seed_path: int | SeedPath = (0,),
 ) -> FixedPointResult:
-    """Same fixed point with the empirical-process width of the X ensemble."""
+    """Same fixed point with the empirical-process width of the X ensemble.
+
+    Every radius is evaluated on the one sample of normalized sums that
+    ``empirical_process_width(dist, spec, m, draws, r, seed_path)`` draws.
+    """
     if dist.dim != spec.dim:
         raise ValueError("distribution and index set dimension mismatch")
-
-    def width_fn(r, path):
-        return empirical_process_width(
-            dist, spec, m, draws, localized_radius=r, seed_path=path
-        )
-
-    return _fixed_point(width_fn, spec, gamma, m, tol, seed_path)
+    sums = _normalized_sums(dist, spec.dim, m, draws, rng_from_path(seed_path, "X"))
+    return _fixed_point(_width_curve(spec, sums), spec, gamma, m, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +265,15 @@ def kernel_section_diameter(
         two_sparse[pairs[:, 1], np.arange(probes)] += signs
         cands.append(proj @ two_sparse)
         cands.append((proj @ _extreme_direction(spec))[:, None])
-    directions = np.concatenate(cands, axis=1) if cands else np.zeros((n, 0))
+    # one probe per row, C-ordered so that each row reduces as gauge(spec, row) does
+    P = np.ascontiguousarray(np.concatenate(cands, axis=1).T) if cands else np.zeros((0, n))
 
-    best = 0.0
-    for d in directions.T:
-        nrm = float(np.linalg.norm(d))
-        if nrm <= 1e-14:
-            continue
-        gv = gauge(spec, d)
-        if not math.isfinite(gv) or gv <= 0:
-            continue
-        best = max(best, nrm / gv)
+    norms = np.linalg.norm(P, axis=1)
+    gauges = gauge_batch(spec, P)
+    ok = (norms > 1e-14) & np.isfinite(gauges) & (gauges > 0)
+    scaled = np.divide(norms, gauges, out=np.zeros_like(norms), where=ok)
     return KernelDiameterResult(
-        lower_bound=2.0 * best,
+        lower_bound=2.0 * float(scaled.max(initial=0.0)),
         kernel_dim=kernel_dim,
         rank_deficient=rank_deficient,
         m=m,
@@ -279,9 +307,12 @@ def calibrate_kernel_constant(
     target = margin * float(np.max(lbs))
     tol = tol_factor * d2(spec)
 
+    # one gaussian sample for every gamma: the bisections revisit the same
+    # dyadic radii, so most widths come from the memo
+    width = _width_curve(spec, _gaussian_sample(spec, width_draws, child_path(path, 10_000)))
+
     def two_r_g(gamma: float) -> float:
-        res = r_G_fixed_point(spec, gamma, m, tol, width_draws, child_path(path, 10_000))
-        return 2.0 * res.r_star
+        return 2.0 * _fixed_point(width, spec, gamma, m, tol).r_star
 
     g_lo, g_hi = 1e-3, 64.0
     if two_r_g(g_lo) < target:

@@ -314,31 +314,33 @@ def localized_support(spec: IndexSetSpec, z: np.ndarray, radius: float | None) -
     return float(localized_support_batch(spec, np.asarray(z, dtype=np.float64)[None, :], radius)[0])
 
 
+def gauge_batch(spec: IndexSetSpec, V: np.ndarray) -> np.ndarray:
+    """Minkowski functional inf{t > 0 : v in t*V} for each row v of V (+inf if none)."""
+    V, _ = _as_batch(V, spec.dim)
+    if spec.family == "l1_ball":
+        return np.abs(V).sum(axis=1) / spec.rho
+    if spec.family == "l2_ball":
+        return np.linalg.norm(V, axis=1) / spec.r
+    if spec.family == "sparse_cap":
+        dense = np.count_nonzero(V, axis=1) > spec.s
+        return np.where(dense, math.inf, np.linalg.norm(V, axis=1))
+    if spec.family == "l1_cap_l2":
+        return np.maximum(np.abs(V).sum(axis=1) / spec.rho, np.linalg.norm(V, axis=1) / spec.r)
+    # permutation polytope: v in t*V  iff  prefix sums of v* are dominated
+    # by t * prefix sums of w* (a positive prefix of v* over a zero one of
+    # w* divides to +inf)
+    pv = np.cumsum(_sorted_abs_desc(V), axis=1)
+    pw = np.cumsum(np.sort(np.abs(np.asarray(spec.w)))[::-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(pv > 0, pv / pw, 0.0).max(axis=1)
+
+
 def gauge(spec: IndexSetSpec, v: np.ndarray) -> float:
     """Minkowski functional inf{t > 0 : v in t*V}; inf is +inf if none."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (spec.dim,):
         raise ValueError(f"expected a vector of length {spec.dim}")
-    if spec.family == "l1_ball":
-        return float(np.abs(v).sum() / spec.rho)
-    if spec.family == "l2_ball":
-        return float(np.linalg.norm(v) / spec.r)
-    if spec.family == "sparse_cap":
-        nnz = int(np.count_nonzero(v))
-        return float(np.linalg.norm(v)) if nnz <= spec.s else math.inf
-    if spec.family == "l1_cap_l2":
-        return float(max(np.abs(v).sum() / spec.rho, np.linalg.norm(v) / spec.r))
-    # permutation polytope: v in t*V  iff  prefix sums of v* are dominated
-    # by t * prefix sums of w*
-    v_star = np.sort(np.abs(v))[::-1]
-    w_star = np.sort(np.abs(np.asarray(spec.w)))[::-1]
-    pv = np.cumsum(v_star)
-    pw = np.cumsum(w_star)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(pv > 0, pv / pw, 0.0)
-    if np.any((pv > 0) & (pw == 0)):
-        return math.inf
-    return float(ratios.max())
+    return float(gauge_batch(spec, v[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -96,15 +96,24 @@ class ExperimentConfig:
         try:
             fields = {
                 "experiment": d["experiment"],
-                "grids": dict(d.get("grids", {})),
-                "trials": int(d["trials"]),
-                "master_seed": int(d["master_seed"]),
+                "grids": d.get("grids", {}),
+                "trials": d["trials"],
+                "master_seed": d["master_seed"],
                 "output_dir": str(d.get("output_dir", "results")),
             }
         except KeyError as exc:
             raise ConfigurationError(f"config missing required key: {exc.args[0]}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed config: {exc}") from exc
+        # no conversions: 2.7 trials or a list of pairs for grids is a mistake
+        for key in ("trials", "master_seed"):
+            if isinstance(fields[key], bool) or not isinstance(fields[key], int):
+                raise ConfigurationError(
+                    f"malformed config: {key} must be an integer, got {fields[key]!r}"
+                )
+        if not isinstance(fields["grids"], dict):
+            raise ConfigurationError(
+                f"malformed config: grids must be an object, got {fields['grids']!r}"
+            )
+        fields["grids"] = dict(fields["grids"])
         return cls(**fields)
 
     @classmethod
@@ -497,7 +506,7 @@ class _GelfandAdapter(_Adapter):
 
     @staticmethod
     def cell_cost(cell):
-        # r_X resamples draws x m x dim coordinates at every bisection step
+        # r_X draws draws x m x dim coordinates for its normalized sums
         return cell["m"] * int(cell["set"]["dim"])
 
     @staticmethod

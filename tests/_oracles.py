@@ -16,6 +16,30 @@ from scipy import integrate, stats
 
 
 # ---------------------------------------------------------------------------
+# gauges, one vector at a time from the definitions
+
+def gauge_direct(spec, v) -> float:
+    """inf{t > 0 : v in t*V} from each family's membership test, in plain Python."""
+    a = [abs(float(x)) for x in v]
+    l1, l2 = math.fsum(a), math.hypot(*a)
+    if spec.family == "l1_ball":
+        return l1 / spec.rho
+    if spec.family == "l2_ball":
+        return l2 / spec.r
+    if spec.family == "sparse_cap":
+        return l2 if sum(x > 0 for x in a) <= spec.s else math.inf
+    if spec.family == "l1_cap_l2":
+        return max(l1 / spec.rho, l2 / spec.r)
+    # v in t*conv(signed permutations of w) iff t*w* majorizes |v|* weakly
+    best, pv, pw = 0.0, 0.0, 0.0
+    for x, w in zip(sorted(a, reverse=True), sorted((abs(w) for w in spec.w), reverse=True)):
+        pv, pw = pv + x, pw + w
+        if pv > 0:
+            best = max(best, pv / pw if pw > 0 else math.inf)
+    return best
+
+
+# ---------------------------------------------------------------------------
 # moments by quadrature
 
 def gaussian_abs_moment_quad(q: float) -> float:

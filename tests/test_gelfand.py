@@ -11,7 +11,16 @@ from emplab.gelfand import (
     r_G_fixed_point,
     r_X_fixed_point,
 )
-from emplab.geometry import d2, gauge, gaussian_mean_width, l1_ball, l2_ball, sparse_cap
+from emplab.geometry import (
+    d2,
+    gauge,
+    gaussian_mean_width,
+    l1_ball,
+    l1_cap_l2,
+    l2_ball,
+    permutation_polytope,
+    sparse_cap,
+)
 from emplab.streams import rng_from_path
 
 from _oracles import direct_gaussian_l2_norm
@@ -85,6 +94,51 @@ def test_gaussian_empirical_width_matches_gaussian_width():
     b = empirical_process_width(DistributionSpec("gaussian", 32), spec, m=7,
                                 draws=20000, localized_radius=0.4, seed_path=(10,))
     assert abs(a.mean - b.mean) <= 3.0 * math.hypot(a.std_error, b.std_error)
+
+
+def test_fixed_points_bisect_the_public_width_on_one_sample():
+    # each fixed point evaluates every radius on the sample that the public
+    # width function draws on the same seed path (dim 1024 and m 300 make
+    # both samplers draw in several chunks)
+    spec, m, gamma = l1_ball(1024), 20, 1.0
+    rg = r_G_fixed_point(spec, gamma, m, tol=1e-2, draws=2000, seed_path=(19, 1))
+    lo, hi = rg.bracket
+    assert 0.0 < lo < hi
+    assert rg.width_at_r == gaussian_mean_width(spec, 2000, localized_radius=hi,
+                                                seed_path=(19, 1))
+    T = gamma * math.sqrt(m)
+    assert gaussian_mean_width(spec, 2000, localized_radius=lo, seed_path=(19, 1)).mean > T * lo
+
+    dist, spec = DistributionSpec("student_t", 64, tail_param=5.0), l1_ball(64)
+    m, gamma = 300, 0.3
+    rx = r_X_fixed_point(dist, spec, gamma, m, tol=1e-3, draws=500, seed_path=(19, 2))
+    lo, hi = rx.bracket
+    assert 0.0 < lo < hi
+    assert rx.width_at_r == empirical_process_width(dist, spec, m, 500, localized_radius=hi,
+                                                    seed_path=(19, 2))
+    T = gamma * math.sqrt(m)
+    lo_width = empirical_process_width(dist, spec, m, 500, localized_radius=lo, seed_path=(19, 2))
+    assert lo_width.mean > T * lo
+
+
+@pytest.mark.parametrize("spec", [
+    l1_ball(16, 1.5), l2_ball(16, 0.8), sparse_cap(16, 3), l1_cap_l2(16, 2.0, 0.7),
+    permutation_polytope(np.linspace(1.0, 0.1, 16)),
+], ids=lambda spec: spec.family)
+def test_phi_nonincreasing_on_one_sample(spec):
+    draws = 40 if spec.family == "permutation_polytope" else 500
+    radii = np.linspace(0.02, 1.2 * d2(spec), 25)
+    phi = [gaussian_mean_width(spec, draws, localized_radius=float(r), seed_path=(20,)).mean / r
+           for r in radii]
+    assert all(b <= a + 1e-12 * a for a, b in zip(phi, phi[1:]))
+
+
+def test_r_star_nonincreasing_in_gamma_at_one_seed_path():
+    spec, m = l1_ball(64), 20
+    radii = [r_G_fixed_point(spec, g, m, tol=1e-3, draws=1000, seed_path=(21,)).r_star
+             for g in np.geomspace(0.3, 3.0, 12)]
+    assert all(b <= a for a, b in zip(radii, radii[1:]))
+    assert radii[0] > radii[-1]
 
 
 def test_r_X_rademacher_finite_and_flagged():

@@ -9,6 +9,7 @@ from emplab.geometry import (
     IndexSetSpec,
     d2,
     gauge,
+    gauge_batch,
     gaussian_mean_width,
     gaussian_order_stat_means,
     l1_ball,
@@ -23,6 +24,7 @@ from emplab.geometry import (
 )
 
 from _oracles import (
+    gauge_direct,
     direct_gaussian_l2_norm,
     support_l1_cap_l2_pga,
     support_l1_vertices,
@@ -239,6 +241,34 @@ def test_gauge_membership_scaling():
             gv = gauge(spec, v)
             assert math.isfinite(gv) and gv > 0
             assert gauge(spec, v / gv) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_gauge_batch_matches_rowwise_gauge():
+    n = 6
+    for spec in all_specs(n):
+        V = RNG.standard_normal((40, n))
+        V[0] = 0.0
+        V[1, 2:] = 0.0  # 2-sparse: inside every sparse cap here
+        got = gauge_batch(spec, V)
+        assert got.shape == (40,)
+        for v, g in zip(V, got):
+            assert g == gauge(spec, v)
+            assert g == pytest.approx(gauge_direct(spec, v), rel=1e-12, abs=0.0)
+        assert got[0] == 0.0
+        if spec.family == "sparse_cap":
+            # dense rows have no scaling into the cap
+            assert np.array_equal(np.isinf(got), np.count_nonzero(V, axis=1) > spec.s)
+            assert np.isinf(got[2:]).all()
+    # closed forms, row by row
+    V = np.array([[1.0, -1.0, 0.0], [0.0, 3.0, 4.0]])
+    assert list(gauge_batch(l1_ball(3, 2.0), V)) == [1.0, 3.5]
+    assert list(gauge_batch(l2_ball(3, 2.0), V)) == pytest.approx([math.sqrt(2) / 2, 2.5])
+    assert list(gauge_batch(sparse_cap(3, 1), V)) == [math.inf, math.inf]
+    assert list(gauge_batch(sparse_cap(3, 2), V)) == pytest.approx([math.sqrt(2), 5.0])
+    assert list(gauge_batch(l1_cap_l2(3, 7.0, 0.5), V)) == pytest.approx([2 * math.sqrt(2), 10.0])
+    assert list(gauge_batch(permutation_polytope([2.0, 1.0, 0.0]), V)) == [2.0 / 3.0, 7.0 / 3.0]
+    with pytest.raises(ValueError):
+        gauge_batch(l1_ball(3), np.zeros((2, 4)))
 
 
 def test_gauge_known_values():

@@ -134,7 +134,10 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_json('{"experiment": "widths"}')
     good = {"experiment": "widths", "grids": {}, "trials": 1, "master_seed": 0}
-    for bad in ({"trials": "x"}, {"master_seed": "abc"}, {"grids": [1]}):
+    for bad in ({"trials": "x"}, {"master_seed": "abc"}, {"grids": [1]},
+                {"trials": 2.7}, {"trials": 2.0}, {"trials": True},
+                {"master_seed": True}, {"master_seed": 1.5},
+                {"grids": [["sets", []]]}, {"grids": None}):
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict({**good, **bad})
     with pytest.raises(ConfigurationError):

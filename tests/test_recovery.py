@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import qr
 
 from emplab.distributions import DistributionSpec, NoiseSpec
 from emplab.harness import ExperimentConfig, run
 from emplab.recovery import (
     RecoveryProblem,
+    _reduced_triangular_factor,
     basis_pursuit,
     rate_penalty,
     lasso,
@@ -105,10 +107,19 @@ def test_bp_identity_system():
 
 
 def test_bp_zero_rhs():
-    prob = RecoveryProblem(RNG.standard_normal((3, 8)), np.zeros(3), np.zeros(8), 0)
-    res = basis_pursuit(prob)
-    assert np.all(res.v_hat == 0.0)
-    assert res.converged
+    for N in (3, 0):
+        prob = RecoveryProblem(RNG.standard_normal((N, 8)), np.zeros(N), np.zeros(8), 0)
+        res = basis_pursuit(prob)
+        assert np.all(res.v_hat == 0.0)
+        assert res.converged
+
+
+def test_bp_reduced_factor_matches_scipy_qr():
+    # the in-place geqrf gives the bits of scipy.linalg.qr(mode="r")
+    for N, n in ((40, 8), (5, 12), (9, 9), (1, 4)):
+        Gamma, y = RNG.standard_t(3, size=(N, n)), RNG.standard_normal(N)
+        expected = qr(np.column_stack([Gamma, y]), mode="r")[0][: min(N, n)]
+        assert np.array_equal(_reduced_triangular_factor(Gamma, y), expected)
 
 
 def test_bp_feasibility_at_termination():
