@@ -49,8 +49,8 @@ def lasso_rate():
     for N in Ns:
         lam = rate_penalty(noise, N, n, DEFAULT_LASSO_C1)
         errs = [
-            lasso(make_recovery_problem(dist, N, s, (SEED, N, t), noise=noise, lam=lam),
-                  tol=1e-8).errors_lp[2.0]
+            lasso(make_recovery_problem(dist, N, s, (SEED, N, t), noise=noise, lam=lam))
+            .errors_lp[2.0]
             for t in range(trials)
         ]
         meds.append(float(np.median(errs)))

@@ -180,7 +180,7 @@ def _selftest() -> int:
     N = 50
     col = np.full(N, 1.0)
     prob = recovery.RecoveryProblem(col[:, None], 0.8 * col, np.array([0.8]), 1, lam=0.3)
-    res = recovery.lasso(prob, tol=1e-12)
+    res = recovery.lasso(prob)
     check("lasso 1-d soft threshold", abs(res.v_hat[0] - (0.8 - 0.15)) < 1e-9)
 
     # basis pursuit on an identity system

@@ -207,10 +207,6 @@ class NoiseSpec:
         """Factor applied to raw draws so ||xi||_{L_q0} == lq_norm."""
         return self.lq_norm / self.raw_lq_norm(self.q0)
 
-    def lq_norm_at(self, q: float) -> float:
-        """Exact L_q norm of the generated noise."""
-        return self.sample_scale * self.raw_lq_norm(q)
-
 
 @dataclass(frozen=True)
 class SampleBatch:

@@ -202,7 +202,6 @@ class KernelDiameterResult:
     kernel_dim: int
     rank_deficient: bool
     m: int
-    gamma_seed_path: SeedPath
 
 
 def _extreme_direction(spec: IndexSetSpec) -> np.ndarray:
@@ -277,7 +276,6 @@ def kernel_section_diameter(
         kernel_dim=kernel_dim,
         rank_deficient=rank_deficient,
         m=m,
-        gamma_seed_path=path,
     )
 
 

@@ -5,8 +5,9 @@ truth v0.  ``lasso`` minimizes
 
     (1/N) sum_i (<v, X_i> - y_i)^2 + lam * ||v||_1
 
-by cyclic coordinate descent; with this exact normalization the coordinate
-update thresholds the raw inner product <col_j, residual> at N*lam/2.
+exactly, by the homotopy (LARS-lasso) path in the threshold t = N*lam/2 on
+the raw inner products <col_j, residual>; its ``converged`` flag is the KKT
+certificate of the returned v, checked from scratch.
 ``basis_pursuit`` solves min ||v||_1 s.t. Gamma v = y exactly, as one
 linear program over v = p - q with p, q >= 0, by scipy's HiGHS.
 """
@@ -21,7 +22,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.optimize import linprog
 
 from .distributions import DistributionSpec, NoiseSpec, sample_coordinates, sample_noise
-from .streams import SeedPath, as_seed_path, child_path, rng_from_path
+from .streams import SeedPath, as_seed_path, rng_from_path
 
 ERROR_NORMS = (1.0, 1.5, 2.0)
 EXACT_RECOVERY_RTOL = 1e-6
@@ -83,65 +84,101 @@ def make_recovery_problem(
     return RecoveryProblem(Gamma=Gamma, y=y, v0=v0, s=s, lam=lam)
 
 
-def lasso_objective(Gamma: np.ndarray, y: np.ndarray, v: np.ndarray, lam: float) -> float:
-    N = Gamma.shape[0]
-    resid = Gamma @ v - y
-    return float(resid @ resid / N + lam * np.abs(v).sum())
+def lasso(problem: RecoveryProblem) -> RecoveryResult:
+    """Exact LASSO by homotopy: the LARS-lasso path of Osborne, Presnell &
+    Turlach (2000) and Efron et al. (2004).
 
+    With c = Gamma^T (y - Gamma v), the solution at threshold t = N lam / 2
+    has c_j = t sign(v_j) on its support and |c_j| <= t off it.  The path
+    starts at v = 0, t = ||Gamma^T y||_inf and lowers t.  On the active set
+    A, v moves along d with (Gamma_A^T Gamma_A) d = sign(c_A), and c along
+    a = Gamma^T Gamma_A d, until the next event: a column reaches the
+    boundary |c_j| = t and joins, an active coordinate reaches 0 and drops,
+    or t reaches N lam / 2.  A column that has just dropped may not rejoin
+    at the boundary it left on the next step, and a column numerically in
+    the span of the active columns does not join, so the active system
+    stays nonsingular without a ridge term.
 
-def lasso(problem: RecoveryProblem, tol: float = 1e-8, max_sweeps: int = 2000) -> RecoveryResult:
-    """Cyclic coordinate descent on (1/N)||Gamma v - y||^2 + lam ||v||_1.
-
-    Stops when the largest coordinate update in a sweep is below ``tol``;
-    descent is monotone by exact coordinate minimization and is checked
-    every sweep.
+    ``converged`` is the KKT certificate, computed from scratch on the
+    returned v: |c_j - t sign(v_j)| on the support and |c_j| - t off it are
+    at most 1e-9 max(t, ||Gamma^T y||_inf).  ``iterations`` counts
+    homotopy steps.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     Gamma, y, lam = problem.Gamma, problem.y, problem.lam
     N, n = Gamma.shape
-    G = Gamma.T @ Gamma
+    t_end = N * lam / 2.0
     b = Gamma.T @ y
-    diag = np.diag(G).copy()
-    thresh = N * lam / 2.0
-
+    c = b.copy()
     v = np.zeros(n)
-    grad = -b  # G @ v - b, maintained incrementally
-    yy = float(y @ y)
+    t = t_max = float(np.abs(b).max(initial=0.0))
+    active: list[int] = []
+    join = int(np.argmax(np.abs(b))) if t > t_end else -1
+    dropped = -1
+    steps = 0
+    # a guard against cycling on degenerate designs: a path this long is
+    # returned where it stopped, and the certificate below rejects it
+    while t > t_end and steps < 4 * (n + N):
+        if join >= 0:
+            active.append(join)
+        steps += 1
+        A = np.array(active)
+        Gamma_A = Gamma[:, A]
+        G = Gamma_A.T @ Gamma_A
+        d = np.linalg.solve(G, np.sign(c[A]))
+        a = Gamma.T @ (Gamma_A @ d)
 
-    def objective() -> float:
-        return float((v @ (grad - b) + yy) / N + lam * np.abs(v).sum())
+        # the step at which c_j - gamma a_j reaches t - gamma (up) or
+        # -(t - gamma) (down); a column already on the boundary and moving
+        # out joins at once
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(a < 1.0, np.maximum(t - c, 0.0) / (1.0 - a), np.inf)
+            down = np.where(a > -1.0, np.maximum(t + c, 0.0) / (1.0 + a), np.inf)
+            to_drop = np.where(-v[A] * d > 0.0, -v[A] / d, np.inf)
+        if dropped >= 0:
+            # it left the boundary it sits on, so it cannot reach it again
+            # on this segment; only rounding could say otherwise
+            (up if c[dropped] > 0 else down)[dropped] = np.inf
+        to_join = np.minimum(up, down)
+        to_join[A] = np.inf
+        # a join within 1e-12 t_max of the end is skipped: it would move c by
+        # less than the certificate's tolerance, and joins that close to
+        # t = 0 would only chase rounding noise in c
+        gamma, join, drop = t - t_end, -1, -1
+        while True:
+            k = int(np.argmin(to_join))
+            if not to_join[k] < gamma - 1e-12 * t_max:
+                break
+            col = Gamma[:, k]
+            off_span = col - Gamma_A @ np.linalg.solve(G, Gamma_A.T @ col)
+            if off_span @ off_span > 1e-16 * (col @ col):
+                gamma, join = float(to_join[k]), k
+                break
+            to_join[k] = np.inf
+        k = int(np.argmin(to_drop))
+        if to_drop[k] < gamma:
+            gamma, join, drop = float(to_drop[k]), -1, k
 
-    prev_obj = objective()
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        max_step = 0.0
-        for j in range(n):
-            old = v[j]
-            if diag[j] == 0.0:
-                new = 0.0
-            else:
-                rho_j = diag[j] * old - grad[j]
-                new = math.copysign(max(abs(rho_j) - thresh, 0.0), rho_j) / diag[j]
-            if new != old:
-                v[j] = new
-                grad += (new - old) * G[:, j]
-                step = abs(new - old)
-                if step > max_step:
-                    max_step = step
-        obj = objective()
-        if obj > prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
-            raise RuntimeError("coordinate descent objective increased; numerical breakdown")
-        prev_obj = obj
-        if max_step < tol:
-            converged = True
+        v[A] += gamma * d
+        c -= gamma * a
+        t -= gamma
+        dropped = -1
+        if drop >= 0:
+            dropped = active.pop(drop)
+            v[dropped] = 0.0
+        if join < 0 and drop < 0:
             break
 
     resid = Gamma @ v - y
+    c = -(Gamma.T @ resid)
+    tol = 1e-9 * max(t_end, t_max)
+    on = v != 0.0
+    converged = bool(
+        np.all(np.abs(c[on] - t_end * np.sign(v[on])) <= tol)
+        and np.all(np.abs(c[~on]) <= t_end + tol)
+    )
     return RecoveryResult(
         v_hat=v,
-        iterations=sweeps,
+        iterations=steps,
         residual=float(np.linalg.norm(resid)),
         objective=float(resid @ resid / N + lam * np.abs(v).sum()),
         errors_lp=_lp_errors(v, problem.v0),
@@ -229,28 +266,3 @@ def recovery_success(result: RecoveryResult, v0: np.ndarray) -> bool:
 # which the median errors reproduce the s^(1/p) sqrt(1/N) shape in both
 # norms; see demos/recovery_demo.py.
 DEFAULT_LASSO_C1 = 2.0
-
-
-def calibrate_lasso_c1(
-    dist: DistributionSpec,
-    noise: NoiseSpec,
-    N: int,
-    s: int,
-    trials: int,
-    seed_path: int | SeedPath,
-    grid=(0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0),
-) -> float:
-    """Grid-search the penalty constant minimizing median l2 error."""
-    best_c1, best_err = None, math.inf
-    for ci, c1 in enumerate(grid):
-        lam = rate_penalty(noise, N, dist.dim, c1)
-        errs = []
-        for t in range(trials):
-            prob = make_recovery_problem(
-                dist, N, s, child_path(seed_path, ci, t), noise=noise, lam=lam
-            )
-            errs.append(lasso(prob).errors_lp[2.0])
-        med = float(np.median(errs))
-        if med < best_err:
-            best_c1, best_err = c1, med
-    return best_c1

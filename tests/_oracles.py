@@ -157,23 +157,19 @@ def basis_pursuit_enum(Gamma: np.ndarray, y: np.ndarray) -> float:
     """Optimal value of min ||v||_1 s.t. Gamma v = y, by support enumeration.
 
     Some optimal basic solution uses at most N columns; enumerate every
-    support of size <= N, solve the restricted system exactly, keep the
-    feasible candidates.
+    support of size <= N, solve the restricted system exactly (least
+    squares by the pseudo-inverse, all supports of one size in one batch),
+    keep the feasible candidates.
     """
     N, n = Gamma.shape
-    best = math.inf
     ynorm = max(1.0, float(np.linalg.norm(y)))
-    for k in range(0, min(N, n) + 1):
-        for idx in combinations(range(n), k):
-            if k == 0:
-                resid = float(np.linalg.norm(y))
-                if resid <= 1e-9 * ynorm:
-                    best = min(best, 0.0)
-                continue
-            sub = Gamma[:, idx]
-            sol, _, _, _ = np.linalg.lstsq(sub, y, rcond=None)
-            if np.linalg.norm(sub @ sol - y) <= 1e-9 * ynorm:
-                best = min(best, float(np.abs(sol).sum()))
+    best = 0.0 if float(np.linalg.norm(y)) <= 1e-9 * ynorm else math.inf
+    for k in range(1, min(N, n) + 1):
+        subs = Gamma[:, list(combinations(range(n), k))].transpose(1, 0, 2)
+        sols = np.linalg.pinv(subs) @ y
+        feasible = np.linalg.norm(subs @ sols[..., None] - y[:, None], axis=(1, 2)) <= 1e-9 * ynorm
+        if feasible.any():
+            best = min(best, float(np.abs(sols[feasible]).sum(axis=1).min()))
     return best
 
 
@@ -183,7 +179,8 @@ def lasso_kkt_enum(Gamma: np.ndarray, y: np.ndarray, lam: float) -> tuple[float,
     For every support S and sign vector sigma on S, solve the stationarity
     system of (1/N)||Gamma v - y||^2 + lam ||v||_1 restricted to S and keep
     candidates whose signs match and whose off-support gradients satisfy
-    the KKT bound.  Returns (objective, v).
+    the KKT bound.  All sign patterns of one support are solved in one
+    batch.  Returns (objective, v).
     """
     N, n = Gamma.shape
     thresh = N * lam / 2.0
@@ -199,27 +196,31 @@ def lasso_kkt_enum(Gamma: np.ndarray, y: np.ndarray, lam: float) -> tuple[float,
     # v = 0 candidate requires |b_j| <= thresh for all j; we keep it anyway as
     # an upper bound (enumeration below will beat it if it is not optimal)
     for k in range(1, n + 1):
+        # column m of sigmas is the sign pattern of mask m: bit i gives sign i
+        masks = np.arange(1 << k)
+        sigmas = np.where((masks[None, :] >> np.arange(k)[:, None]) & 1, 1.0, -1.0)
         for idx in combinations(range(n), k):
             idx = list(idx)
-            sub = G[np.ix_(idx, idx)]
-            bs = b[idx]
-            for mask in range(1 << k):
-                sigma = np.array([1.0 if mask & (1 << i) else -1.0 for i in range(k)])
-                try:
-                    v_s = np.linalg.solve(sub, bs - thresh * sigma)
-                except np.linalg.LinAlgError:
-                    continue
-                if np.any(np.sign(v_s) != sigma):
-                    continue
-                v = np.zeros(n)
-                v[idx] = v_s
-                grad = G @ v - b
-                off = [j for j in range(n) if j not in idx]
-                if off and np.any(np.abs(grad[off]) > thresh * (1 + 1e-9)):
-                    continue
-                obj = objective(v)
-                if obj < best_obj:
-                    best_obj, best_v = obj, v
+            try:
+                V_s = np.linalg.solve(G[np.ix_(idx, idx)], b[idx, None] - thresh * sigmas)
+            except np.linalg.LinAlgError:
+                continue
+            V = np.zeros((n, 1 << k))
+            V[idx] = V_s
+            off = np.ones(n, dtype=bool)
+            off[idx] = False
+            grad_off = G[off] @ V - b[off, None]
+            ok = (np.sign(V_s) == sigmas).all(axis=0)
+            ok &= (np.abs(grad_off) <= thresh * (1 + 1e-9)).all(axis=0)
+            if not ok.any():
+                continue
+            resid = Gamma @ V[:, ok] - y[:, None]
+            objs = (resid * resid).sum(axis=0) / N + lam * np.abs(V[:, ok]).sum(axis=0)
+            m = int(np.argmin(objs))
+            v = V[:, np.flatnonzero(ok)[m]]
+            obj = objective(v)
+            if obj < best_obj:
+                best_obj, best_v = obj, v
     return best_obj, best_v
 
 

@@ -247,7 +247,7 @@ def test_criterion_07_lasso_rate():
         for t in range(trials):
             prob = make_recovery_problem(dist, N, s_val, (70_007, tag, t),
                                          noise=noise, lam=lam)
-            errs.append(lasso(prob, tol=1e-8).errors_lp[2.0])
+            errs.append(lasso(prob).errors_lp[2.0])
         return float(np.median(errs))
 
     Ns = [256, 1024, 4096]
@@ -341,7 +341,7 @@ def test_criterion_09_solver_oracles():
         lam = 0.25
         from emplab.recovery import RecoveryProblem
 
-        res = lasso(RecoveryProblem(Gamma, y, v0, s, lam=lam), tol=1e-12, max_sweeps=50_000)
+        res = lasso(RecoveryProblem(Gamma, y, v0, s, lam=lam))
         obj_oracle, _ = lasso_kkt_enum(Gamma, y, lam)
         worst_la = max(worst_la, abs(res.objective - obj_oracle))
 

@@ -13,7 +13,6 @@ from emplab.recovery import (
     basis_pursuit,
     rate_penalty,
     lasso,
-    lasso_objective,
     make_recovery_problem,
     recovery_success,
 )
@@ -41,7 +40,7 @@ def test_lasso_unregularized_orthonormal_recovers_exactly():
     v0 = np.zeros(n)
     v0[[1, 4]] = [1.0, -1.0]
     prob = RecoveryProblem(q, q @ v0, v0, 2, lam=0.0)
-    res = lasso(prob, tol=1e-12)
+    res = lasso(prob)
     np.testing.assert_allclose(res.v_hat, v0, atol=1e-10)
     assert res.converged
 
@@ -51,41 +50,56 @@ def test_lasso_one_dimensional_soft_threshold():
     N, a, lam = 40, 0.9, 0.5
     col = np.ones(N)
     prob = RecoveryProblem(col[:, None], a * col, np.array([a]), 1, lam=lam)
-    res = lasso(prob, tol=1e-14)
+    res = lasso(prob)
     assert res.v_hat[0] == pytest.approx(a - lam / 2.0, rel=1e-12)
     shrunk_away = RecoveryProblem(col[:, None], 0.2 * col, np.array([0.2]), 1, lam=0.5)
-    assert lasso(shrunk_away, tol=1e-14).v_hat[0] == 0.0
+    assert lasso(shrunk_away).v_hat[0] == 0.0
 
 
 def test_lasso_zero_data_zero_solution():
     prob = RecoveryProblem(RNG.standard_normal((8, 5)), np.zeros(8), np.zeros(5), 0, lam=0.3)
-    res = lasso(prob, tol=1e-12)
+    res = lasso(prob)
     assert np.all(res.v_hat == 0.0)
 
 
 def test_lasso_result_consistency_on_recompute():
     prob = _random_sparse_instance(10, 20, 3, RNG, noise_sd=0.2, lam=0.1)
-    res = lasso(prob, tol=1e-10)
-    resid = np.linalg.norm(prob.Gamma @ res.v_hat - prob.y)
-    obj = lasso_objective(prob.Gamma, prob.y, res.v_hat, prob.lam)
-    assert res.residual == pytest.approx(resid, rel=1e-10)
+    res = lasso(prob)
+    r = prob.Gamma @ res.v_hat - prob.y
+    obj = float(r @ r) / len(r) + prob.lam * float(np.abs(res.v_hat).sum())
+    assert res.residual == pytest.approx(np.linalg.norm(r), rel=1e-10)
     assert res.objective == pytest.approx(obj, rel=1e-10)
 
 
-def test_lasso_termination_objective_slack():
-    # a further (much tighter) solve can improve by at most 10 * tol * n
+def _kkt_violation(prob, v):
+    """Largest KKT violation of v, over max(lam, (2/N)||Gamma^T y||_inf).
+
+    With c = (2/N) Gamma^T (y - Gamma v): |c_j - lam sign(v_j)| on the
+    support of v, and |c_j| - lam off it.
+    """
+    N = prob.Gamma.shape[0]
+    c = (2.0 / N) * prob.Gamma.T @ (prob.y - prob.Gamma @ v)
+    scale = max(prob.lam, (2.0 / N) * float(np.abs(prob.Gamma.T @ prob.y).max()))
+    on = v != 0
+    worst = max(np.abs(c[on] - prob.lam * np.sign(v[on])).max(initial=0.0),
+                (np.abs(c[~on]) - prob.lam).max(initial=0.0))
+    return float(worst) / scale
+
+
+def test_lasso_kkt_residual():
+    # the exact path ends on the KKT conditions to rounding, far inside the
+    # 1e-9 relative tolerance that converged certifies
     prob = _random_sparse_instance(12, 24, 3, RNG, noise_sd=0.3, lam=0.2)
-    tol = 1e-6
-    rough = lasso(prob, tol=tol)
-    tight = lasso(prob, tol=1e-13)
-    assert rough.objective - tight.objective <= 10.0 * tol * 12
+    res = lasso(prob)
+    assert res.converged
+    assert _kkt_violation(prob, res.v_hat) <= 1e-12
 
 
 def test_lasso_matches_kkt_enumeration():
     for trial in range(20):
         n, N = 6, 5
         prob = _random_sparse_instance(n, N, 2, RNG, noise_sd=0.4, lam=0.3)
-        res = lasso(prob, tol=1e-12, max_sweeps=20000)
+        res = lasso(prob)
         obj_oracle, _ = lasso_kkt_enum(prob.Gamma, prob.y, prob.lam)
         assert res.objective == pytest.approx(obj_oracle, rel=1e-8, abs=1e-10)
 
@@ -94,6 +108,81 @@ def test_lasso_errors_lp_keys():
     prob = _random_sparse_instance(8, 16, 2, RNG, lam=0.05)
     res = lasso(prob)
     assert set(res.errors_lp) == {1.0, 1.5, 2.0}
+
+
+@pytest.mark.parametrize("family", ["gaussian", "student_t"])
+def test_lasso_certified_on_continuous_designs(family):
+    # criterion-09 shape (n 8, N 6, lam 0.25) and bp-phase shapes (n 128,
+    # N through the phase transition, the rate penalty): every solve is
+    # certified, and the certificate agrees with an independent KKT check
+    noise = NoiseSpec("symmetric_pareto", q0=3.0)
+    shapes = [(8, 6, 2, 0.25)] + [(128, N, 4, rate_penalty(noise, N, 128, 2.0))
+                                  for N in (12, 24, 48)]
+    for n, N, s, lam in shapes:
+        dist = DistributionSpec(family, n, tail_param=6.0 if family == "student_t" else None)
+        for t in range(25):
+            prob = make_recovery_problem(dist, N, s, (7707, n, N, t), noise=noise, lam=lam)
+            res = lasso(prob)
+            assert res.converged, (n, N, t)
+            assert _kkt_violation(prob, res.v_hat) <= 1e-9
+
+
+def test_lasso_rejoins_on_the_opposite_boundary():
+    # criterion-09 shape: coordinate 2 drops at t = 3.20 and rejoins with
+    # the opposite sign later on the next segment.  A no-rejoin rule that
+    # barred it from the whole segment, not just from the boundary it had
+    # left, ended uncertified with objective 0.52884 instead of 0.52873.
+    rng = np.random.default_rng(474)
+    for _ in range(88):
+        Gamma = rng.standard_normal((6, 8))
+        v0 = np.zeros(8)
+        v0[rng.choice(8, 2, replace=False)] = rng.choice([-1.0, 1.0], 2)
+        y = Gamma @ v0 - 0.3 * rng.standard_normal(6)
+    res = lasso(RecoveryProblem(Gamma, y, v0, 2, lam=0.25))
+    obj_oracle, v_oracle = lasso_kkt_enum(Gamma, y, 0.25)
+    assert res.converged
+    assert res.objective == pytest.approx(obj_oracle, rel=1e-12)
+    np.testing.assert_allclose(res.v_hat, v_oracle, atol=1e-12)
+    assert res.v_hat[2] < 0.0
+
+
+def test_lasso_lambda_zero_interpolates_at_the_bp_optimum():
+    # lam = 0 and N < n: the end of the path is the min-l1 interpolant
+    rng = np.random.default_rng(4321)
+    for noise_sd in (0.0, 0.3):
+        for _ in range(10):
+            prob = _random_sparse_instance(40, 12, 2, rng, noise_sd=noise_sd)
+            res = lasso(prob)
+            assert res.converged
+            assert res.residual <= 1e-9 * np.linalg.norm(prob.y)
+            bp = basis_pursuit(RecoveryProblem(prob.Gamma, prob.y, prob.v0, prob.s))
+            assert np.abs(res.v_hat).sum() == pytest.approx(bp.objective, rel=1e-9, abs=1e-9)
+
+
+def test_lasso_zero_column_stays_zero():
+    for lam in (0.2, 0.0):
+        prob = _random_sparse_instance(10, 6, 2, np.random.default_rng(17), noise_sd=0.3, lam=lam)
+        prob.Gamma[:, 3] = 0.0
+        res = lasso(prob)
+        assert res.converged
+        assert res.v_hat[3] == 0.0
+
+
+def test_lasso_rademacher_never_certifies_a_violation():
+    # +-1 designs at N 6, n 40 have duplicate, antipodal and dependent
+    # columns; a solve may come back uncertified, but never converged and
+    # off the KKT conditions
+    rng = np.random.default_rng(6040)
+    uncertified = 0
+    for _ in range(200):
+        Gamma = rng.choice([-1.0, 1.0], size=(6, 40))
+        v0 = np.zeros(40)
+        v0[rng.choice(40, 2, replace=False)] = rng.choice([-1.0, 1.0], 2)
+        prob = RecoveryProblem(Gamma, Gamma @ v0 - 0.3 * rng.standard_normal(6), v0, 2, lam=0.2)
+        res = lasso(prob)
+        uncertified += not res.converged
+        assert not (res.converged and _kkt_violation(prob, res.v_hat) > 1e-9)
+    print(f"rademacher N=6 n=40 lam=0.2: {uncertified}/200 uncertified")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +350,7 @@ def test_error_shape_in_sparsity():
         e1, e2 = [], []
         for t in range(trials):
             prob = make_recovery_problem(dist, N, s, (557, s, t), noise=noise, lam=lam)
-            res = lasso(prob, tol=1e-8)
+            res = lasso(prob)
             e1.append(res.errors_lp[1.0])
             e2.append(res.errors_lp[2.0])
         med[s] = (np.median(e1), np.median(e2))
@@ -269,18 +358,6 @@ def test_error_shape_in_sparsity():
     r2 = med[8][1] / med[2][1]
     assert 4.0 / 1.3 <= r1 <= 4.0 * 1.3   # s^(1/1) over a factor 4 in s
     assert 2.0 / 1.3 <= r2 <= 2.0 * 1.3   # s^(1/2)
-
-
-def test_calibrated_c1_in_bracket():
-    # the error-minimizing penalty constant sits inside [0.1, 10]
-    from emplab.distributions import canonical_heavy_tail_spec
-    from emplab.recovery import calibrate_lasso_c1
-
-    n = 64
-    dist = canonical_heavy_tail_spec(n)
-    noise = NoiseSpec("symmetric_pareto", q0=3.0)
-    c1 = calibrate_lasso_c1(dist, noise, N=256, s=4, trials=8, seed_path=(558,))
-    assert 0.1 <= c1 <= 10.0
 
 
 def test_recovery_success_threshold():
