@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .distributions import DistributionSpec, sample_coordinates
 from .geometry import IndexSetSpec, WidthEstimate, d2, gauge_batch, localized_support_batch
@@ -242,6 +241,8 @@ def kernel_section_diameter(
         K = np.eye(n)
         rank = 0
     else:
+        from scipy.linalg import null_space
+
         Gamma = sample_coordinates(dist, (m, n), rng_from_path(path, "X"))
         K = null_space(Gamma)
         rank = n - K.shape[1]

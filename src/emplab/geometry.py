@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .streams import SeedPath, rng_from_path
 
@@ -219,11 +218,12 @@ def support(spec: IndexSetSpec, z: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # localized supports: V cap (radius * B_2^n)
 
-def _prox_owl(z: np.ndarray, lam_w: np.ndarray) -> np.ndarray:
+def _prox_owl(z: np.ndarray, lam_w: np.ndarray, isotonic_regression) -> np.ndarray:
     """prox of the ordered-weighted-l1 penalty sum_j lam_w[j] * |x|_(j).
 
     Sorted soft-shrink followed by an isotonic (nonincreasing) projection
     and clipping at zero; exact for nonincreasing nonnegative weights.
+    ``isotonic_regression`` is scipy.optimize's, imported by the caller.
     """
     sign = np.sign(z)
     a = np.abs(z)
@@ -240,7 +240,9 @@ def _owl_value(x: np.ndarray, w_star: np.ndarray) -> float:
     return float(np.sort(np.abs(x))[::-1] @ w_star)
 
 
-def _permpoly_localized_support_one(z: np.ndarray, w_star: np.ndarray, radius: float) -> float:
+def _permpoly_localized_support_one(
+    z: np.ndarray, w_star: np.ndarray, radius: float, isotonic_regression
+) -> float:
     """sup over (perm polytope of w) cap radius*B2 of <v, z>.
 
     Computed as the infimal convolution  min_u OWL_w(u) + radius*||z - u||_2
@@ -259,7 +261,7 @@ def _permpoly_localized_support_one(z: np.ndarray, w_star: np.ndarray, radius: f
     best = min(_owl_value(z, w_star), radius * znorm)  # u = z and u = 0
 
     def f_of_t(t: float) -> float:
-        u = _prox_owl(z, (t / radius) * w_star)
+        u = _prox_owl(z, (t / radius) * w_star, isotonic_regression)
         return _owl_value(u, w_star) + (radius / (2.0 * t)) * float(
             np.sum((z - u) ** 2)
         ) + 0.5 * radius * t
@@ -304,9 +306,11 @@ def localized_support_batch(
     # permutation polytope: no closed form for the intersection
     if radius >= d2(spec):
         return support_batch(spec, Z)
+    from scipy.optimize import isotonic_regression
+
     w_star = np.sort(np.abs(np.asarray(spec.w)))[::-1]
     return np.array(
-        [_permpoly_localized_support_one(z, w_star, radius) for z in Z]
+        [_permpoly_localized_support_one(z, w_star, radius, isotonic_regression) for z in Z]
     )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import hashlib
+import importlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -153,6 +154,8 @@ def config_hash(config: ExperimentConfig) -> str:
 #                                         column the rows are per cell
 #   group, values                      -> summary aggregation: the columns to
 #                                         group rows by and the ones to summarize
+#   scipy_modules                      -> the scipy subpackages its tasks import,
+#                                         loaded by run() before the pool forks
 
 def _x_spec(family: str, n: int, nu) -> DistributionSpec:
     if family == "student_t" and nu is None:
@@ -166,12 +169,14 @@ def _x_spec(family: str, n: int, nu) -> DistributionSpec:
 
 class _Adapter:
     cell = None
+    scipy_modules: tuple[str, ...] = ()
 
 
 class _WidthsAdapter(_Adapter):
     columns = ["cell", "trial", "family", "n", "r", "mean", "stderr", "draws", "d2", "D"]
     group = ["family", "n", "r"]
     values = ["mean", "stderr", "D"]
+    scipy_modules = ("scipy.optimize",)  # localized permutation-polytope supports
 
     @staticmethod
     def cells(config):
@@ -347,6 +352,7 @@ class _RecoveryAdapter(_Adapter):
     ]
     group = ["n", "s", "N", "family"]
     values = ["success_rate", "err_l1_med", "err_l2_med"]
+    scipy_modules = ("scipy.linalg", "scipy.optimize")  # basis_pursuit
 
     @staticmethod
     def cells(config):
@@ -470,6 +476,7 @@ class _GelfandAdapter(_Adapter):
     ]
     group = ["n", "m", "family", "x_family"]
     values = ["r_G", "r_X", "diam_lb"]
+    scipy_modules = ("scipy.linalg",)  # kernel_section_diameter
 
     @staticmethod
     def cells(config):
@@ -750,6 +757,9 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
 
     Every task runs with one BLAS thread per process.  The cells' shared
     work (``adapter.cell``) is queued ahead of the trials, longest first.
+    The experiment's scipy subpackages are imported first, so forked
+    workers inherit them instead of each importing them again, and the
+    BLAS pin also covers the OpenBLAS that scipy.linalg loads.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -765,6 +775,8 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
                             key=lambda task: adapter.cell_cost(task[1]), reverse=True)
     tasks = cell_tasks + [(config, cell, ci, ti)
                           for ci, cell in enumerate(cells) for ti in range(config.trials)]
+    for module in adapter.scipy_modules:
+        importlib.import_module(module)
     with _one_blas_thread() as blas_threads:
         if workers > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:

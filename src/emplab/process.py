@@ -81,15 +81,12 @@ def multiplier_stats(
     spec: IndexSetSpec,
     noise: NoiseSpec,
     u_grid=DEFAULT_U_GRID,
-    holdout: SampleBatch | None = None,
 ) -> ProcessStats:
     """Compute the per-trial process statistics for one batch.
 
     The centring term E xi <X,v> is zero exactly whenever xi*X is
     symmetric, which holds for every generated pair (all coordinate laws
-    are symmetric); passing a ``holdout`` batch switches to the plug-in
-    estimate mean(xi'_i X'_i) instead, at the cost of its own sampling
-    noise.
+    are symmetric), so the centred process is N^{-1/2} sum_i xi_i X_i.
     """
     N, n = batch.X.shape
     if spec.dim != n:
@@ -99,12 +96,7 @@ def multiplier_stats(
     Z = batch.X.T @ (batch.eps * batch.xi) / sqrt_n_obs
     sup_symmetrized = support(spec, Z)
 
-    if holdout is not None:
-        mean_term = (holdout.X * holdout.xi[:, None]).mean(axis=0)
-    else:
-        mean_term = np.zeros(n)
-    z_centred = batch.X.T @ batch.xi / sqrt_n_obs - sqrt_n_obs * mean_term
-    sup_centred = support(spec, z_centred)
+    sup_centred = support(spec, batch.X.T @ batch.xi / sqrt_n_obs)
 
     a_u = {float(u): check_A_u(batch.xi, noise.q0, noise.lq_norm, float(u)) for u in u_grid}
     Z_sorted = np.sort(np.abs(Z))[::-1]

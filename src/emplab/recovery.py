@@ -10,6 +10,7 @@ the raw inner products <col_j, residual>; its ``converged`` flag is the KKT
 certificate of the returned v, checked from scratch.
 ``basis_pursuit`` solves min ||v||_1 s.t. Gamma v = y exactly, as one
 linear program over v = p - q with p, q >= 0, by scipy's HiGHS.
+scipy is imported where it is called, so ``import emplab`` loads numpy only.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.optimize import linprog
 
 from .distributions import DistributionSpec, NoiseSpec, sample_coordinates, sample_noise
 from .streams import SeedPath, as_seed_path, rng_from_path
@@ -180,7 +179,8 @@ def lasso(problem: RecoveryProblem) -> RecoveryResult:
         v_hat=v,
         iterations=steps,
         residual=float(np.linalg.norm(resid)),
-        objective=float(resid @ resid / N + lam * np.abs(v).sum()),
+        # an empty residual (N = 0) contributes 0, not 0/0
+        objective=float((resid @ resid / N if N else 0.0) + lam * np.abs(v).sum()),
         errors_lp=_lp_errors(v, problem.v0),
         converged=converged,
     )
@@ -193,6 +193,8 @@ def _reduced_triangular_factor(Gamma: np.ndarray, y: np.ndarray) -> np.ndarray:
     factored in place by LAPACK geqrf, instead of the column stack, the
     copy made for LAPACK and the full N x (n + 1) triangle.
     """
+    from scipy.linalg import get_lapack_funcs
+
     N, n = Gamma.shape
     if N == 0:
         return np.zeros((0, n + 1))  # LAPACK rejects an empty matrix
@@ -220,6 +222,8 @@ def basis_pursuit(problem: RecoveryProblem) -> RecoveryResult:
     only if HiGHS reports an optimum and ||Gamma v - y|| <= 1e-8 max(1, ||y||);
     otherwise v_hat is 0.
     """
+    from scipy.optimize import linprog
+
     Gamma, y = problem.Gamma, problem.y
     N, n = Gamma.shape
     Rb = _reduced_triangular_factor(Gamma, y)

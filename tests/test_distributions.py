@@ -53,11 +53,6 @@ def test_noise_q0_bound():
         NoiseSpec("symmetric_pareto", q0=3.0, tail_param=2.5)
 
 
-def test_noise_dependence_restricted():
-    with pytest.raises(ConfigurationError):
-        NoiseSpec("gaussian", q0=3.0, dependence="coupled")
-
-
 def test_canonical_heavy_tail_rule():
     spec = canonical_heavy_tail_spec(1024)
     assert spec.family == "student_t"

@@ -1,13 +1,19 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from emplab.distributions import ConfigurationError
+import emplab
 from emplab.harness import (
+    _ADAPTERS,
     ExperimentConfig,
     IntegrityError,
     _one_blas_thread,
@@ -85,6 +91,34 @@ def _failing_gelfand_config(out):
 def _failing_width_config(out):
     # one width draw makes every cell's gaussian_mean_width (a cell task) raise
     return _multiplier_config(out, width_draws=1)
+
+
+def _permutation_widths_config(out):
+    # a radius below d2 = ||w||_2 takes the localized permutation-polytope path
+    return ExperimentConfig(
+        experiment="widths",
+        grids={
+            "sets": [{"family": "permutation_polytope", "dim": 8,
+                      "w": [1.0, 1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0]}],
+            "radii": [None, 0.5],
+            "draws": 50,
+        },
+        trials=2,
+        master_seed=61,
+        output_dir=str(out),
+    )
+
+
+def _weibull_moments_config(out):
+    # the symmetric_weibull scale goes through math.lgamma
+    return ExperimentConfig(
+        experiment="moments",
+        grids={"laws": [{"family": "symmetric_weibull", "tail_param": 1.0}],
+               "p": 6, "n_samples": 2000},
+        trials=2,
+        master_seed=71,
+        output_dir=str(out),
+    )
 
 
 def _moments_config(out, trials=2, seed=51):
@@ -208,6 +242,69 @@ def test_parallel_equals_serial(tmp_path, make_config, failed):
         assert not ledger_cells & {f"cell{ci}" for ci in dropped}
         outputs[workers] = (csv_path.read_bytes(), manifest.failed)
     assert outputs[1] == outputs[2]
+
+
+def _fresh_python(script: str, *args: str) -> str:
+    """Run ``script`` in a new interpreter that finds this emplab; its stdout."""
+    src = str(Path(emplab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# the scipy subpackages a fresh process holds after importing emplab
+_PRELUDE = """
+import importlib, json, sys
+import emplab, emplab.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy.") and m.count(".") == 1)
+"""
+
+# ... and then the modules named on the command line
+_IMPORT_SCRIPT = _PRELUDE + """
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(json.dumps(loaded()))
+"""
+
+# ... and after a run at two workers (whose tasks all run in forked workers),
+# then after one at one worker
+_RUN_SCRIPT = _PRELUDE + """
+from emplab.harness import ExperimentConfig, run
+seen = [loaded()]
+config = json.loads(sys.argv[1])
+for workers in (2, 1):
+    out = f"{sys.argv[2]}/w{workers}"
+    run(ExperimentConfig.from_dict({**config, "output_dir": out}), workers=workers)
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+# pytest's own process has scipy loaded already, so these run in a fresh one
+@pytest.mark.parametrize("make_config", [
+    _multiplier_config,
+    _weibull_moments_config,
+    _recovery_config,
+    _gelfand_config,
+    _permutation_widths_config,
+], ids=["multiplier", "moments-weibull", "recovery", "gelfand", "widths-permutation"])
+def test_fresh_interpreter_loads_only_the_adapter_scipy_modules(tmp_path, make_config):
+    config = make_config(tmp_path)
+    expected = json.loads(_fresh_python(
+        _IMPORT_SCRIPT, *_ADAPTERS[config.experiment].scipy_modules))
+    after_import, after_w2, after_w1 = json.loads(
+        _fresh_python(_RUN_SCRIPT, json.dumps(config.to_dict()), str(tmp_path)))
+    # import emplab is numpy-only; run loads the adapter's subpackages before
+    # the pool forks, and the tasks load nothing beyond them
+    assert after_import == []
+    assert after_w2 == after_w1 == expected
+    csv_name = f"{config.experiment}.csv"
+    assert (tmp_path / "w2" / csv_name).read_bytes() == (tmp_path / "w1" / csv_name).read_bytes()
 
 
 def _blas_threads():

@@ -90,20 +90,6 @@ def test_scale_equivariance_power_of_two():
     )
 
 
-def test_holdout_plugin_centring():
-    rng = np.random.default_rng(77)
-    N, n = 64, 6
-    batch = _manual_batch(rng.standard_normal((N, n)), rng.standard_normal(N),
-                          2.0 * rng.integers(0, 2, size=N) - 1.0)
-    hold = _manual_batch(rng.standard_normal((N, n)), rng.standard_normal(N),
-                         2.0 * rng.integers(0, 2, size=N) - 1.0)
-    spec = l1_ball(n)
-    st = multiplier_stats(batch, spec, NoiseSpec("gaussian", q0=3.0), holdout=hold)
-    m_hat = (hold.X * hold.xi[:, None]).mean(axis=0)
-    z_c = batch.X.T @ batch.xi / math.sqrt(N) - math.sqrt(N) * m_hat
-    assert st.sup_centred == pytest.approx(support(spec, z_c), rel=1e-14)
-
-
 def test_dimension_mismatch():
     batch = sample_batch(DistributionSpec("gaussian", 8), CONST_NOISE, 4, (1,))
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ def test_lasso_zero_data_zero_solution():
     prob = RecoveryProblem(RNG.standard_normal((8, 5)), np.zeros(8), np.zeros(5), 0, lam=0.3)
     res = lasso(prob)
     assert np.all(res.v_hat == 0.0)
+
+
+def test_lasso_empty_problem_has_a_finite_objective():
+    # N = 0: the empty residual contributes 0 (not 0/0), leaving lam * ||v||_1 = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = lasso(RecoveryProblem(np.zeros((0, 4)), np.zeros(0), np.zeros(4), 0, lam=0.3))
+    assert np.array_equal(res.v_hat, np.zeros(4)) and res.converged
+    assert res.objective == 0.0
 
 
 def test_lasso_result_consistency_on_recompute():
