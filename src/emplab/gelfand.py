@@ -10,10 +10,10 @@ because each sample's support is concave in r and 0 at r = 0, so the
 bisection is exact on the sample; ``confident`` says whether the bracket
 also holds within 3 Monte-Carlo standard errors.
 
-``kernel_section_diameter`` draws an m x n measurement matrix, computes an
-orthonormal kernel basis by a rank-revealing factorization, and certifies
-a lower bound on diam(ker cap V) by rescaling all probe directions to the
-boundary of V at once through the exact gauge.
+``kernel_section_diameter`` draws an m x n measurement matrix, forms the
+orthogonal projector onto its kernel from one reduced QR factorization of
+its transpose, and certifies a lower bound on diam(ker cap V) by rescaling
+all probe directions to the boundary of V at once through the exact gauge.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, sample_coordinates
 from .geometry import IndexSetSpec, WidthEstimate, d2, gauge_batch, localized_support_batch
-from .geometry import _make_width_estimate
+from .geometry import _make_width_estimate, support_curve
 from .streams import SeedPath, as_seed_path, child_path, rng_from_path
 
 
@@ -91,12 +91,14 @@ def _width_curve(spec: IndexSetSpec, sample: np.ndarray):
     """r -> width of V cap rB2 on one fixed sample (rows), memoised on r.
 
     For each row z, r -> sup_{V cap rB2} |<v, z>| is concave with value 0
-    at r = 0, so width(r)/r is nonincreasing in r on the sample.
+    at r = 0, so width(r)/r is nonincreasing in r on the sample.  The sample
+    is sorted once, and each radius costs one pass of ``support_curve``.
     """
+    support = support_curve(spec, sample)
 
     @functools.cache
     def width(r: float) -> WidthEstimate:
-        return _make_width_estimate(localized_support_batch(spec, sample, r), spec, r)
+        return _make_width_estimate(support(r), spec, r)
 
     return width
 
@@ -213,6 +215,25 @@ def _extreme_direction(spec: IndexSetSpec) -> np.ndarray:
     return e1
 
 
+def _kernel_projector(Gamma: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orthogonal projector P onto ker(Gamma), and the rank of Gamma.
+
+    One reduced QR of Gamma^T: a row of Gamma is independent of the rows
+    before it exactly when its diagonal entry of R is nonzero, counted
+    against max(m, n) * eps * max|diag R|.  With full row rank the columns
+    of Q span the row space; otherwise the independent rows are factored
+    again.  P = I - Q_r Q_r^T.
+    """
+    m, n = Gamma.shape
+    Q, R = np.linalg.qr(Gamma.T)
+    diag = np.abs(np.diag(R))
+    independent = diag > max(m, n) * np.finfo(np.float64).eps * diag.max(initial=0.0)
+    rank = int(np.count_nonzero(independent))
+    if rank < m:
+        Q = np.linalg.qr(Gamma[independent].T)[0]
+    return np.eye(n) - Q @ Q.T, rank
+
+
 def kernel_section_diameter(
     dist: DistributionSpec,
     spec: IndexSetSpec,
@@ -222,11 +243,12 @@ def kernel_section_diameter(
 ) -> KernelDiameterResult:
     """Lower-bound diam(ker(Gamma) cap V) over probe directions.
 
-    Probes: random gaussian kernel vectors, kernel projections of every
-    1-sparse vector and of sampled 2-sparse sign vectors (the classical
-    extremizers for the l1 ball), and the kernel projection of a
-    d2-attaining direction.  Each probe is rescaled to the boundary of V
-    with the exact gauge; the bound is 2 * max ||probe|| after rescaling.
+    Probes, all projected onto the kernel by P: gaussian vectors (with the
+    law of a gaussian in the kernel), every 1-sparse vector (the columns of
+    P), sampled 2-sparse sign vectors (the classical extremizers for the l1
+    ball), and a d2-attaining direction.  Each probe is rescaled to the
+    boundary of V with the exact gauge; the bound is 2 * max ||probe||
+    after rescaling.
     """
     n = spec.dim
     if dist.dim != n:
@@ -238,44 +260,28 @@ def kernel_section_diameter(
     path = as_seed_path(seed_path)
 
     if m == 0:
-        K = np.eye(n)
-        rank = 0
+        P, rank = np.eye(n), 0
     else:
-        from scipy.linalg import null_space
-
-        Gamma = sample_coordinates(dist, (m, n), rng_from_path(path, "X"))
-        K = null_space(Gamma)
-        rank = n - K.shape[1]
-    kernel_dim = K.shape[1]
-    rank_deficient = m > 0 and rank < m
+        P, rank = _kernel_projector(sample_coordinates(dist, (m, n), rng_from_path(path, "X")))
 
     rng = rng_from_path(path, "probe")
-    cands = []
-    if kernel_dim > 0:
-        # random directions inside the kernel
-        g = rng.standard_normal((kernel_dim, probes))
-        cands.append(K @ g)
-        # kernel projections of sparse sign vectors and the extreme direction
-        proj = K @ K.T
-        cands.append(proj)  # columns are projections of e_j
-        pairs = rng.integers(0, n, size=(probes, 2))
-        signs = 2.0 * rng.integers(0, 2, size=probes) - 1.0
-        two_sparse = np.zeros((n, probes))
-        two_sparse[pairs[:, 0], np.arange(probes)] += 1.0
-        two_sparse[pairs[:, 1], np.arange(probes)] += signs
-        cands.append(proj @ two_sparse)
-        cands.append((proj @ _extreme_direction(spec))[:, None])
+    g = rng.standard_normal((n, probes))
+    pairs = rng.integers(0, n, size=(probes, 2))
+    signs = 2.0 * rng.integers(0, 2, size=probes) - 1.0
+    two_sparse = P[:, pairs[:, 0]] + signs * P[:, pairs[:, 1]]
     # one probe per row, C-ordered so that each row reduces as gauge(spec, row) does
-    P = np.ascontiguousarray(np.concatenate(cands, axis=1).T) if cands else np.zeros((0, n))
+    C = np.ascontiguousarray(np.concatenate(
+        [P @ g, P, two_sparse, (P @ _extreme_direction(spec))[:, None]], axis=1
+    ).T)
 
-    norms = np.linalg.norm(P, axis=1)
-    gauges = gauge_batch(spec, P)
+    norms = np.linalg.norm(C, axis=1)
+    gauges = gauge_batch(spec, C)
     ok = (norms > 1e-14) & np.isfinite(gauges) & (gauges > 0)
     scaled = np.divide(norms, gauges, out=np.zeros_like(norms), where=ok)
     return KernelDiameterResult(
         lower_bound=2.0 * float(scaled.max(initial=0.0)),
-        kernel_dim=kernel_dim,
-        rank_deficient=rank_deficient,
+        kernel_dim=n - rank,
+        rank_deficient=rank < m,
         m=m,
     )
 

@@ -160,39 +160,54 @@ def _sorted_abs_desc(Z: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(Z), axis=1)[:, ::-1]
 
 
-def _l1_cap_l2_support_sorted(A: np.ndarray, rho: float, r: float) -> np.ndarray:
-    """Exact sup over rho*B1 cap r*B2 from rows sorted as |z| descending.
+def _l1_cap_l2_curve(A: np.ndarray, rho: float):
+    """r -> exact sup over rho*B1 cap r*B2, from rows sorted as |z| descending.
 
     Evaluates the one-dimensional dual  min_{mu>=0} rho*mu + r*||soft(z,mu)||_2
     at every breakpoint mu = a_k, at mu = 0, and at the closed-form interior
     stationary point of each segment.  Every evaluated mu yields an upper
     bound on the true value, and the candidate set provably contains the
-    minimizer, so the minimum over candidates is exact.
+    minimizer, so the minimum over candidates is exact.  The prefix sums and
+    the breakpoint terms do not depend on r and are computed once; each
+    radius then costs one pass over the candidates.
     """
     B, n = A.shape
     ks = np.arange(1, n + 1, dtype=np.float64)
+    # A and the lower ends of its segments (a_{k+1}, and 0 after a_n) as two
+    # views of one padded array
+    padded = np.zeros((B, n + 1))
+    padded[:, :n] = A
+    A, lo = padded[:, :n], padded[:, 1:]
     S1 = np.cumsum(A, axis=1)
     S2 = np.cumsum(A * A, axis=1)
     Vk = np.maximum(S2 - S1 * S1 / ks, 0.0)
-
-    # mu = 0 (pure l2 bound)
-    best = r * np.sqrt(S2[:, -1])
-
+    l2_norm = np.sqrt(S2[:, -1])
     # breakpoints mu = a_k: active set {j <= k}, tied terms contribute zero
-    f_bp = np.maximum(S2 - 2.0 * A * S1 + ks * A * A, 0.0)
-    g_bp = rho * A + r * np.sqrt(f_bp)
-    best = np.minimum(best, g_bp.min(axis=1))
+    rho_a = rho * A
+    sqrt_f_bp = np.sqrt(np.maximum(S2 - 2.0 * A * S1 + ks * A * A, 0.0))
 
-    # interior stationary point of each segment, where defined
-    denom = r * r - (rho * rho) / ks
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = rho * np.sqrt(np.where(denom > 0, Vk / denom, np.nan))
-        mu = (S1 - t) / ks
-    lo = np.concatenate([A[:, 1:], np.zeros((B, 1))], axis=1)
-    valid = (denom > 0) & np.isfinite(mu) & (mu >= np.maximum(lo, 0.0)) & (mu <= A)
-    g_int = np.where(valid, rho * mu + r * np.sqrt(Vk + np.where(valid, t * t, 0.0) / ks), np.inf)
-    best = np.minimum(best, g_int.min(axis=1))
-    return best
+    def at(r: float) -> np.ndarray:
+        best = r * l2_norm  # mu = 0 (pure l2 bound)
+        best = np.minimum(best, (rho_a + r * sqrt_f_bp).min(axis=1))
+
+        # interior stationary point of each segment, where defined: denom is
+        # increasing in k, so the segments with denom > 0 are a suffix
+        denom = r * r - (rho * rho) / ks
+        k0 = int(np.count_nonzero(denom <= 0))
+        if k0 == n:
+            return best
+        tail = slice(k0, None)
+        t = rho * np.sqrt(Vk[:, tail] / denom[tail])
+        mu = (S1[:, tail] - t) / ks[tail]
+        valid = np.isfinite(mu) & (mu >= lo[:, tail]) & (mu <= A[:, tail])
+        g_int = np.where(
+            valid,
+            rho * mu + r * np.sqrt(Vk[:, tail] + np.where(valid, t * t, 0.0) / ks[tail]),
+            np.inf,
+        )
+        return np.minimum(best, g_int.min(axis=1))
+
+    return at
 
 
 def support_batch(spec: IndexSetSpec, Z: np.ndarray) -> np.ndarray:
@@ -205,7 +220,7 @@ def support_batch(spec: IndexSetSpec, Z: np.ndarray) -> np.ndarray:
     if spec.family == "sparse_cap":
         return _top_s_norms(Z, spec.s)
     if spec.family == "l1_cap_l2":
-        return _l1_cap_l2_support_sorted(_sorted_abs_desc(Z), spec.rho, spec.r)
+        return _l1_cap_l2_curve(_sorted_abs_desc(Z), spec.rho)(spec.r)
     w_star = np.sort(np.abs(np.asarray(spec.w)))[::-1]
     return _sorted_abs_desc(Z) @ w_star
 
@@ -283,27 +298,39 @@ def _permpoly_localized_support_one(
     return min(best, f1, f2)
 
 
-def localized_support_batch(
-    spec: IndexSetSpec, Z: np.ndarray, radius: float | None
-) -> np.ndarray:
-    """sup over V cap radius*B2 of |<v, z>| for each row z."""
-    if radius is None:
-        return support_batch(spec, Z)
-    if radius <= 0:
-        raise ValueError("localized radius must be > 0")
+def support_curve(spec: IndexSetSpec, Z: np.ndarray):
+    """r -> localized_support_batch(spec, Z, r), for many radii on one Z.
+
+    The work that does not depend on r (sorting |z| and the prefix sums of
+    the l1 families, the norms of l2_ball and sparse_cap) is done once; the
+    permutation polytope evaluates each radius on its own.
+    """
     Z, _ = _as_batch(Z, spec.dim)
     fam = spec.family
     if fam == "l2_ball":
-        return min(spec.r, radius) * np.linalg.norm(Z, axis=1)
-    if fam == "sparse_cap":
-        return min(1.0, radius) * _top_s_norms(Z, spec.s)
-    if fam == "l1_ball":
-        return _l1_cap_l2_support_sorted(_sorted_abs_desc(Z), spec.rho, radius)
-    if fam == "l1_cap_l2":
-        return _l1_cap_l2_support_sorted(
-            _sorted_abs_desc(Z), spec.rho, min(spec.r, radius)
-        )
-    # permutation polytope: no closed form for the intersection
+        norms = np.linalg.norm(Z, axis=1)
+        at = lambda r: min(spec.r, r) * norms
+    elif fam == "sparse_cap":
+        norms = _top_s_norms(Z, spec.s)
+        at = lambda r: min(1.0, r) * norms
+    elif fam == "l1_ball":
+        at = _l1_cap_l2_curve(_sorted_abs_desc(Z), spec.rho)
+    elif fam == "l1_cap_l2":
+        l1_l2 = _l1_cap_l2_curve(_sorted_abs_desc(Z), spec.rho)
+        at = lambda r: l1_l2(min(spec.r, r))
+    else:
+        at = lambda r: _permpoly_localized_support(spec, Z, r)
+
+    def curve(radius: float) -> np.ndarray:
+        if radius <= 0:
+            raise ValueError("localized radius must be > 0")
+        return at(radius)
+
+    return curve
+
+
+def _permpoly_localized_support(spec: IndexSetSpec, Z: np.ndarray, radius: float) -> np.ndarray:
+    # no closed form for the intersection
     if radius >= d2(spec):
         return support_batch(spec, Z)
     from scipy.optimize import isotonic_regression
@@ -312,6 +339,15 @@ def localized_support_batch(
     return np.array(
         [_permpoly_localized_support_one(z, w_star, radius, isotonic_regression) for z in Z]
     )
+
+
+def localized_support_batch(
+    spec: IndexSetSpec, Z: np.ndarray, radius: float | None
+) -> np.ndarray:
+    """sup over V cap radius*B2 of |<v, z>| for each row z."""
+    if radius is None:
+        return support_batch(spec, Z)
+    return support_curve(spec, Z)(radius)
 
 
 def localized_support(spec: IndexSetSpec, z: np.ndarray, radius: float | None) -> float:

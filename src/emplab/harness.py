@@ -154,7 +154,7 @@ def config_hash(config: ExperimentConfig) -> str:
 #                                         column the rows are per cell
 #   group, values                      -> summary aggregation: the columns to
 #                                         group rows by and the ones to summarize
-#   scipy_modules                      -> the scipy subpackages its tasks import,
+#   scipy_modules(config)              -> the scipy subpackages its tasks import,
 #                                         loaded by run() before the pool forks
 
 def _x_spec(family: str, n: int, nu) -> DistributionSpec:
@@ -169,14 +169,25 @@ def _x_spec(family: str, n: int, nu) -> DistributionSpec:
 
 class _Adapter:
     cell = None
-    scipy_modules: tuple[str, ...] = ()
+
+    @staticmethod
+    def scipy_modules(config) -> tuple[str, ...]:
+        return ()
 
 
 class _WidthsAdapter(_Adapter):
     columns = ["cell", "trial", "family", "n", "r", "mean", "stderr", "draws", "d2", "D"]
     group = ["family", "n", "r"]
     values = ["mean", "stderr", "D"]
-    scipy_modules = ("scipy.optimize",)  # localized permutation-polytope supports
+
+    @staticmethod
+    def scipy_modules(config):
+        # only the localized permutation-polytope support imports scipy
+        sets, radii = config.grids.get("sets", []), config.grids.get("radii", [None])
+        if (any(s.get("family") == "permutation_polytope" for s in sets)
+                and any(r is not None for r in radii)):
+            return ("scipy.optimize",)
+        return ()
 
     @staticmethod
     def cells(config):
@@ -352,7 +363,10 @@ class _RecoveryAdapter(_Adapter):
     ]
     group = ["n", "s", "N", "family"]
     values = ["success_rate", "err_l1_med", "err_l2_med"]
-    scipy_modules = ("scipy.linalg", "scipy.optimize")  # basis_pursuit
+
+    @staticmethod
+    def scipy_modules(config):
+        return ("scipy.linalg", "scipy.optimize")  # basis_pursuit
 
     @staticmethod
     def cells(config):
@@ -476,7 +490,6 @@ class _GelfandAdapter(_Adapter):
     ]
     group = ["n", "m", "family", "x_family"]
     values = ["r_G", "r_X", "diam_lb"]
-    scipy_modules = ("scipy.linalg",)  # kernel_section_diameter
 
     @staticmethod
     def cells(config):
@@ -775,7 +788,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
                             key=lambda task: adapter.cell_cost(task[1]), reverse=True)
     tasks = cell_tasks + [(config, cell, ci, ti)
                           for ci, cell in enumerate(cells) for ti in range(config.trials)]
-    for module in adapter.scipy_modules:
+    for module in adapter.scipy_modules(config):
         importlib.import_module(module)
     with _one_blas_thread() as blas_threads:
         if workers > 1 and len(tasks) > 1:

@@ -225,6 +225,17 @@ def lasso_kkt_enum(Gamma: np.ndarray, y: np.ndarray, lam: float) -> tuple[float,
 
 
 # ---------------------------------------------------------------------------
+# kernel projector from a full SVD
+
+def kernel_projector_svd(Gamma: np.ndarray) -> tuple[np.ndarray, int]:
+    """I - V_r V_r^T from the right singular vectors of the nonzero singular
+    values (the numpy matrix_rank threshold); returns (projector, rank)."""
+    _, sv, Vt = np.linalg.svd(Gamma)
+    rank = int(np.count_nonzero(sv > max(Gamma.shape) * np.finfo(np.float64).eps * sv.max()))
+    return np.eye(Gamma.shape[1]) - Vt[:rank].T @ Vt[:rank], rank
+
+
+# ---------------------------------------------------------------------------
 # direct simulations
 
 def direct_gaussian_max_abs(n: int, draws: int, seed: int) -> tuple[float, float]:

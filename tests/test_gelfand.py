@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
 
 from emplab.distributions import DistributionSpec, sample_coordinates
 from emplab.gelfand import (
+    _kernel_projector,
     empirical_process_width,
     kernel_section_diameter,
     r_G_fixed_point,
@@ -23,7 +23,7 @@ from emplab.geometry import (
 )
 from emplab.streams import rng_from_path
 
-from _oracles import direct_gaussian_l2_norm
+from _oracles import direct_gaussian_l2_norm, kernel_projector_svd
 
 GAUSS8 = DistributionSpec("gaussian", 8)
 
@@ -152,12 +152,42 @@ def test_r_X_rademacher_finite_and_flagged():
 # ---------------------------------------------------------------------------
 # kernel sections
 
-def test_kernel_basis_orthogonal_to_rows():
+def test_kernel_projector_matches_svd_oracle():
     n, m = 24, 10
     Gamma = sample_coordinates(GAUSS8, (m, n), rng_from_path((12,), "X"))
-    K = null_space(Gamma)
-    assert K.shape == (n, n - m)
-    assert np.abs(Gamma @ K).max() <= 1e-10 * np.linalg.norm(Gamma)
+    P, rank = _kernel_projector(Gamma)
+    assert rank == m
+    assert np.abs(P - P.T).max() <= 1e-15
+    assert np.abs(P @ P - P).max() <= 1e-12
+    assert np.abs(Gamma @ P).max() <= 1e-12 * np.linalg.norm(Gamma)
+    oracle, oracle_rank = kernel_projector_svd(Gamma)
+    assert oracle_rank == rank
+    assert np.abs(P - oracle).max() <= 1e-12
+
+
+def test_kernel_projector_rank_deficient_rows():
+    # duplicated, antipodal and dependent rows anywhere in Gamma
+    n = 16
+    base = sample_coordinates(DistributionSpec("gaussian", n), (5, n), rng_from_path((22,), "X"))
+    Gamma = np.vstack([base[0], base[1], base[0], base[2], -base[1], base[3],
+                       base[2] - 2.0 * base[3], base[4]])
+    P, rank = _kernel_projector(Gamma)
+    assert rank == 5
+    assert np.abs(Gamma @ P).max() <= 1e-12 * np.linalg.norm(Gamma)
+    assert np.abs(P - kernel_projector_svd(Gamma)[0]).max() <= 1e-12
+
+    # two rademacher rows in dimension 3 are equal or antipodal with
+    # probability 1/4: such a draw is flagged and keeps a 2-dimensional kernel
+    rad3 = DistributionSpec("rademacher", 3)
+    found = False
+    for i in range(40):
+        res = kernel_section_diameter(rad3, l1_ball(3), m=2, probes=10, seed_path=(23, i))
+        Gamma = sample_coordinates(rad3, (2, 3), rng_from_path((23, i), "X"))
+        rank = np.linalg.matrix_rank(Gamma)
+        assert res.kernel_dim == 3 - rank
+        assert res.rank_deficient == (rank < 2)
+        found |= res.rank_deficient
+    assert found
 
 
 def test_kernel_diameter_no_constraints_reaches_2d2():
@@ -182,9 +212,10 @@ def test_kernel_diameter_probe_membership():
     assert res.lower_bound > 0
     # rebuild one probe direction deterministically and verify the scaling
     Gamma = sample_coordinates(dist, (5, 12), rng_from_path((15,), "X"))
-    K = null_space(Gamma)
-    g = rng_from_path((15,), "probe").standard_normal((K.shape[1], 64))
-    v = (K @ g)[:, 0]
+    P, _ = _kernel_projector(Gamma)
+    g = rng_from_path((15,), "probe").standard_normal((12, 64))
+    v = (P @ g)[:, 0]
+    assert np.abs(Gamma @ v).max() <= 1e-12 * np.linalg.norm(Gamma) * np.linalg.norm(v)
     gv = gauge(spec, v)
     assert gauge(spec, v / gv) == pytest.approx(1.0, abs=1e-9)
 

@@ -16,10 +16,12 @@ from emplab.geometry import (
     l1_cap_l2,
     l2_ball,
     localized_support,
+    localized_support_batch,
     permutation_polytope,
     sparse_cap,
     support,
     support_batch,
+    support_curve,
     unconditionality_check,
 )
 
@@ -153,6 +155,32 @@ def test_localized_upper_bounds_and_monotonicity():
             ratios = [hv / r for r, hv in zip(radii, values)]
             for a, b in zip(ratios, ratios[1:]):
                 assert b <= a + 1e-9  # phi(r) nonincreasing
+
+
+@pytest.mark.parametrize("spec", [
+    l1_ball(12, 1.5), l2_ball(12, 0.8), sparse_cap(12, 4), l1_cap_l2(12, 2.0, 0.7),
+    permutation_polytope(np.linspace(1.0, -0.4, 12)),
+], ids=lambda spec: spec.family)
+def test_support_curve_matches_localized_support_batch(spec):
+    rng = np.random.default_rng(7032)
+    Z = rng.standard_normal((40, 12)) * np.exp(rng.uniform(-2.0, 2.0, (40, 1)))
+    Z[::7] = 0.0  # zero rows
+    Z[3, :6] = -Z[3, 6:]  # tied |z| within a row
+    Z[4] = np.round(Z[4])  # more ties, and zero entries
+    if spec.family == "permutation_polytope":
+        Z = Z[:10]  # the one family without a closed form
+    radii = [1e-300, 1e-12, 0.03, 0.4, *np.abs(Z[1, :3]), *np.abs(Z[3, :2]),
+             d2(spec), 2.0 * d2(spec), 100.0]
+    curve = support_curve(spec, Z)
+    # any order of radii, and a radius evaluated twice, give the same bits
+    for r in [*radii, *radii[::-1]]:
+        assert np.array_equal(curve(r), localized_support_batch(spec, Z, r))
+    # ... and a row gives the same bits in a batch as alone
+    for r in radii[:6]:
+        values = curve(r)
+        assert all(values[i] == localized_support(spec, Z[i], r) for i in range(0, len(Z), 3))
+    with pytest.raises(ValueError):
+        curve(0.0)
 
 
 def test_localized_l1_equality_when_l2_binds():

@@ -291,18 +291,22 @@ print(json.dumps(seen))
     _weibull_moments_config,
     _recovery_config,
     _gelfand_config,
+    _widths_config,
     _permutation_widths_config,
-], ids=["multiplier", "moments-weibull", "recovery", "gelfand", "widths-permutation"])
+], ids=["multiplier", "moments-weibull", "recovery", "gelfand", "widths",
+        "widths-permutation"])
 def test_fresh_interpreter_loads_only_the_adapter_scipy_modules(tmp_path, make_config):
     config = make_config(tmp_path)
     expected = json.loads(_fresh_python(
-        _IMPORT_SCRIPT, *_ADAPTERS[config.experiment].scipy_modules))
+        _IMPORT_SCRIPT, *_ADAPTERS[config.experiment].scipy_modules(config)))
     after_import, after_w2, after_w1 = json.loads(
         _fresh_python(_RUN_SCRIPT, json.dumps(config.to_dict()), str(tmp_path)))
     # import emplab is numpy-only; run loads the adapter's subpackages before
     # the pool forks, and the tasks load nothing beyond them
     assert after_import == []
     assert after_w2 == after_w1 == expected
+    # only recovery, and widths with a localized permutation polytope, need scipy
+    assert bool(expected) == (make_config in (_recovery_config, _permutation_widths_config))
     csv_name = f"{config.experiment}.csv"
     assert (tmp_path / "w2" / csv_name).read_bytes() == (tmp_path / "w1" / csv_name).read_bytes()
 
