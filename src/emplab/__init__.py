@@ -46,6 +46,7 @@ from .geometry import (
     d2,
     gauge,
     gaussian_mean_width,
+    gaussian_mean_widths,
     gaussian_order_stat_means,
     l1_ball,
     l1_cap_l2,
@@ -89,6 +90,7 @@ __all__ = [
     "d2",
     "gauge",
     "gaussian_mean_width",
+    "gaussian_mean_widths",
     "gaussian_order_stat_means",
     "l1_ball",
     "l1_cap_l2",

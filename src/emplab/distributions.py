@@ -111,20 +111,6 @@ class DistributionSpec:
         elif self.scale <= 0:
             raise ConfigurationError("scale must be > 0")
 
-    def coordinate_lq_norm(self, q: float) -> float:
-        """Closed-form ||x_1||_{L_q} of one coordinate."""
-        if self.family == "gaussian":
-            raw = gaussian_abs_moment(q)
-        elif self.family == "rademacher":
-            raw = 1.0
-        elif self.family == "student_t":
-            raw = student_t_abs_moment(self.tail_param, q)
-        elif self.family == "symmetric_pareto":
-            raw = pareto_abs_moment(self.tail_param, q)
-        else:
-            raw = weibull_abs_moment(self.tail_param, q)
-        return self.scale * raw ** (1.0 / q)
-
 
 def _unit_variance_scale(family: str, tail_param: float | None) -> float:
     if family in ("gaussian", "rademacher"):
@@ -185,10 +171,6 @@ class NoiseSpec:
                     f"student_t noise needs degrees of freedom > q0={self.q0}, got {df}"
                 )
             object.__setattr__(self, "tail_param", df)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.family in ("gaussian", "symmetric_pareto", "student_t")
 
     def raw_lq_norm(self, q: float) -> float:
         """L_q norm of the unscaled law."""

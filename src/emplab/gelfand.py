@@ -4,11 +4,14 @@ For an index set V and a threshold gamma*sqrt(m), the gaussian fixed point
 r_G is the smallest radius r with  l*(V cap rB2) <= gamma * r * sqrt(m);
 r_X replaces the gaussian width by the empirical-process width of an
 arbitrary isotropic ensemble.  Each fixed point draws its Monte-Carlo
-sample once (gaussians, or the normalized sums m^{-1/2} sum_i X_i) and
-bisects on it.  On a fixed sample phi(r) = width(r)/r is nonincreasing,
-because each sample's support is concave in r and 0 at r = 0, so the
-bisection is exact on the sample; ``confident`` says whether the bracket
-also holds within 3 Monte-Carlo standard errors.
+sample once and bisects on it: for r_G the gaussians that
+``gaussian_mean_width`` draws on the same seed path (the blocks of
+``geometry._gaussian_blocks``, joined), for r_X the normalized sums
+m^{-1/2} sum_i X_i that ``empirical_process_width`` draws.  On a fixed
+sample phi(r) = width(r)/r is nonincreasing, because each sample's support
+is concave in r and 0 at r = 0, so the bisection is exact on the sample;
+``confident`` says whether the bracket also holds within 3 Monte-Carlo
+standard errors.
 
 ``kernel_section_diameter`` draws an m x n measurement matrix, forms the
 orthogonal projector onto its kernel from one reduced QR factorization of
@@ -26,7 +29,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, sample_coordinates
 from .geometry import IndexSetSpec, WidthEstimate, d2, gauge_batch, localized_support_batch
-from .geometry import _make_width_estimate, support_curve
+from .geometry import _gaussian_blocks, _make_width_estimate, support_curve
 from .streams import SeedPath, as_seed_path, child_path, rng_from_path
 
 
@@ -80,13 +83,6 @@ def empirical_process_width(
     )
 
 
-def _gaussian_sample(spec: IndexSetSpec, draws: int, seed_path) -> np.ndarray:
-    """The draws x dim gaussians that gaussian_mean_width draws on seed_path."""
-    if draws < 2:
-        raise ValueError("draws must be >= 2")
-    return rng_from_path(seed_path, "gaussian").standard_normal((draws, spec.dim))
-
-
 def _width_curve(spec: IndexSetSpec, sample: np.ndarray):
     """r -> width of V cap rB2 on one fixed sample (rows), memoised on r.
 
@@ -94,6 +90,8 @@ def _width_curve(spec: IndexSetSpec, sample: np.ndarray):
     at r = 0, so width(r)/r is nonincreasing in r on the sample.  The sample
     is sorted once, and each radius costs one pass of ``support_curve``.
     """
+    if len(sample) < 2:
+        raise ValueError("draws must be >= 2")
     support = support_curve(spec, sample)
 
     @functools.cache
@@ -166,10 +164,11 @@ def r_G_fixed_point(
     """Smallest r (within tol) with gaussian width of V cap rB2 <= gamma r sqrt(m).
 
     Every radius is evaluated on the one gaussian sample that
-    ``gaussian_mean_width(spec, draws, r, seed_path)`` draws.
+    ``gaussian_mean_width(spec, draws, r, seed_path)`` draws, its blocks
+    from ``geometry._gaussian_blocks`` joined into one array.
     """
-    width = _width_curve(spec, _gaussian_sample(spec, draws, seed_path))
-    return _fixed_point(width, spec, gamma, m, tol)
+    sample = np.concatenate(list(_gaussian_blocks(spec.dim, draws, seed_path)))
+    return _fixed_point(_width_curve(spec, sample), spec, gamma, m, tol)
 
 
 def r_X_fixed_point(
@@ -314,7 +313,8 @@ def calibrate_kernel_constant(
 
     # one gaussian sample for every gamma: the bisections revisit the same
     # dyadic radii, so most widths come from the memo
-    width = _width_curve(spec, _gaussian_sample(spec, width_draws, child_path(path, 10_000)))
+    blocks = _gaussian_blocks(spec.dim, width_draws, child_path(path, 10_000))
+    width = _width_curve(spec, np.concatenate(list(blocks)))
 
     def two_r_g(gamma: float) -> float:
         return 2.0 * _fixed_point(width, spec, gamma, m, tol).r_star

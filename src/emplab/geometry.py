@@ -15,6 +15,8 @@ closed-form interior minimization).  Monte-Carlo gaussian mean widths and
 gaussian order-statistic means carry standard errors; every Monte-Carlo
 reduction is a numpy pairwise-summation mean, reproducible for a fixed
 seed path to the last bit and order-independent to ~1e-12 relative.
+Every gaussian sample is drawn by ``_gaussian_blocks``; the widths at many
+radii (``gaussian_mean_widths``) share one sample.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ FAMILIES = ("l1_ball", "l2_ball", "sparse_cap", "l1_cap_l2", "permutation_polyto
 # Convergence tolerance of the 1-D scan used for the localized
 # permutation-polytope support (the one family without a closed form).
 _LOCALIZED_SCAN_TOL = 1e-12
+
+# Values per block of the gaussian stream (_gaussian_blocks)
+_GAUSSIAN_BLOCK_VALUES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -137,14 +142,13 @@ def d2(spec: IndexSetSpec, localized_radius: float | None = None) -> float:
     return base
 
 
-def _as_batch(z: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+def _as_batch(z: np.ndarray, dim: int) -> np.ndarray:
     Z = np.asarray(z, dtype=np.float64)
-    single = Z.ndim == 1
-    if single:
+    if Z.ndim == 1:
         Z = Z[None, :]
     if Z.ndim != 2 or Z.shape[1] != dim:
         raise ValueError(f"expected vectors of length {dim}, got shape {np.shape(z)}")
-    return Z, single
+    return Z
 
 
 def _top_s_norms(Z: np.ndarray, s: int) -> np.ndarray:
@@ -212,7 +216,7 @@ def _l1_cap_l2_curve(A: np.ndarray, rho: float):
 
 def support_batch(spec: IndexSetSpec, Z: np.ndarray) -> np.ndarray:
     """sup_{v in V} |<v, z>| for each row z of Z.  Exact."""
-    Z, _ = _as_batch(Z, spec.dim)
+    Z = _as_batch(Z, spec.dim)
     if spec.family == "l1_ball":
         return spec.rho * np.abs(Z).max(axis=1)
     if spec.family == "l2_ball":
@@ -305,7 +309,7 @@ def support_curve(spec: IndexSetSpec, Z: np.ndarray):
     the l1 families, the norms of l2_ball and sparse_cap) is done once; the
     permutation polytope evaluates each radius on its own.
     """
-    Z, _ = _as_batch(Z, spec.dim)
+    Z = _as_batch(Z, spec.dim)
     fam = spec.family
     if fam == "l2_ball":
         norms = np.linalg.norm(Z, axis=1)
@@ -356,7 +360,7 @@ def localized_support(spec: IndexSetSpec, z: np.ndarray, radius: float | None) -
 
 def gauge_batch(spec: IndexSetSpec, V: np.ndarray) -> np.ndarray:
     """Minkowski functional inf{t > 0 : v in t*V} for each row v of V (+inf if none)."""
-    V, _ = _as_batch(V, spec.dim)
+    V = _as_batch(V, spec.dim)
     if spec.family == "l1_ball":
         return np.abs(V).sum(axis=1) / spec.rho
     if spec.family == "l2_ball":
@@ -417,6 +421,43 @@ def _make_width_estimate(values: np.ndarray, spec, localized_radius) -> WidthEst
     )
 
 
+def _gaussian_blocks(dim: int, draws: int, seed_path: int | SeedPath):
+    """The draws x dim standard gaussians of the "gaussian" stream on seed_path.
+
+    Yields row blocks of _GAUSSIAN_BLOCK_VALUES // dim rows (at least one);
+    concatenated, they are the sample drawn at once.
+    """
+    rng = rng_from_path(seed_path, "gaussian")
+    chunk = max(1, _GAUSSIAN_BLOCK_VALUES // dim)
+    for done in range(0, draws, chunk):
+        yield rng.standard_normal((min(chunk, draws - done), dim))
+
+
+def gaussian_mean_widths(
+    spec: IndexSetSpec, draws: int, radii, seed_path: int | SeedPath = (0,)
+) -> list[WidthEstimate]:
+    """``gaussian_mean_width`` at every radius in ``radii``, all on one sample.
+
+    A radius of None is the whole set.  Each block of the sample is
+    evaluated at every radius, through one ``support_curve`` when some
+    radius is finite, before the next block is drawn.  On the sample each
+    row's support is concave in r and 0 at r = 0, so width(r)/r is
+    nonincreasing in r.
+    """
+    if draws < 2:
+        raise ValueError("draws must be >= 2")
+    radii = list(radii)
+    localized = any(r is not None for r in radii)
+    values = np.empty((len(radii), draws))
+    done = 0
+    for G in _gaussian_blocks(spec.dim, draws, seed_path):
+        curve = support_curve(spec, G) if localized else None
+        for i, r in enumerate(radii):
+            values[i, done:done + len(G)] = support_batch(spec, G) if r is None else curve(r)
+        done += len(G)
+    return [_make_width_estimate(v, spec, r) for v, r in zip(values, radii)]
+
+
 def gaussian_mean_width(
     spec: IndexSetSpec,
     draws: int,
@@ -424,18 +465,7 @@ def gaussian_mean_width(
     seed_path: int | SeedPath = (0,),
 ) -> WidthEstimate:
     """Monte-Carlo E sup_{v in V cap rB2} |<G, v>| over standard gaussians."""
-    if draws < 2:
-        raise ValueError("draws must be >= 2")
-    rng = rng_from_path(seed_path, "gaussian")
-    values = np.empty(draws)
-    done = 0
-    chunk = max(1, 1_000_000 // spec.dim)
-    while done < draws:
-        take = min(chunk, draws - done)
-        G = rng.standard_normal((take, spec.dim))
-        values[done:done + take] = localized_support_batch(spec, G, localized_radius)
-        done += take
-    return _make_width_estimate(values, spec, localized_radius)
+    return gaussian_mean_widths(spec, draws, [localized_radius], seed_path)[0]
 
 
 def gaussian_order_stat_means(
@@ -446,15 +476,9 @@ def gaussian_order_stat_means(
         raise ValueError("n must be >= 1")
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    rng = rng_from_path(seed_path, "gaussian")
     acc = np.zeros(n)
-    done = 0
-    chunk = max(1, 1_000_000 // n)
-    while done < n_draws:
-        take = min(chunk, n_draws - done)
-        G = rng.standard_normal((take, n))
+    for G in _gaussian_blocks(n, n_draws, seed_path):
         acc += _sorted_abs_desc(G).sum(axis=0)
-        done += take
     return acc / n_draws
 
 

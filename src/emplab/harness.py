@@ -40,7 +40,7 @@ from .distributions import (
     sample_batch,
 )
 from .gelfand import kernel_section_diameter, r_G_fixed_point, r_X_fixed_point
-from .geometry import IndexSetSpec, gaussian_mean_width, index_set_from_dict
+from .geometry import IndexSetSpec, gaussian_mean_width, gaussian_mean_widths, index_set_from_dict
 from .process import multiplier_stats
 from .recovery import (
     DEFAULT_LASSO_C1,
@@ -142,13 +142,17 @@ def config_hash(config: ExperimentConfig) -> str:
 #
 # An adapter is the whole definition of one experiment:
 #   cells(config)                      -> list of cell dicts
-#   trial(config, cell, ci, ti)        -> per-trial record dict
+#   trial(config, cell, ci, ti)        -> per-trial record: with the default
+#                                         rows, the list of the trial's rows
 #   cell(config, cell, ci)             -> optional per-cell record, shared by the
-#                                         cell's rows (None: no per-cell work)
+#                                         cell's rows (None: no per-cell work);
+#                                         with the default rows, a dict of columns
 #   cell_cost(cell)                    -> relative cost of cell(), to start the
 #                                         longest cell tasks first
 #   rows(config, cell, ci, records, cell_result)
-#                                      -> list of CSV row dicts
+#                                      -> list of CSV row dicts; the default
+#                                         puts cell, trial and the cell's columns
+#                                         on every row of every trial
 #   criteria(rows)                     -> data-level pass/fail checks on the CSV
 #   columns                            -> CSV header; without a "trial"
 #                                         column the rows are per cell
@@ -174,6 +178,11 @@ class _Adapter:
     def scipy_modules(config) -> tuple[str, ...]:
         return ()
 
+    @staticmethod
+    def rows(config, cell, ci, records, cell_result):
+        shared = cell_result or {}
+        return [{"cell": ci, "trial": ti, **shared, **row} for ti, rows in records for row in rows]
+
 
 class _WidthsAdapter(_Adapter):
     columns = ["cell", "trial", "family", "n", "r", "mean", "stderr", "draws", "d2", "D"]
@@ -195,43 +204,41 @@ class _WidthsAdapter(_Adapter):
         if not sets:
             raise ConfigurationError("widths experiment needs grids.sets")
         radii = config.grids.get("radii", [None])
-        return [{"set": s, "radius": r} for s, r in product(sets, radii)]
+        # type() rather than isinstance(): a bool is no radius
+        if not (isinstance(radii, list) and radii and all(
+                r is None or (type(r) in (int, float) and 0 < r < math.inf) for r in radii)):
+            raise ConfigurationError("widths radii must be a nonempty list of nulls and "
+                                     f"finite numbers > 0, got {radii!r}")
+        return list(sets)
 
     @staticmethod
     def trial(config, cell, ci, ti):
-        spec = index_set_from_dict(cell["set"])
+        spec = index_set_from_dict(cell)
+        radii = config.grids.get("radii", [None])
         draws = int(config.grids.get("draws", 10000))
-        est = gaussian_mean_width(
-            spec,
-            draws,
-            localized_radius=cell["radius"],
-            seed_path=child_path(config.master_seed, ci, ti),
-        )
-        return {
+        ests = gaussian_mean_widths(spec, draws, radii, child_path(config.master_seed, ci, ti))
+        return [{
             "family": spec.label(),
             "n": spec.dim,
-            "r": cell["radius"] if cell["radius"] is not None else "",
+            "r": r if r is not None else "",
             "mean": est.mean,
             "stderr": est.std_error,
             "draws": est.draws,
             "d2": est.d2,
             "D": est.complexity_ratio,
-        }
-
-    @staticmethod
-    def rows(config, cell, ci, records, cell_result):
-        return [dict(cell=ci, trial=ti, **rec) for ti, rec in records]
+        } for r, est in zip(radii, ests)]
 
     @staticmethod
     def criteria(rows: list[dict]) -> list[dict]:
         crits = []
-        # phi(r) = mean/r nonincreasing in r for a fixed set, within 3 se bands
-        by_set: dict[str, list[dict]] = {}
+        # phi(r) = mean/r nonincreasing in r for each set (cell), within 3 se bands
+        by_cell: dict[int, list[dict]] = {}
         for r in rows:
             if isinstance(r.get("r"), (int, float)):
-                by_set.setdefault(r["family"], []).append(r)
+                by_cell.setdefault(r["cell"], []).append(r)
         checked = False
-        for fam, rs in by_set.items():
+        for ci, rs in sorted(by_cell.items()):
+            label = f"cell{ci} {rs[0]['family']} n={rs[0]['n']}"
             radii = sorted({r["r"] for r in rs})
             if len(radii) < 2:
                 continue
@@ -247,7 +254,7 @@ class _WidthsAdapter(_Adapter):
                 if p2 > p1 + 3.0 * (s1 + s2) + 1e-12:
                     ok = False
             crits.append({
-                "name": f"localized_width_ratio_monotone {fam}",
+                "name": f"localized_width_ratio_monotone {label}",
                 "status": "pass" if ok else "fail",
                 "detail": "mean/r nonincreasing in r within 3 se",
             })
@@ -510,7 +517,13 @@ class _GelfandAdapter(_Adapter):
         res = kernel_section_diameter(
             dist, spec, cell["m"], probes, child_path(config.master_seed, ci, ti)
         )
-        return {"diam_lb": res.lower_bound, "kernel_dim": res.kernel_dim}
+        return [{
+            "n": spec.dim,
+            "m": cell["m"],
+            "family": spec.label(),
+            "x_family": cell["x_family"],
+            "diam_lb": res.lower_bound,
+        }]
 
     @staticmethod
     def cell(config, cell, ci):
@@ -522,33 +535,17 @@ class _GelfandAdapter(_Adapter):
         path = child_path(config.master_seed, ci, 1_000_000)
         rg = r_G_fixed_point(spec, gamma, cell["m"], tol, draws, child_path(path, 0))
         rx = r_X_fixed_point(dist, spec, gamma, cell["m"], tol, draws, child_path(path, 1))
-        return rg, rx
+        return {
+            "r_G": rg.r_star,
+            "r_G_confident": int(rg.confident),
+            "r_X": rx.r_star,
+            "r_X_confident": int(rx.confident),
+        }
 
     @staticmethod
     def cell_cost(cell):
         # r_X draws draws x m x dim coordinates for its normalized sums
         return cell["m"] * int(cell["set"]["dim"])
-
-    @staticmethod
-    def rows(config, cell, ci, records, fixed_points):
-        spec = index_set_from_dict(cell["set"])
-        rg, rx = fixed_points
-        rows = []
-        for ti, rec in records:
-            rows.append({
-                "cell": ci,
-                "trial": ti,
-                "n": spec.dim,
-                "m": cell["m"],
-                "family": spec.label(),
-                "x_family": cell["x_family"],
-                "r_G": rg.r_star,
-                "r_G_confident": int(rg.confident),
-                "r_X": rx.r_star,
-                "r_X_confident": int(rx.confident),
-                "diam_lb": rec["diam_lb"],
-            })
-        return rows
 
     @staticmethod
     def criteria(rows: list[dict]) -> list[dict]:
@@ -593,23 +590,13 @@ class _MomentsAdapter(_Adapter):
         profile = moment_growth_profile(
             dist, p, n_samples, child_path(config.master_seed, ci, ti)
         )
-        return {"profile": profile, "n_samples": n_samples}
-
-    @staticmethod
-    def rows(config, cell, ci, records, cell_result):
-        rows = []
-        for ti, rec in records:
-            for q, ratio in rec["profile"]:
-                rows.append({
-                    "cell": ci,
-                    "trial": ti,
-                    "family": cell["family"],
-                    "tail_param": cell.get("tail_param", ""),
-                    "n_samples": rec["n_samples"],
-                    "q": q,
-                    "ratio": ratio,
-                })
-        return rows
+        return [{
+            "family": cell["family"],
+            "tail_param": cell.get("tail_param", ""),
+            "n_samples": n_samples,
+            "q": q,
+            "ratio": ratio,
+        } for q, ratio in profile]
 
     @staticmethod
     def criteria(rows: list[dict]) -> list[dict]:

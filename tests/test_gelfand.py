@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from emplab import geometry
 from emplab.distributions import DistributionSpec, sample_coordinates
 from emplab.gelfand import (
     _kernel_projector,
@@ -15,6 +16,7 @@ from emplab.geometry import (
     d2,
     gauge,
     gaussian_mean_width,
+    gaussian_mean_widths,
     l1_ball,
     l1_cap_l2,
     l2_ball,
@@ -101,6 +103,7 @@ def test_fixed_points_bisect_the_public_width_on_one_sample():
     # width function draws on the same seed path (dim 1024 and m 300 make
     # both samplers draw in several chunks)
     spec, m, gamma = l1_ball(1024), 20, 1.0
+    assert 2000 > 2 * (geometry._GAUSSIAN_BLOCK_VALUES // spec.dim)
     rg = r_G_fixed_point(spec, gamma, m, tol=1e-2, draws=2000, seed_path=(19, 1))
     lo, hi = rg.bracket
     assert 0.0 < lo < hi
@@ -127,9 +130,8 @@ def test_fixed_points_bisect_the_public_width_on_one_sample():
 ], ids=lambda spec: spec.family)
 def test_phi_nonincreasing_on_one_sample(spec):
     draws = 40 if spec.family == "permutation_polytope" else 500
-    radii = np.linspace(0.02, 1.2 * d2(spec), 25)
-    phi = [gaussian_mean_width(spec, draws, localized_radius=float(r), seed_path=(20,)).mean / r
-           for r in radii]
+    radii = [float(r) for r in np.linspace(0.02, 1.2 * d2(spec), 25)]
+    phi = [est.mean / r for r, est in zip(radii, gaussian_mean_widths(spec, draws, radii, (20,)))]
     assert all(b <= a + 1e-12 * a for a, b in zip(phi, phi[1:]))
 
 

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emplab import geometry
 from emplab.geometry import (
     IndexSetSpec,
     d2,
     gauge,
     gauge_batch,
     gaussian_mean_width,
+    gaussian_mean_widths,
     gaussian_order_stat_means,
     l1_ball,
     l1_cap_l2,
@@ -24,6 +26,7 @@ from emplab.geometry import (
     support_curve,
     unconditionality_check,
 )
+from emplab.streams import rng_from_path
 
 from _oracles import (
     gauge_direct,
@@ -358,6 +361,23 @@ def test_width_determinism_and_chunk_invariance():
     a = gaussian_mean_width(l1_ball(600), draws=9000, seed_path=(25,))
     b = gaussian_mean_width(l1_ball(600), draws=9000, seed_path=(25,))
     assert a.mean == b.mean and a.std_error == b.std_error
+
+
+@pytest.mark.parametrize("spec", all_specs(24), ids=lambda spec: spec.family)
+def test_gaussian_mean_widths_match_one_radius_calls(spec, monkeypatch):
+    # blocks of 8 rows: 30 draws span four blocks, the last one partial
+    monkeypatch.setattr(geometry, "_GAUSSIAN_BLOCK_VALUES", 8 * spec.dim)
+    draws, path = 30, (29, 3)
+    radii = [0.3 * d2(spec), None, 1e-300, 2.0 * d2(spec), 0.3 * d2(spec), 0.05]
+    many = gaussian_mean_widths(spec, draws, radii, path)
+    G = rng_from_path(path, "gaussian").standard_normal((draws, spec.dim))
+    blocks = list(geometry._gaussian_blocks(spec.dim, draws, path))
+    assert [len(b) for b in blocks] == [8, 8, 8, 6]
+    assert np.array_equal(G, np.concatenate(blocks))
+    for r, est in zip(radii, many):
+        assert est == gaussian_mean_width(spec, draws, r, path)
+        # the sample drawn at once, evaluated at once
+        assert est == geometry._make_width_estimate(localized_support_batch(spec, G, r), spec, r)
 
 
 def test_order_stat_means_basics():

@@ -348,6 +348,45 @@ def test_seed_ledger_covers_rows(tmp_path):
             assert manifest.seed_ledger[key][0] == cfg.master_seed
 
 
+def test_widths_trial_reads_every_radius_off_one_sample(tmp_path):
+    # width(r)/r is nonincreasing in r on one sample, for every set
+    sets = [
+        {"family": "l1_ball", "dim": 12, "rho": 1.5},
+        {"family": "l2_ball", "dim": 12, "r": 0.8},
+        {"family": "sparse_cap", "dim": 12, "s": 3},
+        {"family": "l1_cap_l2", "dim": 12, "rho": 1.0, "r": 0.6},
+        {"family": "permutation_polytope", "dim": 12, "w": list(np.linspace(1.0, 0.1, 12))},
+    ]
+    radii = [0.05, 0.2, 0.5, 0.8, 1.5, 4.0]
+    cfg = ExperimentConfig("widths", {"sets": sets, "radii": [None, *radii], "draws": 30},
+                           trials=2, master_seed=81, output_dir=str(tmp_path / "out"))
+    run(cfg)
+    by_trial: dict[tuple, list] = {}
+    with (tmp_path / "out" / "widths.csv").open() as fh:
+        for row in csv.DictReader(fh):
+            if row["r"]:
+                by_trial.setdefault((row["family"], row["trial"]), []).append(
+                    (float(row["r"]), float(row["mean"])))
+    assert len(by_trial) == 2 * len(sets)
+    for key, pts in by_trial.items():
+        assert sorted(r for r, _ in pts) == radii
+        phi = [mean / r for r, mean in sorted(pts)]
+        assert all(b <= a + 1e-12 * a for a, b in zip(phi, phi[1:])), key
+
+
+def test_widths_criterion_per_set(tmp_path):
+    # two dims of one family share a label but are two sets: two criteria
+    cfg = _widths_config(tmp_path / "out")
+    cfg.grids["sets"] = [{"family": "l1_ball", "dim": 16}, {"family": "l1_ball", "dim": 64}]
+    cfg.grids["radii"] = [0.2, 0.5]
+    run(cfg)
+    crits = summarize(tmp_path / "out").criteria
+    assert [(c["name"], c["status"]) for c in crits] == [
+        ("localized_width_ratio_monotone cell0 l1_ball(rho=1) n=16", "pass"),
+        ("localized_width_ratio_monotone cell1 l1_ball(rho=1) n=64", "pass"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # summaries
 
@@ -408,6 +447,19 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["widths", "--config", str(bad)]) == 2
     bad.write_text('{"experiment": "widths", "trials": "x", "master_seed": 0}')
     assert cli_main(["widths", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("radii", [
+    [None, 0], [None, -0.5], [True], [None, "0.1"], [float("inf")], [], 0.5,
+])
+def test_cli_rejects_bad_widths_radii(tmp_path, capsys, radii):
+    cfg = _widths_config(tmp_path / "out", trials=1)
+    cfg.grids["radii"] = radii
+    cfg_path = tmp_path / "w.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert cli_main(["widths", "--config", str(cfg_path)]) == 2
+    assert "widths radii must be a nonempty list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_experiment_mismatch(tmp_path):
