@@ -37,8 +37,11 @@ from .gelfand import (
     KernelDiameterResult,
     empirical_process_width,
     kernel_section_diameter,
+    kernel_section_diameters,
     r_G_fixed_point,
+    r_G_fixed_points,
     r_X_fixed_point,
+    r_X_fixed_points,
 )
 from .geometry import (
     IndexSetSpec,
@@ -115,8 +118,11 @@ __all__ = [
     "KernelDiameterResult",
     "empirical_process_width",
     "kernel_section_diameter",
+    "kernel_section_diameters",
     "r_G_fixed_point",
+    "r_G_fixed_points",
     "r_X_fixed_point",
+    "r_X_fixed_points",
     "ExperimentConfig",
     "ExperimentManifest",
     "run",

@@ -13,10 +13,20 @@ is concave in r and 0 at r = 0, so the bisection is exact on the sample;
 ``confident`` says whether the bracket also holds within 3 Monte-Carlo
 standard errors.
 
-``kernel_section_diameter`` draws an m x n measurement matrix, forms the
-orthogonal projector onto its kernel from one reduced QR factorization of
-its transpose, and certifies a lower bound on diam(ker cap V) by rescaling
-all probe directions to the boundary of V at once through the exact gauge.
+Every m of a grid is read off one sample.  ``r_G_fixed_points`` bisects
+one gaussian width curve against each threshold gamma*sqrt(m);
+``r_X_fixed_points`` takes the sums at every m from one nested sample
+(for gaussian X, one exact gaussian block per grid increment).
+
+``kernel_section_diameters`` draws one m_max x n measurement matrix, and
+each m reads its first m rows: one reduced QR factorization of the
+transpose gives the orthogonal projector onto every prefix's kernel.  One
+probe set is projected onto each kernel and rescaled to the boundary of V
+through the exact gauge, which certifies a lower bound on diam(ker cap V).
+The kernels are nested, so the bound at m is the largest at any m' >= m.
+The one-m functions (``r_G_fixed_point``, ``r_X_fixed_point``,
+``empirical_process_width``, ``kernel_section_diameter``) are the grids of
+one m; for non-gaussian laws they read the sample that one m alone draws.
 """
 
 from __future__ import annotations
@@ -47,20 +57,38 @@ class FixedPointResult:
 
 
 def _normalized_sums(
-    dist: DistributionSpec, dim: int, m: int, draws: int, rng: np.random.Generator
+    dist: DistributionSpec, dim: int, ms: list[int], draws: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """draws x dim normalized sums m^{-1/2} sum_{i<=m} X_i, sampled in chunks."""
+    """The draws x dim normalized sums m^{-1/2} sum_{i<=m} X_i at every m of ms.
+
+    ``ms`` is strictly increasing, and the sums are nested: one sample of
+    draws x m_max x dim coordinates, drawn in chunks of about 4M values,
+    gives every m by adding the row blocks between grid values.  For
+    gaussian X the sum of m - m' rows is exactly sqrt(m - m') times one
+    gaussian row, so each grid increment draws one draws x dim block
+    instead: the exact joint law of the sums, from len(ms) rows per draw
+    rather than m_max.  Returns an array len(ms) x draws x dim.
+    """
     if draws < 2:
         raise ValueError("draws must be >= 2")
-    if m < 1:
+    if ms[0] < 1:
         raise ValueError("m must be >= 1")
-    sums = np.empty((draws, dim))
-    chunk = max(1, 4_000_000 // (m * dim))
-    inv_sqrt_m = 1.0 / math.sqrt(m)
+    exact = dist.family == "gaussian"
+    sums = np.empty((len(ms), draws, dim))
+    chunk = max(1, 4_000_000 // ((len(ms) if exact else ms[-1]) * dim))
     for done in range(0, draws, chunk):
         take = min(chunk, draws - done)
-        X = sample_coordinates(dist, (take, m, dim), rng)
-        sums[done:done + take] = X.sum(axis=1) * inv_sqrt_m
+        if not exact:
+            X = sample_coordinates(dist, (take, ms[-1], dim), rng)
+        prev = 0
+        for k, m in enumerate(ms):
+            if exact:
+                block = math.sqrt(m - prev) * sample_coordinates(dist, (take, dim), rng)
+            else:
+                block = X[:, prev:m].sum(axis=1)
+            total = block if k == 0 else total + block
+            sums[k, done:done + take] = total * (1.0 / math.sqrt(m))
+            prev = m
     return sums
 
 
@@ -77,7 +105,7 @@ def empirical_process_width(
     The inner normalized sum is a single vector per draw, so each support
     value is exact.
     """
-    sums = _normalized_sums(dist, spec.dim, m, draws, rng_from_path(seed_path, "X"))
+    sums = _normalized_sums(dist, spec.dim, [m], draws, rng_from_path(seed_path, "X"))[0]
     return _make_width_estimate(
         localized_support_batch(spec, sums, localized_radius), spec, localized_radius
     )
@@ -153,6 +181,29 @@ def _fixed_point(width_fn, spec, gamma, m, tol) -> FixedPointResult:
     )
 
 
+def _grid(ms) -> list[int]:
+    """The distinct values of ms, increasing."""
+    return sorted(set(int(m) for m in ms))
+
+
+def r_G_fixed_points(
+    spec: IndexSetSpec,
+    gamma: float,
+    ms,
+    tol: float,
+    draws: int,
+    seed_path: int | SeedPath = (0,),
+) -> list[FixedPointResult]:
+    """``r_G_fixed_point`` at every m of ms, in order, all on one gaussian sample.
+
+    Only the threshold gamma * sqrt(m) depends on m, so one memoised width
+    curve serves every bisection.
+    """
+    sample = np.concatenate(list(_gaussian_blocks(spec.dim, draws, seed_path)))
+    width = _width_curve(spec, sample)
+    return [_fixed_point(width, spec, gamma, m, tol) for m in ms]
+
+
 def r_G_fixed_point(
     spec: IndexSetSpec,
     gamma: float,
@@ -167,8 +218,29 @@ def r_G_fixed_point(
     ``gaussian_mean_width(spec, draws, r, seed_path)`` draws, its blocks
     from ``geometry._gaussian_blocks`` joined into one array.
     """
-    sample = np.concatenate(list(_gaussian_blocks(spec.dim, draws, seed_path)))
-    return _fixed_point(_width_curve(spec, sample), spec, gamma, m, tol)
+    return r_G_fixed_points(spec, gamma, [m], tol, draws, seed_path)[0]
+
+
+def r_X_fixed_points(
+    dist: DistributionSpec,
+    spec: IndexSetSpec,
+    gamma: float,
+    ms,
+    tol: float,
+    draws: int,
+    seed_path: int | SeedPath = (0,),
+) -> list[FixedPointResult]:
+    """``r_X_fixed_point`` at every m of ms, in order, on one nested sample.
+
+    The normalized sums at every m come from one sample (``_normalized_sums``
+    over the distinct values of ms); each m bisects on its own sums.
+    """
+    if dist.dim != spec.dim:
+        raise ValueError("distribution and index set dimension mismatch")
+    grid = _grid(ms)
+    sums = _normalized_sums(dist, spec.dim, grid, draws, rng_from_path(seed_path, "X"))
+    at = {m: _fixed_point(_width_curve(spec, s), spec, gamma, m, tol) for m, s in zip(grid, sums)}
+    return [at[m] for m in ms]
 
 
 def r_X_fixed_point(
@@ -185,10 +257,7 @@ def r_X_fixed_point(
     Every radius is evaluated on the one sample of normalized sums that
     ``empirical_process_width(dist, spec, m, draws, r, seed_path)`` draws.
     """
-    if dist.dim != spec.dim:
-        raise ValueError("distribution and index set dimension mismatch")
-    sums = _normalized_sums(dist, spec.dim, m, draws, rng_from_path(seed_path, "X"))
-    return _fixed_point(_width_curve(spec, sums), spec, gamma, m, tol)
+    return r_X_fixed_points(dist, spec, gamma, [m], tol, draws, seed_path)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +283,92 @@ def _extreme_direction(spec: IndexSetSpec) -> np.ndarray:
     return e1
 
 
-def _kernel_projector(Gamma: np.ndarray) -> tuple[np.ndarray, int]:
-    """Orthogonal projector P onto ker(Gamma), and the rank of Gamma.
+def _kernel_projectors(Gamma: np.ndarray, ms: list[int]) -> list[tuple[np.ndarray, int]]:
+    """(P, rank) for the first m rows of Gamma, at every m of the increasing ms.
 
-    One reduced QR of Gamma^T: a row of Gamma is independent of the rows
+    P is the orthogonal projector onto the kernel of those rows.  One
+    reduced QR of Gamma^T serves every prefix, since the first m columns of
+    Q and R factor its first m columns: a row is independent of the rows
     before it exactly when its diagonal entry of R is nonzero, counted
-    against max(m, n) * eps * max|diag R|.  With full row rank the columns
-    of Q span the row space; otherwise the independent rows are factored
-    again.  P = I - Q_r Q_r^T.
+    against max(m, n) * eps * max|diag R[:m]|.  With a full-rank prefix the
+    first m columns of Q span its row space; otherwise the prefix's
+    independent rows are factored again.  P = I - Q_r Q_r^T.
     """
-    m, n = Gamma.shape
-    Q, R = np.linalg.qr(Gamma.T)
-    diag = np.abs(np.diag(R))
-    independent = diag > max(m, n) * np.finfo(np.float64).eps * diag.max(initial=0.0)
-    rank = int(np.count_nonzero(independent))
-    if rank < m:
-        Q = np.linalg.qr(Gamma[independent].T)[0]
-    return np.eye(n) - Q @ Q.T, rank
+    n = Gamma.shape[1]
+    if ms[-1] > 0:
+        Q, R = np.linalg.qr(Gamma[:ms[-1]].T)
+        diag = np.abs(np.diag(R))
+    out = []
+    for m in ms:
+        if m == 0:
+            out.append((np.eye(n), 0))
+            continue
+        independent = diag[:m] > max(m, n) * np.finfo(np.float64).eps * diag[:m].max()
+        rank = int(np.count_nonzero(independent))
+        Q_r = Q[:, :m] if rank == m else np.linalg.qr(Gamma[:m][independent].T)[0]
+        out.append((np.eye(n) - Q_r @ Q_r.T, rank))
+    return out
+
+
+def _kernel_projector(Gamma: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orthogonal projector P onto ker(Gamma), and the rank of Gamma."""
+    return _kernel_projectors(Gamma, [len(Gamma)])[0]
+
+
+def kernel_section_diameters(
+    dist: DistributionSpec,
+    spec: IndexSetSpec,
+    ms,
+    probes: int = 1000,
+    seed_path: int | SeedPath = (0,),
+) -> list[KernelDiameterResult]:
+    """``kernel_section_diameter`` at every m of ms, in order, on one draw.
+
+    One m_max x n measurement matrix is drawn, and m reads its first m
+    rows; one probe set is drawn and projected onto every kernel.  For
+    m < m' the kernel of the first m' rows lies in that of the first m, so
+    every certificate at m' is one at m: the bound at m is the largest over
+    m' >= m, nonincreasing in m.  With one m this is
+    ``kernel_section_diameter``.
+    """
+    n = spec.dim
+    if dist.dim != n:
+        raise ValueError("distribution and index set dimension mismatch")
+    grid = _grid(ms)
+    if grid[0] < 0 or grid[-1] >= n:
+        raise ValueError("m must be in [0, dim) so the kernel is nontrivial")
+    if probes < 1:
+        raise ValueError("probes must be >= 1")
+    path = as_seed_path(seed_path)
+
+    Gamma = (sample_coordinates(dist, (grid[-1], n), rng_from_path(path, "X"))
+             if grid[-1] > 0 else np.empty((0, n)))
+    rng = rng_from_path(path, "probe")
+    g = rng.standard_normal((n, probes))
+    pairs = rng.integers(0, n, size=(probes, 2))
+    signs = 2.0 * rng.integers(0, 2, size=probes) - 1.0
+    extreme = _extreme_direction(spec)
+
+    bounds, ranks = [], []
+    for P, rank in _kernel_projectors(Gamma, grid):
+        two_sparse = P[:, pairs[:, 0]] + signs * P[:, pairs[:, 1]]
+        # one probe per row, C-ordered so that each row reduces as gauge(spec, row) does
+        C = np.ascontiguousarray(np.concatenate(
+            [P @ g, P, two_sparse, (P @ extreme)[:, None]], axis=1
+        ).T)
+        norms = np.linalg.norm(C, axis=1)
+        gauges = gauge_batch(spec, C)
+        ok = (norms > 1e-14) & np.isfinite(gauges) & (gauges > 0)
+        scaled = np.divide(norms, gauges, out=np.zeros_like(norms), where=ok)
+        bounds.append(2.0 * float(scaled.max(initial=0.0)))
+        ranks.append(rank)
+    # nested kernels: the bound at m is the largest at any m' >= m
+    for k in range(len(grid) - 2, -1, -1):
+        bounds[k] = max(bounds[k], bounds[k + 1])
+    at = {m: KernelDiameterResult(lower_bound=lb, kernel_dim=n - rank,
+                                  rank_deficient=rank < m, m=m)
+          for m, lb, rank in zip(grid, bounds, ranks)}
+    return [at[m] for m in ms]
 
 
 def kernel_section_diameter(
@@ -249,40 +387,7 @@ def kernel_section_diameter(
     boundary of V with the exact gauge; the bound is 2 * max ||probe||
     after rescaling.
     """
-    n = spec.dim
-    if dist.dim != n:
-        raise ValueError("distribution and index set dimension mismatch")
-    if m >= n:
-        raise ValueError("m must be < dim so the kernel is nontrivial")
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    path = as_seed_path(seed_path)
-
-    if m == 0:
-        P, rank = np.eye(n), 0
-    else:
-        P, rank = _kernel_projector(sample_coordinates(dist, (m, n), rng_from_path(path, "X")))
-
-    rng = rng_from_path(path, "probe")
-    g = rng.standard_normal((n, probes))
-    pairs = rng.integers(0, n, size=(probes, 2))
-    signs = 2.0 * rng.integers(0, 2, size=probes) - 1.0
-    two_sparse = P[:, pairs[:, 0]] + signs * P[:, pairs[:, 1]]
-    # one probe per row, C-ordered so that each row reduces as gauge(spec, row) does
-    C = np.ascontiguousarray(np.concatenate(
-        [P @ g, P, two_sparse, (P @ _extreme_direction(spec))[:, None]], axis=1
-    ).T)
-
-    norms = np.linalg.norm(C, axis=1)
-    gauges = gauge_batch(spec, C)
-    ok = (norms > 1e-14) & np.isfinite(gauges) & (gauges > 0)
-    scaled = np.divide(norms, gauges, out=np.zeros_like(norms), where=ok)
-    return KernelDiameterResult(
-        lower_bound=2.0 * float(scaled.max(initial=0.0)),
-        kernel_dim=n - rank,
-        rank_deficient=rank < m,
-        m=m,
-    )
+    return kernel_section_diameters(dist, spec, [m], probes, seed_path)[0]
 
 
 def calibrate_kernel_constant(

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import ConfigurationError
 from .streams import SeedPath, rng_from_path
 
 FAMILIES = ("l1_ball", "l2_ball", "sparse_cap", "l1_cap_l2", "permutation_polytope")
@@ -117,12 +118,16 @@ def permutation_polytope(w) -> IndexSetSpec:
 
 
 def index_set_from_dict(d: dict) -> IndexSetSpec:
-    kwargs = dict(d)
-    family = kwargs.pop("family")
-    dim = int(kwargs.pop("dim"))
-    if "w" in kwargs and kwargs["w"] is not None:
-        kwargs["w"] = tuple(kwargs["w"])
-    return IndexSetSpec(family, dim, **kwargs)
+    """The index set a config dict describes; ConfigurationError if none."""
+    try:
+        kwargs = dict(d)
+        family = kwargs.pop("family")
+        dim = int(kwargs.pop("dim"))
+        if "w" in kwargs and kwargs["w"] is not None:
+            kwargs["w"] = tuple(kwargs["w"])
+        return IndexSetSpec(family, dim, **kwargs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad index set {d!r}: {exc!r}") from exc
 
 
 def d2(spec: IndexSetSpec, localized_radius: float | None = None) -> float:

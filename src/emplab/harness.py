@@ -1,12 +1,15 @@
 """Batch experiment runner: config, seeded parallel trials, artifacts.
 
 Five experiments (``widths``, ``multiplier``, ``recovery``, ``gelfand``,
-``moments``) share one execution model: a config defines a grid of cells;
-each (cell, trial) is a pure function of (config, master_seed, cell index,
-trial index), and so is a cell's shared work of (config, master_seed, cell
-index); their records are aggregated into CSV rows in a fixed order.  Reruns with the same config and seed produce byte-identical CSVs
-at any worker count, because seeds derive from indices and rows are merged
-in deterministic key order.
+``moments``) share one execution model: a config defines a grid of cells,
+and cells that differ only in the keys an experiment nests inside one
+sample form a sample group.  Each (group, trial) is a pure function of
+(config, master_seed, the group's first cell index, trial index), and so
+is a group's shared work of (config, master_seed, cell indices); both
+return one record per member cell, and the records are aggregated into
+CSV rows per cell in a fixed order.  Reruns with the same config and seed
+produce byte-identical CSVs at any worker count, because seeds derive from
+indices and rows are merged in deterministic key order.
 
 Artifacts per run: ``<experiment>.csv`` (canonical formatting: fixed
 column order, repr floats, '.' decimal, '\\n' newlines), ``summary.json``
@@ -39,7 +42,7 @@ from .distributions import (
     moment_growth_profile,
     sample_batch,
 )
-from .gelfand import kernel_section_diameter, r_G_fixed_point, r_X_fixed_point
+from .gelfand import kernel_section_diameters, r_G_fixed_points, r_X_fixed_points
 from .geometry import IndexSetSpec, gaussian_mean_width, gaussian_mean_widths, index_set_from_dict
 from .process import multiplier_stats
 from .recovery import (
@@ -141,14 +144,27 @@ def config_hash(config: ExperimentConfig) -> str:
 # experiment adapters
 #
 # An adapter is the whole definition of one experiment:
-#   cells(config)                      -> list of cell dicts
-#   trial(config, cell, ci, ti)        -> per-trial record: with the default
-#                                         rows, the list of the trial's rows
-#   cell(config, cell, ci)             -> optional per-cell record, shared by the
-#                                         cell's rows (None: no per-cell work);
-#                                         with the default rows, a dict of columns
-#   cell_cost(cell)                    -> relative cost of cell(), to start the
-#                                         longest cell tasks first
+#   cells(config)                      -> list of cell dicts; it validates the
+#                                         whole config (ConfigurationError)
+#   nested                             -> the cell keys that nest inside one
+#                                         sample (default ()): cells that agree
+#                                         on every other key form a group, which
+#                                         runs as one task per trial, and one for
+#                                         its shared work; with () every group
+#                                         is one cell
+#   trial(config, group, ti)           -> one per-trial record per member cell of
+#                                         group, a list of (ci, cell); with the
+#                                         default rows, a record is the list of
+#                                         the cell's rows.  @_per_cell lifts a
+#                                         trial(config, cell, ci, ti) of one cell
+#   cell(config, group)                -> optional shared record per member cell,
+#                                         shared by the cell's rows (None: no
+#                                         shared work); with the default rows, a
+#                                         dict of columns.  @_per_cell lifts a
+#                                         cell(config, cell, ci) of one cell
+#   cell_cost(cell)                    -> relative cost of a cell's shared work;
+#                                         a group's is its members' sum, to start
+#                                         the longest shared tasks first
 #   rows(config, cell, ci, records, cell_result)
 #                                      -> list of CSV row dicts; the default
 #                                         puts cell, trial and the cell's columns
@@ -171,7 +187,28 @@ def _x_spec(family: str, n: int, nu) -> DistributionSpec:
     return DistributionSpec(family, n, tail_param=nu)
 
 
+def _check_count(grids: dict, key: str, default: int, least: int) -> None:
+    """Raise ConfigurationError unless grids[key] (or the default) is an integer >= least."""
+    value = grids.get(key, default)
+    # type() rather than isinstance(): a bool is no count
+    if type(value) is not int or value < least:
+        raise ConfigurationError(f"{key} must be an integer >= {least}, got {value!r}")
+
+
+def _per_cell(fn):
+    """An adapter's trial or cell function of one cell, run on its group.
+
+    With ``nested = ()`` a group is one cell: the function gets that cell
+    and its index, and its record is the group's one record.
+    """
+    def on_group(config, group, *ti):
+        [(ci, cell)] = group
+        return [fn(config, cell, ci, *ti)]
+    return staticmethod(on_group)
+
+
 class _Adapter:
+    nested = ()
     cell = None
 
     @staticmethod
@@ -209,13 +246,16 @@ class _WidthsAdapter(_Adapter):
                 r is None or (type(r) in (int, float) and 0 < r < math.inf) for r in radii)):
             raise ConfigurationError("widths radii must be a nonempty list of nulls and "
                                      f"finite numbers > 0, got {radii!r}")
+        _check_count(config.grids, "draws", 10000, least=2)
+        for s in sets:
+            index_set_from_dict(s)
         return list(sets)
 
-    @staticmethod
+    @_per_cell
     def trial(config, cell, ci, ti):
         spec = index_set_from_dict(cell)
         radii = config.grids.get("radii", [None])
-        draws = int(config.grids.get("draws", 10000))
+        draws = config.grids.get("draws", 10000)
         ests = gaussian_mean_widths(spec, draws, radii, child_path(config.master_seed, ci, ti))
         return [{
             "family": spec.label(),
@@ -292,7 +332,7 @@ class _MultiplierAdapter(_Adapter):
         d["dim"] = n
         return index_set_from_dict(d)
 
-    @staticmethod
+    @_per_cell
     def trial(config, cell, ci, ti):
         spec = _MultiplierAdapter._set_spec(config, cell["n"])
         dist = _x_spec(cell["x_family"], cell["n"], config.grids.get("nu"))
@@ -313,7 +353,7 @@ class _MultiplierAdapter(_Adapter):
             "lq_norm": noise.lq_norm,
         }
 
-    @staticmethod
+    @_per_cell
     def cell(config, cell, ci):
         spec = _MultiplierAdapter._set_spec(config, cell["n"])
         return gaussian_mean_width(
@@ -386,7 +426,7 @@ class _RecoveryAdapter(_Adapter):
             for n, s, N, xf in product(g["n"], g["s"], g["N"], g["x_family"])
         ]
 
-    @staticmethod
+    @_per_cell
     def trial(config, cell, ci, ti):
         dist = _x_spec(cell["x_family"], cell["n"], config.grids.get("nu"))
         noise_family = config.grids.get("noise_family", "symmetric_pareto")
@@ -498,54 +538,89 @@ class _GelfandAdapter(_Adapter):
     group = ["n", "m", "family", "x_family"]
     values = ["r_G", "r_X", "diam_lb"]
 
+    # every m of a (set, law) is read off one sample: the nested sums of r_X
+    # and the first m rows of each trial's one measurement matrix
+    nested = ("m",)
+
     @staticmethod
     def cells(config):
         g = config.grids
         for key in ("sets", "m", "x_family"):
-            if key not in g:
-                raise ConfigurationError(f"gelfand experiment needs grids.{key}")
+            if not isinstance(g.get(key), list):
+                raise ConfigurationError(f"gelfand experiment needs grids.{key}, a list")
+        for s in g["sets"]:
+            spec = index_set_from_dict(s)
+            # type() rather than isinstance(): a bool is no m
+            if not all(type(m) is int and 1 <= m < spec.dim for m in g["m"]):
+                raise ConfigurationError(
+                    f"gelfand m must be integers in [1, dim) for dim {spec.dim}, got {g['m']!r}")
+            for xf in g["x_family"]:
+                _x_spec(xf, spec.dim, g.get("nu"))
+        _check_count(g, "width_draws", 2000, least=2)
+        _check_count(g, "probes", 200, least=1)
+        for key, default in (("gamma", 1.0), ("fp_tol", 1e-2)):
+            value = g.get(key, default)
+            if type(value) not in (int, float) or not 0 < value < math.inf:
+                raise ConfigurationError(f"gelfand {key} must be a finite number > 0, "
+                                         f"got {value!r}")
         return [
-            {"set": s, "m": int(m), "x_family": xf}
+            {"set": s, "m": m, "x_family": xf}
             for s, m, xf in product(g["sets"], g["m"], g["x_family"])
         ]
 
     @staticmethod
-    def trial(config, cell, ci, ti):
-        spec = index_set_from_dict(cell["set"])
-        dist = _x_spec(cell["x_family"], spec.dim, config.grids.get("nu"))
-        probes = int(config.grids.get("probes", 200))
-        res = kernel_section_diameter(
-            dist, spec, cell["m"], probes, child_path(config.master_seed, ci, ti)
-        )
-        return [{
-            "n": spec.dim,
-            "m": cell["m"],
-            "family": spec.label(),
-            "x_family": cell["x_family"],
-            "diam_lb": res.lower_bound,
-        }]
+    def _group_specs(config, group):
+        """The set, the coordinate law and the m of each member of a group."""
+        first = group[0][1]
+        spec = index_set_from_dict(first["set"])
+        dist = _x_spec(first["x_family"], spec.dim, config.grids.get("nu"))
+        return spec, dist, [cell["m"] for _, cell in group]
 
     @staticmethod
-    def cell(config, cell, ci):
-        spec = index_set_from_dict(cell["set"])
-        dist = _x_spec(cell["x_family"], spec.dim, config.grids.get("nu"))
-        gamma = float(config.grids.get("gamma", 1.0))
-        draws = int(config.grids.get("width_draws", 2000))
-        tol = float(config.grids.get("fp_tol", 1e-2))
-        path = child_path(config.master_seed, ci, 1_000_000)
-        rg = r_G_fixed_point(spec, gamma, cell["m"], tol, draws, child_path(path, 0))
-        rx = r_X_fixed_point(dist, spec, gamma, cell["m"], tol, draws, child_path(path, 1))
-        return {
+    def trial(config, group, ti):
+        spec, dist, ms = _GelfandAdapter._group_specs(config, group)
+        results = kernel_section_diameters(
+            dist, spec, ms, config.grids.get("probes", 200),
+            child_path(config.master_seed, group[0][0], ti),
+        )
+        return [[{
+            "n": spec.dim,
+            "m": res.m,
+            "family": spec.label(),
+            "x_family": dist.family,
+            "diam_lb": res.lower_bound,
+        }] for res in results]
+
+    @staticmethod
+    def cell(config, group):
+        spec, dist, ms = _GelfandAdapter._group_specs(config, group)
+        g = config.grids
+        gamma = float(g.get("gamma", 1.0))
+        draws = g.get("width_draws", 2000)
+        tol = float(g.get("fp_tol", 1e-2))
+        ci = group[0][0]
+        # r_G depends on the set alone: every law of a set reads it off the
+        # sample on the path of the set's first cell (cells run over sets,
+        # then m, then x_family)
+        first_of_set = ci - ci % (len(g["m"]) * len(g["x_family"]))
+        rgs = r_G_fixed_points(spec, gamma, ms, tol, draws,
+                               child_path(config.master_seed, first_of_set, 1_000_000, 0))
+        rxs = r_X_fixed_points(dist, spec, gamma, ms, tol, draws,
+                               child_path(config.master_seed, ci, 1_000_000, 1))
+        return [{
             "r_G": rg.r_star,
             "r_G_confident": int(rg.confident),
             "r_X": rx.r_star,
             "r_X_confident": int(rx.confident),
-        }
+        } for rg, rx in zip(rgs, rxs)]
 
     @staticmethod
     def cell_cost(cell):
-        # r_X draws draws x m x dim coordinates for its normalized sums
-        return cell["m"] * int(cell["set"]["dim"])
+        # r_X's normalized sums: a gaussian group draws one draws x dim block
+        # per m, any other law draws x m_max x dim coordinates (summed over a
+        # group, m x dim per cell overstates it)
+        dim = int(cell["set"]["dim"])
+        return dim if cell["x_family"] == "gaussian" else cell["m"] * dim
 
     @staticmethod
     def criteria(rows: list[dict]) -> list[dict]:
@@ -582,7 +657,7 @@ class _MomentsAdapter(_Adapter):
             raise ConfigurationError("moments experiment needs grids.laws")
         return [dict(law) for law in laws]
 
-    @staticmethod
+    @_per_cell
     def trial(config, cell, ci, ti):
         dist = DistributionSpec(cell["family"], 1, tail_param=cell.get("tail_param"))
         p = int(config.grids.get("p", 20))
@@ -654,19 +729,39 @@ def dropped_cells(failed: list) -> list[int]:
     return sorted({f["cell"] for f in failed})
 
 
-def _run_task(task) -> tuple[object, str | None]:
-    """One trial, or with ``ti=None`` one cell's shared work.
+def _run_task(task) -> tuple[list | None, str | None]:
+    """One trial of a sample group, or with ``ti=None`` the group's shared work.
 
-    Returns ``(record, None)``, or ``(None, repr(exc))`` if it raised.
+    Returns ``(records, None)``, one record per member cell, or
+    ``(None, repr(exc))`` if it raised.
     """
-    config, cell, ci, ti = task
+    config, group, ti = task
     adapter = _ADAPTERS[config.experiment]
     try:
         if ti is None:
-            return adapter.cell(config, cell, ci), None
-        return adapter.trial(config, cell, ci, ti), None
+            return adapter.cell(config, group), None
+        return adapter.trial(config, group, ti), None
     except Exception as exc:  # noqa: BLE001 - recorded in manifest.failed, not fatal
         return None, repr(exc)
+
+
+def _sample_groups(cells: list[dict], nested: tuple) -> list[list[tuple[int, dict]]]:
+    """The cells, as (ci, cell), in groups that share one sample.
+
+    Cells that agree on every key outside ``nested`` form a group; the k-th
+    copy of a repeated cell goes to the k-th group of its key, so the nested
+    values within a group are distinct and with ``nested=()`` every group is
+    one cell.  Groups come in the order of their first cell.
+    """
+    copies: dict[str, int] = {}
+    groups: dict[tuple[str, int], list[tuple[int, dict]]] = {}
+    for ci, cell in enumerate(cells):
+        whole = json.dumps(cell, sort_keys=True)
+        outer = json.dumps({k: v for k, v in cell.items() if k not in nested}, sort_keys=True)
+        copy = copies.get(whole, 0)
+        copies[whole] = copy + 1
+        groups.setdefault((outer, copy), []).append((ci, cell))
+    return list(groups.values())
 
 
 # (get, set) thread-count entry points of the OpenBLAS builds numpy and
@@ -755,8 +850,9 @@ def _utc_now() -> str:
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     """Execute all grid cells x trials and write CSV + summary + manifest.
 
-    Every task runs with one BLAS thread per process.  The cells' shared
-    work (``adapter.cell``) is queued ahead of the trials, longest first.
+    Every task runs with one BLAS thread per process.  There is one task
+    per (sample group, trial), and the groups' shared work
+    (``adapter.cell``) is queued ahead of the trials, longest first.
     The experiment's scipy subpackages are imported first, so forked
     workers inherit them instead of each importing them again, and the
     BLAS pin also covers the OpenBLAS that scipy.linalg loads.
@@ -769,12 +865,12 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    groups = _sample_groups(cells, adapter.nested)
     cell_tasks = []
     if adapter.cell is not None and config.trials > 0:
-        cell_tasks = sorted(((config, cell, ci, None) for ci, cell in enumerate(cells)),
-                            key=lambda task: adapter.cell_cost(task[1]), reverse=True)
-    tasks = cell_tasks + [(config, cell, ci, ti)
-                          for ci, cell in enumerate(cells) for ti in range(config.trials)]
+        cell_tasks = sorted(((config, group, None) for group in groups), reverse=True,
+                            key=lambda task: sum(adapter.cell_cost(cell) for _, cell in task[1]))
+    tasks = cell_tasks + [(config, group, ti) for group in groups for ti in range(config.trials)]
     for module in adapter.scipy_modules(config):
         importlib.import_module(module)
     with _one_blas_thread() as blas_threads:
@@ -784,17 +880,22 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
         else:
             outcomes = list(map(_run_task, tasks))
 
+    # each record is filed under its own cell; a failed task fails every member
     records: list[list[tuple[int, dict]]] = [[] for _ in cells]
     cell_results: list = [None] * len(cells)
     failed: list[dict] = []
-    for (_, _, ci, ti), (rec, error) in zip(tasks, outcomes):
+    for (_, group, ti), (recs, error) in zip(tasks, outcomes):
         if error is not None:
-            failed.append({"cell": ci, "trial": ti, "error": error})
-        elif ti is None:
-            cell_results[ci] = rec
-        else:
-            records[ci].append((ti, rec))
+            failed.extend({"cell": ci, "trial": ti, "error": error} for ci, _ in group)
+            continue
+        for (ci, _), rec in zip(group, recs, strict=True):
+            if ti is None:
+                cell_results[ci] = rec
+            else:
+                records[ci].append((ti, rec))
 
+    # the seed path of a cell's trials is its group's: (master, first cell, trial)
+    seed_cell = {ci: group[0][0] for group in groups for ci, _ in group}
     dropped = dropped_cells(failed)
     rows: list[dict] = []
     seed_ledger: dict[str, list[int]] = {}
@@ -804,9 +905,9 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
         rows.extend(adapter.rows(config, cell, ci, records[ci], cell_results[ci]))
         if "trial" in adapter.columns:
             for ti, _ in records[ci]:
-                seed_ledger[f"cell{ci}/trial{ti}"] = [config.master_seed, ci, ti]
+                seed_ledger[f"cell{ci}/trial{ti}"] = [config.master_seed, seed_cell[ci], ti]
         else:
-            seed_ledger[f"cell{ci}"] = [config.master_seed, ci]
+            seed_ledger[f"cell{ci}"] = [config.master_seed, seed_cell[ci]]
 
     csv_path = out_dir / f"{config.experiment}.csv"
     _write_csv(csv_path, adapter.columns, rows)

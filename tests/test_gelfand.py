@@ -6,20 +6,30 @@ import pytest
 from emplab import geometry
 from emplab.distributions import DistributionSpec, sample_coordinates
 from emplab.gelfand import (
+    _fixed_point,
     _kernel_projector,
+    _kernel_projectors,
+    _normalized_sums,
+    _width_curve,
     empirical_process_width,
     kernel_section_diameter,
+    kernel_section_diameters,
     r_G_fixed_point,
+    r_G_fixed_points,
     r_X_fixed_point,
+    r_X_fixed_points,
 )
 from emplab.geometry import (
+    _make_width_estimate,
     d2,
     gauge,
+    gauge_batch,
     gaussian_mean_width,
     gaussian_mean_widths,
     l1_ball,
     l1_cap_l2,
     l2_ball,
+    localized_support_batch,
     permutation_polytope,
     sparse_cap,
 )
@@ -151,6 +161,92 @@ def test_r_X_rademacher_finite_and_flagged():
     assert isinstance(res.confident, bool)
 
 
+def _sums_for_one_m(dist, dim, m, draws, seed_path):
+    """The normalized sums as drawn for one m alone: draws x m x dim
+    coordinates of the "X" stream in chunks of about 4M values, each chunk
+    summed over its m rows."""
+    rng = rng_from_path(seed_path, "X")
+    chunk = max(1, 4_000_000 // (m * dim))
+    parts = []
+    for done in range(0, draws, chunk):
+        X = sample_coordinates(dist, (min(chunk, draws - done), m, dim), rng)
+        parts.append(X.sum(axis=1) * (1.0 / math.sqrt(m)))
+    return np.concatenate(parts)
+
+
+def test_one_m_functions_are_the_sample_drawn_for_that_m():
+    # for a non-gaussian law the one-m functions read the sample that one m
+    # alone draws, bit for bit (m 300 at dim 64 draws it in two chunks)
+    dist, spec = DistributionSpec("student_t", 64, tail_param=5.0), l1_ball(64)
+    m, draws, path = 300, 250, (24, 1)
+    sums = _sums_for_one_m(dist, 64, m, draws, path)
+    assert np.array_equal(_normalized_sums(dist, 64, [m], draws, rng_from_path(path, "X"))[0],
+                          sums)
+    assert empirical_process_width(dist, spec, m, draws, 0.3, path) == _make_width_estimate(
+        localized_support_batch(spec, sums, 0.3), spec, 0.3)
+    rx = r_X_fixed_point(dist, spec, 0.3, m, 1e-3, draws, path)
+    assert rx == _fixed_point(_width_curve(spec, sums), spec, 0.3, m, 1e-3)
+    # and a grid of one distinct m is the same sample
+    assert r_X_fixed_points(dist, spec, 0.3, [m, m], 1e-3, draws, path) == [rx, rx]
+
+    # kernel_section_diameter: an m x n matrix, its QR projector and one probe set
+    m, probes, path = 20, 30, (24, 2)
+    Gamma = sample_coordinates(dist, (m, 64), rng_from_path(path, "X"))
+    Q = np.linalg.qr(Gamma.T)[0]
+    P = np.eye(64) - Q @ Q.T
+    rng = rng_from_path(path, "probe")
+    g = rng.standard_normal((64, probes))
+    pairs = rng.integers(0, 64, size=(probes, 2))
+    signs = 2.0 * rng.integers(0, 2, size=probes) - 1.0
+    e1 = np.eye(64)[0]
+    C = np.ascontiguousarray(np.concatenate(
+        [P @ g, P, P[:, pairs[:, 0]] + signs * P[:, pairs[:, 1]], (P @ e1)[:, None]], axis=1).T)
+    norms = np.linalg.norm(C, axis=1)
+    # a 2-sparse probe e_i - e_i is 0 and certifies nothing
+    scaled = np.divide(norms, gauge_batch(spec, C), out=np.zeros_like(norms), where=norms > 1e-14)
+    res = kernel_section_diameter(dist, spec, m, probes, path)
+    assert res.lower_bound == 2.0 * float(scaled.max())
+    assert (res.kernel_dim, res.rank_deficient) == (64 - m, False)
+
+
+@pytest.mark.parametrize("family, nu", [("student_t", 5.0), ("rademacher", None)])
+def test_nested_sums_are_prefix_sums(family, nu):
+    # one draws x m_max x dim sample, in two chunks; every m reads its first m rows
+    dist, ms, draws, dim = DistributionSpec(family, 16, tail_param=nu), [3, 10, 40], 7000, 16
+    chunk = 4_000_000 // (ms[-1] * dim)
+    assert chunk < draws
+    rng = rng_from_path((25,), "X")
+    X = np.concatenate([sample_coordinates(dist, (min(chunk, draws - done), ms[-1], dim), rng)
+                        for done in range(0, draws, chunk)])
+    sums = _normalized_sums(dist, dim, ms, draws, rng_from_path((25,), "X"))
+    assert sums.shape == (3, draws, dim)
+    for m, s in zip(ms, sums):
+        assert np.abs(s - X[:, :m].sum(axis=1) / math.sqrt(m)).max() <= 1e-12
+
+
+def test_exact_gaussian_sums_have_the_law_of_nested_sums():
+    # m^{-1/2} sum_{i<=m} X_i is standard gaussian in each coordinate, and the
+    # sums at m < m' correlate as sqrt(m/m'); each within 5 standard errors
+    dist, ms, draws, dim = DistributionSpec("gaussian", 8), [2, 8, 32], 20000, 8
+    sums = _normalized_sums(dist, dim, ms, draws, rng_from_path((26,), "X"))
+    for s in sums:
+        assert np.all(np.abs(s.mean(axis=0)) <= 5.0 / math.sqrt(draws))
+        assert np.all(np.abs(s.var(axis=0, ddof=1) - 1.0) <= 5.0 * math.sqrt(2.0 / draws))
+    for i in range(len(ms)):
+        for j in range(i + 1, len(ms)):
+            prod = (sums[i] * sums[j]).ravel()
+            se = prod.std(ddof=1) / math.sqrt(prod.size)
+            assert abs(prod.mean() - math.sqrt(ms[i] / ms[j])) <= 5.0 * se
+
+
+def test_r_G_fixed_points_share_one_curve():
+    # every m reads the one gaussian sample: each equals its one-m call
+    spec, ms = l1_ball(32), [12, 4, 8, 4]
+    results = r_G_fixed_points(spec, 1.0, ms, 1e-3, 400, (27,))
+    assert results == [r_G_fixed_point(spec, 1.0, m, 1e-3, 400, (27,)) for m in ms]
+    assert [res.m for res in results] == ms
+
+
 # ---------------------------------------------------------------------------
 # kernel sections
 
@@ -190,6 +286,37 @@ def test_kernel_projector_rank_deficient_rows():
         assert res.rank_deficient == (rank < 2)
         found |= res.rank_deficient
     assert found
+
+
+def test_prefix_projectors_match_svd_oracle():
+    # one QR of the whole matrix serves every prefix; a prefix that holds a
+    # duplicated or antipodal row is factored again
+    n = 16
+    base = sample_coordinates(DistributionSpec("gaussian", n), (6, n), rng_from_path((28,), "X"))
+    Gamma = np.vstack([base[0], base[1], base[0], base[2], -base[1], base[3], base[4], base[5]])
+    ms = [0, 1, 2, 3, 4, 5, 8]
+    for m, (P, rank) in zip(ms, _kernel_projectors(Gamma, ms)):
+        oracle, oracle_rank = kernel_projector_svd(Gamma[:m]) if m else (np.eye(n), 0)
+        assert rank == oracle_rank
+        assert np.abs(P - oracle).max() <= 1e-12
+    assert [rank for _, rank in _kernel_projectors(Gamma, ms)] == [0, 1, 2, 2, 3, 3, 6]
+
+
+@pytest.mark.parametrize("family, nu", [
+    ("gaussian", None), ("student_t", 5.0), ("rademacher", None),
+])
+def test_kernel_bounds_nonincreasing_in_m(family, nu):
+    # ker of the first m' rows lies in ker of the first m < m', so each
+    # trial's bound is nonincreasing in m; at m_max it is the one-m bound
+    dist, spec, ms = DistributionSpec(family, 24, tail_param=nu), l1_ball(24), [4, 8, 12, 20]
+    for i in range(20):
+        res = kernel_section_diameters(dist, spec, ms[::-1], 20, (29, i))[::-1]
+        assert [r.m for r in res] == ms
+        lbs = [r.lower_bound for r in res]
+        assert all(b <= a for a, b in zip(lbs, lbs[1:]))
+        assert res[-1] == kernel_section_diameter(dist, spec, ms[-1], 20, (29, i))
+        if family != "rademacher":
+            assert [r.kernel_dim for r in res] == [24 - m for m in ms]
 
 
 def test_kernel_diameter_no_constraints_reaches_2d2():

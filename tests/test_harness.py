@@ -14,10 +14,12 @@ from emplab.distributions import ConfigurationError
 import emplab
 from emplab.harness import (
     _ADAPTERS,
+    _GelfandAdapter,
     ExperimentConfig,
     IntegrityError,
     _one_blas_thread,
     _openblas_thread_controls,
+    _sample_groups,
     config_hash,
     dropped_cells,
     loglog_slope,
@@ -83,9 +85,24 @@ def _gelfand_config(out, m=(4, 8), trials=2, seed=41):
     )
 
 
-def _failing_gelfand_config(out):
-    # m = 16 = dim leaves no kernel: every trial of cell 1 raises ValueError
-    return _gelfand_config(out, m=(4, 16))
+def _gelfand_laws_config(out, trials=2, seed=43):
+    # two laws and three m: two sample groups of three cells each, the
+    # gaussian group holding cells 0, 2, 4 and the student_t group 1, 3, 5
+    cfg = _gelfand_config(out, m=(4, 6, 8), trials=trials, seed=seed)
+    cfg.grids.update(x_family=["gaussian", "student_t"], nu=6.0)
+    return cfg
+
+
+def _break_student_t_trial(monkeypatch):
+    """Make trial 1 of the gelfand student_t group raise (forked workers inherit it)."""
+    trial = _GelfandAdapter.trial
+
+    def failing(config, group, ti):
+        if ti == 1 and group[0][1]["x_family"] == "student_t":
+            raise RuntimeError("broken trial")
+        return trial(config, group, ti)
+
+    monkeypatch.setattr(_GelfandAdapter, "trial", staticmethod(failing))
 
 
 def _failing_width_config(out):
@@ -212,18 +229,22 @@ def test_rerun_identical_bytes_and_checksums(tmp_path):
 
 
 # failed tasks as (cell, trial); trial None is a cell's shared work, and the
-# multiplier cells' widths run longest (largest n) first
-@pytest.mark.parametrize("make_config, failed", [
-    (_widths_config, []),
-    (_multiplier_config, []),
-    (_recovery_config, []),
-    (_gelfand_config, []),
-    (_moments_config, []),
-    (_failing_gelfand_config, [(1, 0), (1, 1)]),
-    (_failing_width_config, [(1, None), (0, None)]),
-], ids=["widths", "multiplier", "recovery", "gelfand", "moments", "gelfand-failing",
-        "multiplier-failing-cell"])
-def test_parallel_equals_serial(tmp_path, make_config, failed):
+# multiplier cells' widths run longest (largest n) first.  A failed gelfand
+# trial is one task of a sample group, and fails every member cell.
+@pytest.mark.parametrize("make_config, failed, breakage", [
+    (_widths_config, [], None),
+    (_multiplier_config, [], None),
+    (_recovery_config, [], None),
+    (_gelfand_config, [], None),
+    (_gelfand_laws_config, [], None),
+    (_moments_config, [], None),
+    (_gelfand_laws_config, [(1, 1), (3, 1), (5, 1)], _break_student_t_trial),
+    (_failing_width_config, [(1, None), (0, None)], None),
+], ids=["widths", "multiplier", "recovery", "gelfand", "gelfand-laws", "moments",
+        "gelfand-failing", "multiplier-failing-cell"])
+def test_parallel_equals_serial(tmp_path, monkeypatch, make_config, failed, breakage):
+    if breakage is not None:
+        breakage(monkeypatch)
     dropped = sorted({ci for ci, _ in failed})
     blas_threads = 1 if _openblas_thread_controls() else None
     outputs = {}
@@ -237,10 +258,14 @@ def test_parallel_equals_serial(tmp_path, make_config, failed):
         assert not {"workers", "blas_threads"} & set(summary)
         csv_path = tmp_path / f"w{workers}" / f"{cfg.experiment}.csv"
         with csv_path.open() as fh:
-            assert not {int(row["cell"]) for row in csv.DictReader(fh)} & set(dropped)
+            cells = {int(row["cell"]) for row in csv.DictReader(fh)}
+        assert not cells & set(dropped)
+        if cfg.trials:
+            assert cells == set(range(summary["cells"])) - set(dropped)
         ledger_cells = {key.split("/")[0] for key in manifest.seed_ledger}
         assert not ledger_cells & {f"cell{ci}" for ci in dropped}
-        outputs[workers] = (csv_path.read_bytes(), manifest.failed)
+        outputs[workers] = (csv_path.read_bytes(), manifest.failed, manifest.seed_ledger,
+                            summary)
     assert outputs[1] == outputs[2]
 
 
@@ -390,6 +415,40 @@ def test_widths_criterion_per_set(tmp_path):
 # ---------------------------------------------------------------------------
 # summaries
 
+def test_sample_groups_keep_repeated_cells_apart():
+    # a repeated cell starts a group of its own: with nested=() every group
+    # is one cell, and within a group the nested values are distinct
+    sets = [{"family": "l1_ball", "dim": 8}, {"family": "l1_ball", "dim": 8}]
+    assert _sample_groups(sets, ()) == [[(0, sets[0])], [(1, sets[1])]]
+    cells = [{"set": sets[0], "m": m, "x_family": xf}
+             for m, xf in [(2, "gaussian"), (2, "gaussian"), (4, "gaussian"), (4, "gaussian"),
+                           (2, "student_t")]]
+    assert [[ci for ci, _ in g] for g in _sample_groups(cells, ("m",))] == [[0, 2], [1, 3], [4]]
+
+
+def test_gelfand_reads_every_m_off_one_sample_per_law(tmp_path):
+    cfg = _gelfand_laws_config(tmp_path / "out", trials=3)
+    manifest = run(cfg)
+    with (tmp_path / "out" / "gelfand.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6 * 3
+    # r_G depends on the set alone: both law cells of an m report one value
+    for m in ("4", "6", "8"):
+        assert len({r["r_G"] for r in rows if r["m"] == m}) == 1
+    # nested kernels: each trial's bound is nonincreasing in m
+    for law in ("gaussian", "student_t"):
+        for ti in range(3):
+            lbs = [float(r["diam_lb"]) for r in sorted(
+                (r for r in rows if r["x_family"] == law and r["trial"] == str(ti)),
+                key=lambda r: int(r["m"]))]
+            assert len(lbs) == 3
+            assert all(b <= a for a, b in zip(lbs, lbs[1:]))
+    # every cell's trials ran on its group's seed path: (master, first cell, trial)
+    for ci in range(6):
+        for ti in range(3):
+            assert manifest.seed_ledger[f"cell{ci}/trial{ti}"] == [cfg.master_seed, ci % 2, ti]
+
+
 def test_summarize_single_row_mean_is_value(tmp_path):
     cfg = _widths_config(tmp_path / "out", trials=1)
     run(cfg)
@@ -462,6 +521,56 @@ def test_cli_rejects_bad_widths_radii(tmp_path, capsys, radii):
     assert not (tmp_path / "out").exists()
 
 
+def _assert_config_error(tmp_path, capsys, cfg):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert cli_main([cfg.experiment, "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not Path(cfg.output_dir).exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"sets": [{"family": "l1_bal", "dim": 16}]},
+    {"sets": [{"family": "l1_ball", "dim": 16}, {"family": "l1_ball"}]},
+    {"sets": [{"family": "l1_ball", "dim": 16, "radius": 2.0}]},
+    {"draws": 1},
+    {"draws": 500.0},
+], ids=["unknown-family", "no-dim", "unknown-key", "draws-1", "draws-float"])
+def test_cli_widths_config_errors_exit_2(tmp_path, capsys, change):
+    # checked in cells(), before any task runs, rather than failing every trial
+    cfg = _widths_config(tmp_path / "out", trials=1)
+    cfg.grids.update(change)
+    _assert_config_error(tmp_path, capsys, cfg)
+
+
+def _failing_gelfand_config(out):
+    # m = 16 = dim leaves no kernel
+    return _gelfand_config(out, m=(4, 16))
+
+
+@pytest.mark.parametrize("change", [
+    {"sets": [{"family": "l1_bal", "dim": 16}]},
+    {"width_draws": 1},
+    {"probes": 0},
+    {"m": [0, 4]},
+    {"m": [4.0]},
+    {"m": [True]},
+    {"m": 4},
+    {"x_family": ["gausian"]},
+    {"gamma": 0},
+    {"fp_tol": "0.01"},
+], ids=["unknown-family", "width-draws-1", "probes-0", "m-0", "m-float", "m-bool",
+        "m-not-a-list", "unknown-law", "gamma-0", "fp-tol-string"])
+def test_cli_gelfand_config_errors_exit_2(tmp_path, capsys, change):
+    cfg = _gelfand_config(tmp_path / "out", trials=1)
+    cfg.grids.update(change)
+    _assert_config_error(tmp_path, capsys, cfg)
+
+
+def test_cli_gelfand_m_at_dim_exits_2(tmp_path, capsys):
+    _assert_config_error(tmp_path, capsys, _failing_gelfand_config(tmp_path / "out"))
+
+
 def test_cli_experiment_mismatch(tmp_path):
     cfg = tmp_path / "w.json"
     cfg.write_text(json.dumps(_widths_config(tmp_path / "out", trials=1).to_dict()))
@@ -505,13 +614,13 @@ def test_cli_env_out_override(tmp_path, monkeypatch):
 
 def test_dropped_cells_reported(tmp_path, capsys):
     out = tmp_path / "out"
-    cfg_path = tmp_path / "g.json"
-    cfg_path.write_text(json.dumps(_failing_gelfand_config(out).to_dict()))
-    assert cli_main(["gelfand", "--config", str(cfg_path)]) == 1
-    assert "cells dropped from the CSV: [1]" in capsys.readouterr().err
+    cfg_path = tmp_path / "m.json"
+    cfg_path.write_text(json.dumps(_failing_width_config(out).to_dict()))
+    assert cli_main(["multiplier", "--config", str(cfg_path)]) == 1
+    assert "cells dropped from the CSV: [0, 1]" in capsys.readouterr().err
 
     report = summarize(out)
-    assert report.dropped_cells == [1]
-    assert all("cell1" not in crit["name"] for crit in report.criteria)
+    assert report.dropped_cells == [0, 1]
+    assert [crit["status"] for crit in report.criteria] == ["insufficient-data"]
     assert cli_main(["summarize", str(out)]) == 0
-    assert "dropped cells (a task failed): [1]" in capsys.readouterr().out
+    assert "dropped cells (a task failed): [0, 1]" in capsys.readouterr().out
