@@ -122,7 +122,9 @@ def index_set_from_dict(d: dict) -> IndexSetSpec:
     try:
         kwargs = dict(d)
         family = kwargs.pop("family")
-        dim = int(kwargs.pop("dim"))
+        dim = kwargs.pop("dim")
+        if any(type(v) is not int or v < 1 for v in (dim, kwargs.get("s", 1))):
+            raise ValueError("dim and s must be integers >= 1")
         if "w" in kwargs and kwargs["w"] is not None:
             kwargs["w"] = tuple(kwargs["w"])
         return IndexSetSpec(family, dim, **kwargs)

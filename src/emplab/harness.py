@@ -43,8 +43,8 @@ from .distributions import (
     sample_batch,
 )
 from .gelfand import kernel_section_diameters, r_G_fixed_points, r_X_fixed_points
-from .geometry import IndexSetSpec, gaussian_mean_width, gaussian_mean_widths, index_set_from_dict
-from .process import multiplier_stats
+from .geometry import gaussian_mean_width, gaussian_mean_widths, index_set_from_dict
+from .process import DEFAULT_U_GRID, multiplier_stats
 from .recovery import (
     DEFAULT_LASSO_C1,
     RecoveryProblem,
@@ -144,8 +144,10 @@ def config_hash(config: ExperimentConfig) -> str:
 # experiment adapters
 #
 # An adapter is the whole definition of one experiment:
-#   cells(config)                      -> list of cell dicts; it validates the
-#                                         whole config (ConfigurationError)
+#   cells(config)                      -> list of cell dicts, each with every spec
+#                                         its tasks need (ConfigurationError if the
+#                                         config names none); the one reader of
+#                                         config.grids and of each default
 #   nested                             -> the cell keys that nest inside one
 #                                         sample (default ()): cells that agree
 #                                         on every other key form a group, which
@@ -162,10 +164,7 @@ def config_hash(config: ExperimentConfig) -> str:
 #                                         shared work); with the default rows, a
 #                                         dict of columns.  @_per_cell lifts a
 #                                         cell(config, cell, ci) of one cell
-#   cell_cost(cell)                    -> relative cost of a cell's shared work;
-#                                         a group's is its members' sum, to start
-#                                         the longest shared tasks first
-#   rows(config, cell, ci, records, cell_result)
+#   rows(cell, ci, records, cell_result)
 #                                      -> list of CSV row dicts; the default
 #                                         puts cell, trial and the cell's columns
 #                                         on every row of every trial
@@ -174,25 +173,43 @@ def config_hash(config: ExperimentConfig) -> str:
 #                                         column the rows are per cell
 #   group, values                      -> summary aggregation: the columns to
 #                                         group rows by and the ones to summarize
-#   scipy_modules(config)              -> the scipy subpackages its tasks import,
+#   scipy_modules(cells)               -> the scipy subpackages its tasks import,
 #                                         loaded by run() before the pool forks
 
-def _x_spec(family: str, n: int, nu) -> DistributionSpec:
-    if family == "student_t" and nu is None:
-        nu = 2.0 * math.log(n)
-    if family == "symmetric_pareto" and nu is None:
-        nu = 4.0
-    if family == "symmetric_weibull" and nu is None:
-        nu = 1.0
-    return DistributionSpec(family, n, tail_param=nu)
-
-
-def _check_count(grids: dict, key: str, default: int, least: int) -> None:
-    """Raise ConfigurationError unless grids[key] (or the default) is an integer >= least."""
-    value = grids.get(key, default)
+def _integer(value, name: str, least: int) -> int:
+    """value, if it is an integer >= least; else ConfigurationError."""
     # type() rather than isinstance(): a bool is no count
     if type(value) is not int or value < least:
-        raise ConfigurationError(f"{key} must be an integer >= {least}, got {value!r}")
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _number(value, name: str):
+    """value, if it is a finite number > 0; else ConfigurationError."""
+    if type(value) not in (int, float) or not 0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be a finite number > 0, got {value!r}")
+    return value
+
+
+def _axis(grids: dict, key: str, least: int | None = None) -> list:
+    """grids[key], one axis of the cell grid: a nonempty list, of integers >= least if given."""
+    values = grids.get(key)
+    if not isinstance(values, list) or not values:
+        raise ConfigurationError(f"grids.{key} must be a nonempty list, got {values!r}")
+    return values if least is None else [_integer(v, key, least) for v in values]
+
+
+def _x_spec(family, n: int, nu) -> DistributionSpec:
+    """The coordinate law of X on R^n; nu (None: the family's default) is its tail parameter."""
+    if nu is not None:
+        _number(nu, "nu")
+    elif family == "student_t":
+        nu = 2.0 * math.log(n)
+    elif family == "symmetric_pareto":
+        nu = 4.0
+    elif family == "symmetric_weibull":
+        nu = 1.0
+    return DistributionSpec(family, n, tail_param=nu)
 
 
 def _per_cell(fn):
@@ -212,11 +229,11 @@ class _Adapter:
     cell = None
 
     @staticmethod
-    def scipy_modules(config) -> tuple[str, ...]:
+    def scipy_modules(cells) -> tuple[str, ...]:
         return ()
 
     @staticmethod
-    def rows(config, cell, ci, records, cell_result):
+    def rows(cell, ci, records, cell_result):
         shared = cell_result or {}
         return [{"cell": ci, "trial": ti, **shared, **row} for ti, rows in records for row in rows]
 
@@ -227,46 +244,41 @@ class _WidthsAdapter(_Adapter):
     values = ["mean", "stderr", "D"]
 
     @staticmethod
-    def scipy_modules(config):
+    def scipy_modules(cells):
         # only the localized permutation-polytope support imports scipy
-        sets, radii = config.grids.get("sets", []), config.grids.get("radii", [None])
-        if (any(s.get("family") == "permutation_polytope" for s in sets)
-                and any(r is not None for r in radii)):
+        if any(cell["set"].family == "permutation_polytope"
+               and any(r is not None for r in cell["radii"]) for cell in cells):
             return ("scipy.optimize",)
         return ()
 
     @staticmethod
     def cells(config):
-        sets = config.grids.get("sets")
-        if not sets:
-            raise ConfigurationError("widths experiment needs grids.sets")
-        radii = config.grids.get("radii", [None])
+        g = config.grids
+        radii = g.get("radii", [None])
         # type() rather than isinstance(): a bool is no radius
         if not (isinstance(radii, list) and radii and all(
                 r is None or (type(r) in (int, float) and 0 < r < math.inf) for r in radii)):
             raise ConfigurationError("widths radii must be a nonempty list of nulls and "
                                      f"finite numbers > 0, got {radii!r}")
-        _check_count(config.grids, "draws", 10000, least=2)
-        for s in sets:
-            index_set_from_dict(s)
-        return list(sets)
+        draws = _integer(g.get("draws", 10000), "draws", 2)
+        return [{"set": index_set_from_dict(s), "radii": tuple(radii), "draws": draws}
+                for s in _axis(g, "sets")]
 
     @_per_cell
     def trial(config, cell, ci, ti):
-        spec = index_set_from_dict(cell)
-        radii = config.grids.get("radii", [None])
-        draws = config.grids.get("draws", 10000)
-        ests = gaussian_mean_widths(spec, draws, radii, child_path(config.master_seed, ci, ti))
+        spec = cell["set"]
+        ests = gaussian_mean_widths(spec, cell["draws"], cell["radii"],
+                                    child_path(config.master_seed, ci, ti))
         return [{
             "family": spec.label(),
             "n": spec.dim,
-            "r": r if r is not None else "",
+            "r": r,
             "mean": est.mean,
             "stderr": est.std_error,
             "draws": est.draws,
             "d2": est.d2,
             "D": est.complexity_ratio,
-        } for r, est in zip(radii, ests)]
+        } for r, est in zip(cell["radii"], ests)]
 
     @staticmethod
     def criteria(rows: list[dict]) -> list[dict]:
@@ -318,64 +330,52 @@ class _MultiplierAdapter(_Adapter):
     @staticmethod
     def cells(config):
         g = config.grids
-        for key in ("n", "N", "x_family", "noise_family"):
-            if key not in g:
-                raise ConfigurationError(f"multiplier experiment needs grids.{key}")
-        return [
-            {"n": int(n), "N": int(N), "x_family": xf, "noise_family": nf}
-            for n, N, xf, nf in product(g["n"], g["N"], g["x_family"], g["noise_family"])
-        ]
-
-    @staticmethod
-    def _set_spec(config, n) -> IndexSetSpec:
-        d = dict(config.grids.get("set", {"family": "l1_ball", "rho": 1.0}))
-        d["dim"] = n
-        return index_set_from_dict(d)
+        set_dict = g.get("set", {"family": "l1_ball", "rho": 1.0})
+        if not isinstance(set_dict, dict):
+            raise ConfigurationError(f"multiplier set must be an object, got {set_dict!r}")
+        u_grid = g.get("u_grid", list(DEFAULT_U_GRID))
+        if not isinstance(u_grid, list) or not all(_number(u, "u") >= 2 for u in u_grid):
+            raise ConfigurationError(f"multiplier u_grid must be a list of u >= 2, got {u_grid!r}")
+        knobs = {"u_grid": tuple(float(u) for u in u_grid),
+                 "width_draws": _integer(g.get("width_draws", 20000), "width_draws", 2)}
+        q0 = float(_number(g.get("q0", 3.0), "q0"))
+        noises = [NoiseSpec(nf, q0=q0) for nf in _axis(g, "noise_family")]
+        return [{"set": index_set_from_dict({**set_dict, "dim": n}), "N": N,
+                 "x": _x_spec(xf, n, g.get("nu")), "noise": noise, **knobs}
+                for n, N, xf, noise in product(_axis(g, "n", 1), _axis(g, "N", 1),
+                                               _axis(g, "x_family"), noises)]
 
     @_per_cell
     def trial(config, cell, ci, ti):
-        spec = _MultiplierAdapter._set_spec(config, cell["n"])
-        dist = _x_spec(cell["x_family"], cell["n"], config.grids.get("nu"))
-        noise = NoiseSpec(cell["noise_family"], q0=float(config.grids.get("q0", 3.0)))
-        u_grid = [float(u) for u in config.grids.get("u_grid", [2.0, 4.0, 8.0])]
-        batch = sample_batch(dist, noise, cell["N"], child_path(config.master_seed, ci, ti))
-        stats = multiplier_stats(batch, spec, noise, u_grid=u_grid)
+        batch = sample_batch(cell["x"], cell["noise"], cell["N"],
+                             child_path(config.master_seed, ci, ti))
+        stats = multiplier_stats(batch, cell["set"], cell["noise"], u_grid=cell["u_grid"])
         return {
-            "n": cell["n"],
-            "N": cell["N"],
-            "x_family": cell["x_family"],
-            "noise_family": cell["noise_family"],
-            "u_grid": "|".join(f"{u:g}" for u in u_grid),
-            "A_u": "|".join(str(int(stats.A_u_holds[u])) for u in u_grid),
+            "A_u": "|".join(str(int(stats.A_u_holds[u])) for u in cell["u_grid"]),
             "sup_centred": stats.sup_centred,
             "sup_symmetrized": stats.sup_symmetrized,
             "C_hat": stats.envelope_constant,
-            "lq_norm": noise.lq_norm,
         }
 
     @_per_cell
     def cell(config, cell, ci):
-        spec = _MultiplierAdapter._set_spec(config, cell["n"])
-        return gaussian_mean_width(
-            spec,
-            int(config.grids.get("width_draws", 20000)),
-            seed_path=child_path(config.master_seed, ci, 1_000_000),
-        )
+        return gaussian_mean_width(cell["set"], cell["width_draws"],
+                                   seed_path=child_path(config.master_seed, ci, 1_000_000))
 
     @staticmethod
-    def cell_cost(cell):
-        return cell["n"]
-
-    @staticmethod
-    def rows(config, cell, ci, records, width):
-        rows = []
-        for ti, rec in records:
-            rec = dict(rec)
-            lq = rec.pop("lq_norm")
-            denom = lq * width.mean
-            rec["ratio"] = rec["sup_centred"] / denom if denom > 0 else math.nan
-            rows.append(dict(cell=ci, trial=ti, **rec))
-        return rows
+    def rows(cell, ci, records, width):
+        denom = cell["noise"].lq_norm * width.mean
+        return [{
+            "cell": ci,
+            "trial": ti,
+            "n": cell["set"].dim,
+            "N": cell["N"],
+            "x_family": cell["x"].family,
+            "noise_family": cell["noise"].family,
+            "u_grid": "|".join(f"{u:g}" for u in cell["u_grid"]),
+            **rec,
+            "ratio": rec["sup_centred"] / denom if denom > 0 else math.nan,
+        } for ti, rec in records]
 
     @staticmethod
     def criteria(rows: list[dict]) -> list[dict]:
@@ -412,38 +412,34 @@ class _RecoveryAdapter(_Adapter):
     values = ["success_rate", "err_l1_med", "err_l2_med"]
 
     @staticmethod
-    def scipy_modules(config):
+    def scipy_modules(cells):
         return ("scipy.linalg", "scipy.optimize")  # basis_pursuit
 
     @staticmethod
     def cells(config):
         g = config.grids
-        for key in ("n", "s", "N", "x_family"):
-            if key not in g:
-                raise ConfigurationError(f"recovery experiment needs grids.{key}")
-        return [
-            {"n": int(n), "s": int(s), "N": int(N), "x_family": xf}
-            for n, s, N, xf in product(g["n"], g["s"], g["N"], g["x_family"])
-        ]
+        noise_family = g.get("noise_family", "symmetric_pareto")
+        q0 = float(_number(g.get("q0", 3.0), "q0"))
+        c1 = float(_number(g.get("c1", DEFAULT_LASSO_C1), "c1"))
+        noise = NoiseSpec(noise_family, q0=q0) if noise_family != "none" else None
+        cells = []
+        for n, s, N, xf in product(_axis(g, "n", 1), _axis(g, "s", 0), _axis(g, "N", 1),
+                                   _axis(g, "x_family")):
+            if s > n:
+                raise ConfigurationError(f"recovery s must be <= n, got s={s} > n={n}")
+            cells.append({"x": _x_spec(xf, n, g.get("nu")), "s": s, "N": N, "noise": noise,
+                          "lam": rate_penalty(noise, N, n, c1) if noise else 0.0})
+        return cells
 
     @_per_cell
     def trial(config, cell, ci, ti):
-        dist = _x_spec(cell["x_family"], cell["n"], config.grids.get("nu"))
-        noise_family = config.grids.get("noise_family", "symmetric_pareto")
-        q0 = float(config.grids.get("q0", 3.0))
-        noise = NoiseSpec(noise_family, q0=q0) if noise_family != "none" else None
-        c1 = float(config.grids.get("c1", DEFAULT_LASSO_C1))
-        lam = rate_penalty(noise, cell["N"], cell["n"], c1) if noise else 0.0
-        path = child_path(config.master_seed, ci, ti)
-
-        noisy = make_recovery_problem(dist, cell["N"], cell["s"], path, noise=noise, lam=lam)
+        noisy = make_recovery_problem(cell["x"], cell["N"], cell["s"],
+                                      child_path(config.master_seed, ci, ti),
+                                      noise=cell["noise"], lam=cell["lam"])
         clean = RecoveryProblem(noisy.Gamma, noisy.Gamma @ noisy.v0, noisy.v0, cell["s"])
         bp = basis_pursuit(clean)
         la = lasso(noisy)
         return {
-            "nu": dist.tail_param if dist.tail_param is not None else "",
-            "q0": q0 if noise is not None else "",
-            "lambda": lam,
             "bp_success": int(recovery_success(bp, clean.v0)),
             "bp_unconverged": int(not bp.converged),
             "lasso_unconverged": int(not la.converged),
@@ -452,17 +448,18 @@ class _RecoveryAdapter(_Adapter):
         }
 
     @staticmethod
-    def rows(config, cell, ci, records, cell_result):
+    def rows(cell, ci, records, cell_result):
         recs = [rec for _, rec in records]
+        x, noise = cell["x"], cell["noise"]
         return [{
             "cell": ci,
-            "n": cell["n"],
+            "n": x.dim,
             "s": cell["s"],
             "N": cell["N"],
-            "family": cell["x_family"],
-            "nu": recs[0]["nu"],
-            "q0": recs[0]["q0"],
-            "lambda": recs[0]["lambda"],
+            "family": x.family,
+            "nu": x.tail_param,
+            "q0": noise.q0 if noise is not None else None,
+            "lambda": cell["lam"],
             "success_rate": sum(r["bp_success"] for r in recs) / len(recs),
             "err_l1_med": float(np.median([r["err_l1"] for r in recs])),
             "err_l2_med": float(np.median([r["err_l2"] for r in recs])),
@@ -545,44 +542,28 @@ class _GelfandAdapter(_Adapter):
     @staticmethod
     def cells(config):
         g = config.grids
-        for key in ("sets", "m", "x_family"):
-            if not isinstance(g.get(key), list):
-                raise ConfigurationError(f"gelfand experiment needs grids.{key}, a list")
-        for s in g["sets"]:
+        ms, laws = _axis(g, "m", 1), _axis(g, "x_family")
+        knobs = {"gamma": float(_number(g.get("gamma", 1.0), "gamma")),
+                 "fp_tol": float(_number(g.get("fp_tol", 1e-2), "fp_tol")),
+                 "width_draws": _integer(g.get("width_draws", 2000), "width_draws", 2),
+                 "probes": _integer(g.get("probes", 200), "probes", 1)}
+        cells = []
+        for s in _axis(g, "sets"):
             spec = index_set_from_dict(s)
-            # type() rather than isinstance(): a bool is no m
-            if not all(type(m) is int and 1 <= m < spec.dim for m in g["m"]):
-                raise ConfigurationError(
-                    f"gelfand m must be integers in [1, dim) for dim {spec.dim}, got {g['m']!r}")
-            for xf in g["x_family"]:
-                _x_spec(xf, spec.dim, g.get("nu"))
-        _check_count(g, "width_draws", 2000, least=2)
-        _check_count(g, "probes", 200, least=1)
-        for key, default in (("gamma", 1.0), ("fp_tol", 1e-2)):
-            value = g.get(key, default)
-            if type(value) not in (int, float) or not 0 < value < math.inf:
-                raise ConfigurationError(f"gelfand {key} must be a finite number > 0, "
-                                         f"got {value!r}")
-        return [
-            {"set": s, "m": m, "x_family": xf}
-            for s, m, xf in product(g["sets"], g["m"], g["x_family"])
-        ]
-
-    @staticmethod
-    def _group_specs(config, group):
-        """The set, the coordinate law and the m of each member of a group."""
-        first = group[0][1]
-        spec = index_set_from_dict(first["set"])
-        dist = _x_spec(first["x_family"], spec.dim, config.grids.get("nu"))
-        return spec, dist, [cell["m"] for _, cell in group]
+            if max(ms) >= spec.dim:
+                raise ConfigurationError(f"gelfand m must be below dim {spec.dim}, got {ms!r}")
+            # r_G depends on the set alone: every law of the set reads it off the
+            # sample on the path of the set's first cell, cell len(cells)
+            cells += [{"set": spec, "m": m, "x": _x_spec(xf, spec.dim, g.get("nu")),
+                       "r_G_cell": len(cells), **knobs} for m, xf in product(ms, laws)]
+        return cells
 
     @staticmethod
     def trial(config, group, ti):
-        spec, dist, ms = _GelfandAdapter._group_specs(config, group)
-        results = kernel_section_diameters(
-            dist, spec, ms, config.grids.get("probes", 200),
-            child_path(config.master_seed, group[0][0], ti),
-        )
+        (ci, first), ms = group[0], [cell["m"] for _, cell in group]
+        spec, dist = first["set"], first["x"]
+        results = kernel_section_diameters(dist, spec, ms, first["probes"],
+                                           child_path(config.master_seed, ci, ti))
         return [[{
             "n": spec.dim,
             "m": res.m,
@@ -593,19 +574,11 @@ class _GelfandAdapter(_Adapter):
 
     @staticmethod
     def cell(config, group):
-        spec, dist, ms = _GelfandAdapter._group_specs(config, group)
-        g = config.grids
-        gamma = float(g.get("gamma", 1.0))
-        draws = g.get("width_draws", 2000)
-        tol = float(g.get("fp_tol", 1e-2))
-        ci = group[0][0]
-        # r_G depends on the set alone: every law of a set reads it off the
-        # sample on the path of the set's first cell (cells run over sets,
-        # then m, then x_family)
-        first_of_set = ci - ci % (len(g["m"]) * len(g["x_family"]))
-        rgs = r_G_fixed_points(spec, gamma, ms, tol, draws,
-                               child_path(config.master_seed, first_of_set, 1_000_000, 0))
-        rxs = r_X_fixed_points(dist, spec, gamma, ms, tol, draws,
+        (ci, first), ms = group[0], [cell["m"] for _, cell in group]
+        bisection = (first["gamma"], ms, first["fp_tol"], first["width_draws"])
+        rgs = r_G_fixed_points(first["set"], *bisection,
+                               child_path(config.master_seed, first["r_G_cell"], 1_000_000, 0))
+        rxs = r_X_fixed_points(first["x"], first["set"], *bisection,
                                child_path(config.master_seed, ci, 1_000_000, 1))
         return [{
             "r_G": rg.r_star,
@@ -613,14 +586,6 @@ class _GelfandAdapter(_Adapter):
             "r_X": rx.r_star,
             "r_X_confident": int(rx.confident),
         } for rg, rx in zip(rgs, rxs)]
-
-    @staticmethod
-    def cell_cost(cell):
-        # r_X's normalized sums: a gaussian group draws one draws x dim block
-        # per m, any other law draws x m_max x dim coordinates (summed over a
-        # group, m x dim per cell overstates it)
-        dim = int(cell["set"]["dim"])
-        return dim if cell["x_family"] == "gaussian" else cell["m"] * dim
 
     @staticmethod
     def criteria(rows: list[dict]) -> list[dict]:
@@ -652,23 +617,29 @@ class _MomentsAdapter(_Adapter):
 
     @staticmethod
     def cells(config):
-        laws = config.grids.get("laws")
-        if not laws:
-            raise ConfigurationError("moments experiment needs grids.laws")
-        return [dict(law) for law in laws]
+        g = config.grids
+        p = _integer(g.get("p", 20), "p", 2)
+        n_samples = _integer(g.get("n_samples", 100000), "n_samples", 2)
+        cells = []
+        for law in _axis(g, "laws"):
+            if not isinstance(law, dict) or set(law) - {"tail_param"} != {"family"}:
+                raise ConfigurationError(f"a law has a family and maybe a tail_param: {law!r}")
+            tail = law.get("tail_param")
+            if tail is not None:
+                _number(tail, "tail_param")
+            cells.append({"x": DistributionSpec(law["family"], 1, tail_param=tail),
+                          "p": p, "n_samples": n_samples})
+        return cells
 
     @_per_cell
     def trial(config, cell, ci, ti):
-        dist = DistributionSpec(cell["family"], 1, tail_param=cell.get("tail_param"))
-        p = int(config.grids.get("p", 20))
-        n_samples = int(config.grids.get("n_samples", 100000))
-        profile = moment_growth_profile(
-            dist, p, n_samples, child_path(config.master_seed, ci, ti)
-        )
+        dist = cell["x"]
+        profile = moment_growth_profile(dist, cell["p"], cell["n_samples"],
+                                        child_path(config.master_seed, ci, ti))
         return [{
-            "family": cell["family"],
-            "tail_param": cell.get("tail_param", ""),
-            "n_samples": n_samples,
+            "family": dist.family,
+            "tail_param": dist.tail_param,
+            "n_samples": cell["n_samples"],
             "q": q,
             "ratio": ratio,
         } for q, ratio in profile]
@@ -753,11 +724,12 @@ def _sample_groups(cells: list[dict], nested: tuple) -> list[list[tuple[int, dic
     values within a group are distinct and with ``nested=()`` every group is
     one cell.  Groups come in the order of their first cell.
     """
-    copies: dict[str, int] = {}
-    groups: dict[tuple[str, int], list[tuple[int, dict]]] = {}
+    copies: dict[tuple, int] = {}
+    groups: dict[tuple[tuple, int], list[tuple[int, dict]]] = {}
     for ci, cell in enumerate(cells):
-        whole = json.dumps(cell, sort_keys=True)
-        outer = json.dumps({k: v for k, v in cell.items() if k not in nested}, sort_keys=True)
+        # a cell's values are numbers, strings, tuples and frozen specs: hashable
+        whole = tuple(sorted(cell.items()))
+        outer = tuple(item for item in whole if item[0] not in nested)
         copy = copies.get(whole, 0)
         copies[whole] = copy + 1
         groups.setdefault((outer, copy), []).append((ci, cell))
@@ -817,6 +789,8 @@ def _one_blas_thread():
 
 
 def _format_value(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, (bool, np.bool_)):
         return str(int(v))
     if isinstance(v, (int, np.integer)):
@@ -850,12 +824,12 @@ def _utc_now() -> str:
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     """Execute all grid cells x trials and write CSV + summary + manifest.
 
-    Every task runs with one BLAS thread per process.  There is one task
-    per (sample group, trial), and the groups' shared work
-    (``adapter.cell``) is queued ahead of the trials, longest first.
-    The experiment's scipy subpackages are imported first, so forked
-    workers inherit them instead of each importing them again, and the
-    BLAS pin also covers the OpenBLAS that scipy.linalg loads.
+    Every task runs with one BLAS thread per process, in a pool of at most
+    one worker per task.  There is one task per (sample group, trial), and
+    the groups' shared work (``adapter.cell``) is queued ahead of the
+    trials, in group order.  The experiment's scipy subpackages are
+    imported first, so forked workers inherit them instead of each
+    importing them again, and the BLAS pin also covers scipy.linalg's.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -866,16 +840,15 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     groups = _sample_groups(cells, adapter.nested)
-    cell_tasks = []
-    if adapter.cell is not None and config.trials > 0:
-        cell_tasks = sorted(((config, group, None) for group in groups), reverse=True,
-                            key=lambda task: sum(adapter.cell_cost(cell) for _, cell in task[1]))
-    tasks = cell_tasks + [(config, group, ti) for group in groups for ti in range(config.trials)]
-    for module in adapter.scipy_modules(config):
+    shared = adapter.cell is not None and config.trials > 0
+    tasks = ([(config, group, None) for group in groups] if shared else []) + [
+        (config, group, ti) for group in groups for ti in range(config.trials)]
+    for module in adapter.scipy_modules(cells):
         importlib.import_module(module)
     with _one_blas_thread() as blas_threads:
         if workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # a forked pool starts every worker at the first submit: start no idle ones
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
                 outcomes = list(pool.map(_run_task, tasks))
         else:
             outcomes = list(map(_run_task, tasks))
@@ -902,7 +875,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     for ci, cell in enumerate(cells):
         if ci in dropped or not records[ci]:
             continue
-        rows.extend(adapter.rows(config, cell, ci, records[ci], cell_results[ci]))
+        rows.extend(adapter.rows(cell, ci, records[ci], cell_results[ci]))
         if "trial" in adapter.columns:
             for ti, _ in records[ci]:
                 seed_ledger[f"cell{ci}/trial{ti}"] = [config.master_seed, seed_cell[ci], ti]

@@ -12,9 +12,12 @@ import pytest
 
 from emplab.distributions import ConfigurationError
 import emplab
+from emplab import harness
 from emplab.harness import (
     _ADAPTERS,
     _GelfandAdapter,
+    _MultiplierAdapter,
+    _WidthsAdapter,
     ExperimentConfig,
     IntegrityError,
     _one_blas_thread,
@@ -43,7 +46,7 @@ def _widths_config(out, trials=2, seed=11):
     )
 
 
-def _multiplier_config(out, trials=3, seed=21, width_draws=500):
+def _multiplier_config(out, trials=3, seed=21):
     return ExperimentConfig(
         experiment="multiplier",
         grids={
@@ -51,7 +54,7 @@ def _multiplier_config(out, trials=3, seed=21, width_draws=500):
             "N": [16],
             "x_family": ["student_t"],
             "noise_family": ["symmetric_pareto"],
-            "width_draws": width_draws,
+            "width_draws": 500,
         },
         trials=trials,
         master_seed=seed,
@@ -98,16 +101,19 @@ def _break_student_t_trial(monkeypatch):
     trial = _GelfandAdapter.trial
 
     def failing(config, group, ti):
-        if ti == 1 and group[0][1]["x_family"] == "student_t":
+        if ti == 1 and group[0][1]["x"].family == "student_t":
             raise RuntimeError("broken trial")
         return trial(config, group, ti)
 
     monkeypatch.setattr(_GelfandAdapter, "trial", staticmethod(failing))
 
 
-def _failing_width_config(out):
-    # one width draw makes every cell's gaussian_mean_width (a cell task) raise
-    return _multiplier_config(out, width_draws=1)
+def _break_multiplier_width(monkeypatch):
+    """Make every multiplier cell's shared work (its gaussian mean width) raise."""
+    def failing(config, group):
+        raise RuntimeError("broken width")
+
+    monkeypatch.setattr(_MultiplierAdapter, "cell", staticmethod(failing))
 
 
 def _permutation_widths_config(out):
@@ -228,9 +234,9 @@ def test_rerun_identical_bytes_and_checksums(tmp_path):
     ).read_bytes()
 
 
-# failed tasks as (cell, trial); trial None is a cell's shared work, and the
-# multiplier cells' widths run longest (largest n) first.  A failed gelfand
-# trial is one task of a sample group, and fails every member cell.
+# failed tasks as (cell, trial); trial None is a cell's shared work, queued
+# in cell order.  A failed gelfand trial is one task of a sample group, and
+# fails every member cell.
 @pytest.mark.parametrize("make_config, failed, breakage", [
     (_widths_config, [], None),
     (_multiplier_config, [], None),
@@ -239,7 +245,7 @@ def test_rerun_identical_bytes_and_checksums(tmp_path):
     (_gelfand_laws_config, [], None),
     (_moments_config, [], None),
     (_gelfand_laws_config, [(1, 1), (3, 1), (5, 1)], _break_student_t_trial),
-    (_failing_width_config, [(1, None), (0, None)], None),
+    (_multiplier_config, [(0, None), (1, None)], _break_multiplier_width),
 ], ids=["widths", "multiplier", "recovery", "gelfand", "gelfand-laws", "moments",
         "gelfand-failing", "multiplier-failing-cell"])
 def test_parallel_equals_serial(tmp_path, monkeypatch, make_config, failed, breakage):
@@ -322,8 +328,8 @@ print(json.dumps(seen))
         "widths-permutation"])
 def test_fresh_interpreter_loads_only_the_adapter_scipy_modules(tmp_path, make_config):
     config = make_config(tmp_path)
-    expected = json.loads(_fresh_python(
-        _IMPORT_SCRIPT, *_ADAPTERS[config.experiment].scipy_modules(config)))
+    adapter = _ADAPTERS[config.experiment]
+    expected = json.loads(_fresh_python(_IMPORT_SCRIPT, *adapter.scipy_modules(adapter.cells(config))))
     after_import, after_w2, after_w1 = json.loads(
         _fresh_python(_RUN_SCRIPT, json.dumps(config.to_dict()), str(tmp_path)))
     # import emplab is numpy-only; run loads the adapter's subpackages before
@@ -415,15 +421,20 @@ def test_widths_criterion_per_set(tmp_path):
 # ---------------------------------------------------------------------------
 # summaries
 
-def test_sample_groups_keep_repeated_cells_apart():
+def test_sample_groups_keep_repeated_cells_apart(tmp_path):
     # a repeated cell starts a group of its own: with nested=() every group
     # is one cell, and within a group the nested values are distinct
-    sets = [{"family": "l1_ball", "dim": 8}, {"family": "l1_ball", "dim": 8}]
-    assert _sample_groups(sets, ()) == [[(0, sets[0])], [(1, sets[1])]]
-    cells = [{"set": sets[0], "m": m, "x_family": xf}
-             for m, xf in [(2, "gaussian"), (2, "gaussian"), (4, "gaussian"), (4, "gaussian"),
-                           (2, "student_t")]]
-    assert [[ci for ci, _ in g] for g in _sample_groups(cells, ("m",))] == [[0, 2], [1, 3], [4]]
+    cfg = _widths_config(tmp_path)
+    cfg.grids["sets"] = [{"family": "l1_ball", "dim": 8}, {"family": "l1_ball", "dim": 8}]
+    cells = _WidthsAdapter.cells(cfg)
+    assert cells[0] == cells[1]
+    assert _sample_groups(cells, ()) == [[(0, cells[0])], [(1, cells[1])]]
+    # cells run over m, then x_family: (2, g), (2, t), (4, g), (4, t), (2, g), (2, t)
+    cfg = _gelfand_config(tmp_path, m=(2, 4, 2))
+    cfg.grids.update(x_family=["gaussian", "student_t"], nu=6.0)
+    cells = _GelfandAdapter.cells(cfg)
+    groups = _sample_groups(cells, _GelfandAdapter.nested)
+    assert [[ci for ci, _ in g] for g in groups] == [[0, 2], [1, 3], [4], [5]]
 
 
 def test_gelfand_reads_every_m_off_one_sample_per_law(tmp_path):
@@ -447,6 +458,14 @@ def test_gelfand_reads_every_m_off_one_sample_per_law(tmp_path):
     for ci in range(6):
         for ti in range(3):
             assert manifest.seed_ledger[f"cell{ci}/trial{ti}"] == [cfg.master_seed, ci % 2, ti]
+
+
+def test_moments_law_without_tail_param_writes_an_empty_field(tmp_path):
+    cfg = _moments_config(tmp_path / "out", trials=1)
+    cfg.grids["laws"] = [{"family": "gaussian"}, {"family": "rademacher", "tail_param": None}]
+    run(cfg)
+    with (tmp_path / "out" / "moments.csv").open() as fh:
+        assert {row["tail_param"] for row in csv.DictReader(fh)} == {""}
 
 
 def test_summarize_single_row_mean_is_value(tmp_path):
@@ -535,7 +554,12 @@ def _assert_config_error(tmp_path, capsys, cfg):
     {"sets": [{"family": "l1_ball", "dim": 16, "radius": 2.0}]},
     {"draws": 1},
     {"draws": 500.0},
-], ids=["unknown-family", "no-dim", "unknown-key", "draws-1", "draws-float"])
+    {"sets": [{"family": "l1_ball", "dim": 16.7}]},
+    {"sets": [{"family": "l1_ball", "dim": True}]},
+    {"sets": [{"family": "sparse_cap", "dim": 16, "s": True}]},
+    {"sets": [{"family": "sparse_cap", "dim": 16, "s": 2.5}]},
+], ids=["unknown-family", "no-dim", "unknown-key", "draws-1", "draws-float", "dim-float",
+        "dim-bool", "s-bool", "s-float"])
 def test_cli_widths_config_errors_exit_2(tmp_path, capsys, change):
     # checked in cells(), before any task runs, rather than failing every trial
     cfg = _widths_config(tmp_path / "out", trials=1)
@@ -569,6 +593,75 @@ def test_cli_gelfand_config_errors_exit_2(tmp_path, capsys, change):
 
 def test_cli_gelfand_m_at_dim_exits_2(tmp_path, capsys):
     _assert_config_error(tmp_path, capsys, _failing_gelfand_config(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("change", [
+    {"set": {"family": "l1_bal", "rho": 1.0}},
+    {"x_family": ["studnet_t"]},
+    {"noise_family": ["paretoo"]},
+    {"q0": 2},
+    {"width_draws": 1},
+    {"u_grid": [1, 2]},
+    {"n": 8},
+    {"N": 16},
+    {"N": [0]},
+    {"nu": 2.0},
+], ids=["unknown-set-family", "unknown-law", "unknown-noise", "q0-2", "width-draws-1",
+        "u-below-2", "n-not-a-list", "N-not-a-list", "N-0", "heavy-law"])
+def test_cli_multiplier_config_errors_exit_2(tmp_path, capsys, change):
+    cfg = _multiplier_config(tmp_path / "out", trials=1)
+    cfg.grids.update(change)
+    _assert_config_error(tmp_path, capsys, cfg)
+
+
+@pytest.mark.parametrize("change", [
+    {"x_family": ["studnet_t"]},
+    {"noise_family": "paretoo"},
+    {"q0": 2},
+    {"s": [1, 17]},
+    {"c1": 0},
+    {"n": 16},
+    {"N": [0, 8]},
+], ids=["unknown-law", "unknown-noise", "q0-2", "s-above-n", "c1-0", "n-not-a-list", "N-0"])
+def test_cli_recovery_config_errors_exit_2(tmp_path, capsys, change):
+    cfg = _recovery_config(tmp_path / "out", trials=1)
+    cfg.grids.update(change)
+    _assert_config_error(tmp_path, capsys, cfg)
+
+
+@pytest.mark.parametrize("change", [
+    {"p": 1},
+    {"n_samples": 1},
+    {"laws": [{"family": "gausian"}]},
+    {"laws": [{"family": "student_t", "tail_param": 2.0}]},
+    {"laws": [{"tail_param": 6.0}]},
+    {"laws": [{"family": "gaussian", "tail": 6.0}]},
+    {"laws": [{"family": "gaussian", "tail_param": "6"}]},
+    {"laws": []},
+], ids=["p-1", "n-samples-1", "unknown-law", "heavy-law", "no-family", "unknown-key",
+        "tail-string", "no-laws"])
+def test_cli_moments_config_errors_exit_2(tmp_path, capsys, change):
+    cfg = _moments_config(tmp_path / "out", trials=1)
+    cfg.grids.update(change)
+    _assert_config_error(tmp_path, capsys, cfg)
+
+
+def test_pool_starts_no_idle_workers(tmp_path, monkeypatch):
+    # a forked pool starts every worker at its first submit, so two tasks get two
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    run(_widths_config(tmp_path / "w1"), workers=1)
+    manifest = run(_widths_config(tmp_path / "w8"), workers=8)
+    assert sizes == [2]
+    assert manifest.workers == 8
+    assert (tmp_path / "w8" / "widths.csv").read_bytes() == (
+        tmp_path / "w1" / "widths.csv").read_bytes()
 
 
 def test_cli_experiment_mismatch(tmp_path):
@@ -612,10 +705,11 @@ def test_cli_env_out_override(tmp_path, monkeypatch):
     assert (tmp_path / "env_out" / "widths.csv").exists()
 
 
-def test_dropped_cells_reported(tmp_path, capsys):
+def test_dropped_cells_reported(tmp_path, capsys, monkeypatch):
+    _break_multiplier_width(monkeypatch)
     out = tmp_path / "out"
     cfg_path = tmp_path / "m.json"
-    cfg_path.write_text(json.dumps(_failing_width_config(out).to_dict()))
+    cfg_path.write_text(json.dumps(_multiplier_config(out).to_dict()))
     assert cli_main(["multiplier", "--config", str(cfg_path)]) == 1
     assert "cells dropped from the CSV: [0, 1]" in capsys.readouterr().err
 
