@@ -10,7 +10,8 @@ provides:
   diagnostics;
 - ``geometry``: exact support functions for five coordinate-symmetric
   families, Monte-Carlo gaussian mean widths (optionally localized to a
-  Euclidean ball), gaussian order-statistic means;
+  Euclidean ball), exact ones for the l1 and l2 balls, gaussian
+  order-statistic means;
 - ``process``: the multiplier-process supremum, its symmetrized form, the
   rearranged-noise event A_u, order-statistic envelopes, and the
   normalized ratio statistic;
@@ -51,6 +52,7 @@ from .geometry import (
     gaussian_mean_width,
     gaussian_mean_widths,
     gaussian_order_stat_means,
+    gaussian_width,
     l1_ball,
     l1_cap_l2,
     l2_ball,
@@ -95,6 +97,7 @@ __all__ = [
     "gaussian_mean_width",
     "gaussian_mean_widths",
     "gaussian_order_stat_means",
+    "gaussian_width",
     "l1_ball",
     "l1_cap_l2",
     "l2_ball",

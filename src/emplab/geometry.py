@@ -11,7 +11,8 @@ flips (so the associated sup-norm is 1-unconditional):
 
 Support values sup_{v in V} |<v, z>| are evaluated exactly (closed forms;
 the l1/l2 intersection by a breakpoint scan over sorted |z| with
-closed-form interior minimization).  Monte-Carlo gaussian mean widths and
+closed-form interior minimization).  The gaussian mean widths of the two
+balls are exact (``gaussian_width``).  Monte-Carlo gaussian mean widths and
 gaussian order-statistic means carry standard errors; every Monte-Carlo
 reduction is a numpy pairwise-summation mean, reproducible for a fixed
 seed path to the last bit and order-independent to ~1e-12 relative.
@@ -21,6 +22,7 @@ radii (``gaussian_mean_widths``) share one sample.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +39,16 @@ _LOCALIZED_SCAN_TOL = 1e-12
 
 # Values per block of the gaussian stream (_gaussian_blocks)
 _GAUSSIAN_BLOCK_VALUES = 1_000_000
+
+# Gauss-Legendre panels of the l1-ball width integral over [0, _L1_UPPER];
+# beyond the upper end erfc(t/sqrt 2) underflows to 0
+_L1_PANELS, _L1_NODES, _L1_UPPER = 48, 32, 40.0
+
+# log(Gamma(x + 1/2) / Gamma(x)) = log(x)/2 + sum_k c_k x^-(2k+1), asymptotically
+# (c_k from the Bernoulli numbers B_2 .. B_10); the omitted term is below
+# 1e-16 relative at x >= _L2_SERIES_FROM / 2
+_L2_SERIES = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432)
+_L2_SERIES_FROM = 40
 
 
 @dataclass(frozen=True)
@@ -392,6 +404,47 @@ def gauge(spec: IndexSetSpec, v: np.ndarray) -> float:
     if v.shape != (spec.dim,):
         raise ValueError(f"expected a vector of length {spec.dim}")
     return float(gauge_batch(spec, v[None, :])[0])
+
+
+# ---------------------------------------------------------------------------
+# exact widths
+
+@functools.cache
+def _l1_width_rule() -> tuple[np.ndarray, np.ndarray]:
+    """log erf(t/sqrt 2) at the Gauss-Legendre nodes t of the l1 width integral; the weights."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(_L1_NODES)
+    h = _L1_UPPER / _L1_PANELS
+    t = (np.arange(_L1_PANELS)[:, None] + 0.5 * (x + 1.0)) * h
+    tail = np.array([math.erfc(v / math.sqrt(2.0)) for v in t.ravel()])
+    return np.log1p(-tail), np.tile(0.5 * h * w, _L1_PANELS)
+
+
+def gaussian_width(spec: IndexSetSpec) -> float | None:
+    """The gaussian mean width E sup_{v in V} <G, v> in closed form, or None.
+
+    Exact to rounding (about 1e-16 relative) for the two balls:
+
+    - ``l1_ball``: rho E||G||_inf = rho int_0^inf 1 - erf(t/sqrt 2)^n dt, on
+      Gauss-Legendre panels, with the integrand as -expm1(n log erf) so
+      that large n loses nothing;
+    - ``l2_ball``: r E||G||_2 = r sqrt(2) Gamma((n+1)/2) / Gamma(n/2), by
+      the gamma ratio at small n and its asymptotic series beyond.
+
+    None for the other families; ``gaussian_mean_width`` estimates theirs.
+    """
+    n = spec.dim
+    if spec.family == "l1_ball":
+        log_erf, weights = _l1_width_rule()
+        return spec.rho * math.fsum(-np.expm1(n * log_erf) * weights)
+    if spec.family == "l2_ball":
+        if n < _L2_SERIES_FROM:
+            return spec.r * math.sqrt(2.0) * math.gamma((n + 1) / 2) / math.gamma(n / 2)
+        x = n / 2
+        log_ratio = sum(c / x ** (2 * k + 1) for k, c in enumerate(_L2_SERIES))
+        return spec.r * math.sqrt(n) * math.exp(log_ratio)
+    return None
 
 
 # ---------------------------------------------------------------------------

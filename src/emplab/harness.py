@@ -43,7 +43,12 @@ from .distributions import (
     sample_batch,
 )
 from .gelfand import kernel_section_diameters, r_G_fixed_points, r_X_fixed_points
-from .geometry import gaussian_mean_width, gaussian_mean_widths, index_set_from_dict
+from .geometry import (
+    gaussian_mean_width,
+    gaussian_mean_widths,
+    gaussian_width,
+    index_set_from_dict,
+)
 from .process import DEFAULT_U_GRID, multiplier_stats
 from .recovery import (
     DEFAULT_LASSO_C1,
@@ -146,7 +151,8 @@ def config_hash(config: ExperimentConfig) -> str:
 # An adapter is the whole definition of one experiment:
 #   cells(config)                      -> list of cell dicts, each with every spec
 #                                         its tasks need (ConfigurationError if the
-#                                         config names none); the one reader of
+#                                         config names none, or has a grid key it
+#                                         does not read); the one reader of
 #                                         config.grids and of each default
 #   nested                             -> the cell keys that nest inside one
 #                                         sample (default ()): cells that agree
@@ -175,6 +181,18 @@ def config_hash(config: ExperimentConfig) -> str:
 #                                         group rows by and the ones to summarize
 #   scipy_modules(cells)               -> the scipy subpackages its tasks import,
 #                                         loaded by run() before the pool forks
+
+def _grids(config, *keys: str) -> dict:
+    """config.grids, if it has no key outside keys; else ConfigurationError.
+
+    A misspelt knob would otherwise run at its default without a word.
+    """
+    unknown = sorted(set(config.grids) - set(keys))
+    if unknown:
+        raise ConfigurationError(f"unknown {config.experiment} grid keys {unknown}; "
+                                 f"the keys are {sorted(keys)}")
+    return config.grids
+
 
 def _integer(value, name: str, least: int) -> int:
     """value, if it is an integer >= least; else ConfigurationError."""
@@ -253,7 +271,7 @@ class _WidthsAdapter(_Adapter):
 
     @staticmethod
     def cells(config):
-        g = config.grids
+        g = _grids(config, "sets", "radii", "draws")
         radii = g.get("radii", [None])
         # type() rather than isinstance(): a bool is no radius
         if not (isinstance(radii, list) and radii and all(
@@ -329,7 +347,8 @@ class _MultiplierAdapter(_Adapter):
 
     @staticmethod
     def cells(config):
-        g = config.grids
+        g = _grids(config, "n", "N", "x_family", "noise_family", "set", "nu", "q0", "u_grid",
+                   "width_draws")
         set_dict = g.get("set", {"family": "l1_ball", "rho": 1.0})
         if not isinstance(set_dict, dict):
             raise ConfigurationError(f"multiplier set must be an object, got {set_dict!r}")
@@ -359,12 +378,16 @@ class _MultiplierAdapter(_Adapter):
 
     @_per_cell
     def cell(config, cell, ci):
-        return gaussian_mean_width(cell["set"], cell["width_draws"],
-                                   seed_path=child_path(config.master_seed, ci, 1_000_000))
+        # l*(V): exact for the two balls, else a Monte-Carlo estimate
+        width = gaussian_width(cell["set"])
+        if width is None:
+            path = child_path(config.master_seed, ci, 1_000_000)
+            width = gaussian_mean_width(cell["set"], cell["width_draws"], seed_path=path).mean
+        return width
 
     @staticmethod
     def rows(cell, ci, records, width):
-        denom = cell["noise"].lq_norm * width.mean
+        denom = cell["noise"].lq_norm * width
         return [{
             "cell": ci,
             "trial": ti,
@@ -417,7 +440,7 @@ class _RecoveryAdapter(_Adapter):
 
     @staticmethod
     def cells(config):
-        g = config.grids
+        g = _grids(config, "n", "s", "N", "x_family", "noise_family", "nu", "q0", "c1")
         noise_family = g.get("noise_family", "symmetric_pareto")
         q0 = float(_number(g.get("q0", 3.0), "q0"))
         c1 = float(_number(g.get("c1", DEFAULT_LASSO_C1), "c1"))
@@ -541,7 +564,8 @@ class _GelfandAdapter(_Adapter):
 
     @staticmethod
     def cells(config):
-        g = config.grids
+        g = _grids(config, "sets", "m", "x_family", "nu", "gamma", "fp_tol", "width_draws",
+                   "probes")
         ms, laws = _axis(g, "m", 1), _axis(g, "x_family")
         knobs = {"gamma": float(_number(g.get("gamma", 1.0), "gamma")),
                  "fp_tol": float(_number(g.get("fp_tol", 1e-2), "fp_tol")),
@@ -617,7 +641,7 @@ class _MomentsAdapter(_Adapter):
 
     @staticmethod
     def cells(config):
-        g = config.grids
+        g = _grids(config, "laws", "p", "n_samples")
         p = _integer(g.get("p", 20), "p", 2)
         n_samples = _integer(g.get("n_samples", 100000), "n_samples", 2)
         cells = []

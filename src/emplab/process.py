@@ -112,10 +112,15 @@ def multiplier_stats(
     )
 
 
-def ratio_statistic(stats: ProcessStats, width: WidthEstimate, noise: NoiseSpec) -> float:
-    """sup_centred normalized by ||xi||_{L_q0} * width; the bounded quantity."""
-    if not (width.mean > 0.0):
+def ratio_statistic(stats: ProcessStats, width: float | WidthEstimate, noise: NoiseSpec) -> float:
+    """sup_centred normalized by ||xi||_{L_q0} * width; the bounded quantity.
+
+    ``width`` is l*(V): exact (``geometry.gaussian_width``) or a Monte-Carlo
+    ``WidthEstimate``.
+    """
+    mean = width.mean if isinstance(width, WidthEstimate) else width
+    if not (mean > 0.0):
         raise ValueError("degenerate index set: estimated width is zero")
     if not (noise.lq_norm > 0.0):
         raise ValueError("noise lq_norm must be positive")
-    return stats.sup_centred / (noise.lq_norm * width.mean)
+    return stats.sup_centred / (noise.lq_norm * mean)

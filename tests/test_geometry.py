@@ -14,6 +14,7 @@ from emplab.geometry import (
     gaussian_mean_width,
     gaussian_mean_widths,
     gaussian_order_stat_means,
+    gaussian_width,
     l1_ball,
     l1_cap_l2,
     l2_ball,
@@ -333,6 +334,50 @@ def test_width_l1_n1_gaussian_abs_mean():
     est = gaussian_mean_width(l1_ball(1, 1.0), draws=100_000, seed_path=(21,))
     target = math.sqrt(2.0 / math.pi)
     assert abs(est.mean - target) <= 3.0 * est.std_error
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.25])
+def test_gaussian_width_l1_ball_exact(rho):
+    # rho E max|g_j|: sqrt(2/pi) and 2/sqrt(pi) at n = 1, 2; 30-digit quadratures beyond
+    assert gaussian_width(l1_ball(1, rho)) == pytest.approx(rho * math.sqrt(2.0 / math.pi),
+                                                            rel=1e-15)
+    assert gaussian_width(l1_ball(2, rho)) == pytest.approx(rho * 2.0 / math.sqrt(math.pi),
+                                                            rel=1e-15)
+    assert gaussian_width(l1_ball(64, rho)) == pytest.approx(rho * 2.59611076514665028, rel=1e-15)
+    assert gaussian_width(l1_ball(1024, rho)) == pytest.approx(rho * 3.44187028049857901,
+                                                               rel=1e-15)
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0])
+def test_gaussian_width_l2_ball_exact(r):
+    # r E||G||_2 = r sqrt(2) Gamma((n+1)/2) / Gamma(n/2)
+    for n, target in [(1, math.sqrt(2.0 / math.pi)), (2, math.sqrt(math.pi / 2.0)),
+                      (3, 2.0 * math.sqrt(2.0 / math.pi))]:
+        assert gaussian_width(l2_ball(n, r)) == pytest.approx(r * target, rel=1e-15)
+
+
+@pytest.mark.parametrize("ball", [l1_ball, l2_ball])
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_gaussian_width_agrees_with_monte_carlo(ball, n):
+    est = gaussian_mean_width(ball(n), draws=4000, seed_path=(30, n))
+    assert abs(gaussian_width(ball(n)) - est.mean) <= 4.0 * est.std_error
+
+
+@pytest.mark.parametrize("ball", [l1_ball, l2_ball])
+def test_gaussian_width_increases_in_n_and_scales_with_radius(ball):
+    # across the switch of the l2 ball from the gamma ratio to its series
+    widths = [gaussian_width(ball(n)) for n in [*range(1, 80), 10**3, 10**4, 10**6]]
+    assert all(a < b for a, b in zip(widths, widths[1:]))
+    for n in (5, 40, 700):
+        assert gaussian_width(ball(n, 2.5)) == pytest.approx(2.5 * gaussian_width(ball(n)),
+                                                             rel=1e-15)
+
+
+@pytest.mark.parametrize("spec", [sparse_cap(8, 2), l1_cap_l2(8, 1.0, 0.5),
+                                  permutation_polytope(np.linspace(1.0, 0.1, 8))],
+                         ids=lambda spec: spec.family)
+def test_gaussian_width_none_without_closed_form(spec):
+    assert gaussian_width(spec) is None
 
 
 def test_width_l2_ball_vs_direct_norm_simulation():

@@ -379,6 +379,26 @@ def test_seed_ledger_covers_rows(tmp_path):
             assert manifest.seed_ledger[key][0] == cfg.master_seed
 
 
+def test_multiplier_ball_width_draws_no_gaussian_sample(tmp_path, monkeypatch):
+    # l*(V) of an l1 or l2 ball is exact; only the other sets sample it
+    def no_sample(*args, **kwargs):
+        raise RuntimeError("gaussian sample drawn")
+
+    monkeypatch.setattr(harness, "gaussian_mean_width", no_sample)
+    cfg = _multiplier_config(tmp_path / "l1")
+    assert run(cfg).failed == []
+    noise = emplab.NoiseSpec("symmetric_pareto", q0=3.0)
+    with (tmp_path / "l1" / "multiplier.csv").open() as fh:
+        for row in csv.DictReader(fh):
+            width = emplab.gaussian_width(emplab.l1_ball(int(row["n"])))
+            assert float(row["ratio"]) == float(row["sup_centred"]) / (noise.lq_norm * width)
+    cfg = _multiplier_config(tmp_path / "sparse")
+    cfg.grids["set"] = {"family": "sparse_cap", "s": 2}
+    failed = run(cfg).failed
+    assert [(f["cell"], f["trial"]) for f in failed] == [(0, None), (1, None)]
+    assert all("gaussian sample drawn" in f["error"] for f in failed)
+
+
 def test_widths_trial_reads_every_radius_off_one_sample(tmp_path):
     # width(r)/r is nonincreasing in r on one sample, for every set
     sets = [
@@ -558,8 +578,9 @@ def _assert_config_error(tmp_path, capsys, cfg):
     {"sets": [{"family": "l1_ball", "dim": True}]},
     {"sets": [{"family": "sparse_cap", "dim": 16, "s": True}]},
     {"sets": [{"family": "sparse_cap", "dim": 16, "s": 2.5}]},
+    {"radius": [0.5]},
 ], ids=["unknown-family", "no-dim", "unknown-key", "draws-1", "draws-float", "dim-float",
-        "dim-bool", "s-bool", "s-float"])
+        "dim-bool", "s-bool", "s-float", "misspelt-grid-key"])
 def test_cli_widths_config_errors_exit_2(tmp_path, capsys, change):
     # checked in cells(), before any task runs, rather than failing every trial
     cfg = _widths_config(tmp_path / "out", trials=1)
@@ -583,8 +604,9 @@ def _failing_gelfand_config(out):
     {"x_family": ["gausian"]},
     {"gamma": 0},
     {"fp_tol": "0.01"},
+    {"probe": 20},
 ], ids=["unknown-family", "width-draws-1", "probes-0", "m-0", "m-float", "m-bool",
-        "m-not-a-list", "unknown-law", "gamma-0", "fp-tol-string"])
+        "m-not-a-list", "unknown-law", "gamma-0", "fp-tol-string", "misspelt-grid-key"])
 def test_cli_gelfand_config_errors_exit_2(tmp_path, capsys, change):
     cfg = _gelfand_config(tmp_path / "out", trials=1)
     cfg.grids.update(change)
@@ -606,8 +628,9 @@ def test_cli_gelfand_m_at_dim_exits_2(tmp_path, capsys):
     {"N": 16},
     {"N": [0]},
     {"nu": 2.0},
+    {"width_draw": 50},
 ], ids=["unknown-set-family", "unknown-law", "unknown-noise", "q0-2", "width-draws-1",
-        "u-below-2", "n-not-a-list", "N-not-a-list", "N-0", "heavy-law"])
+        "u-below-2", "n-not-a-list", "N-not-a-list", "N-0", "heavy-law", "misspelt-grid-key"])
 def test_cli_multiplier_config_errors_exit_2(tmp_path, capsys, change):
     cfg = _multiplier_config(tmp_path / "out", trials=1)
     cfg.grids.update(change)
@@ -622,7 +645,9 @@ def test_cli_multiplier_config_errors_exit_2(tmp_path, capsys, change):
     {"c1": 0},
     {"n": 16},
     {"N": [0, 8]},
-], ids=["unknown-law", "unknown-noise", "q0-2", "s-above-n", "c1-0", "n-not-a-list", "N-0"])
+    {"c_1": 2.0},
+], ids=["unknown-law", "unknown-noise", "q0-2", "s-above-n", "c1-0", "n-not-a-list", "N-0",
+        "misspelt-grid-key"])
 def test_cli_recovery_config_errors_exit_2(tmp_path, capsys, change):
     cfg = _recovery_config(tmp_path / "out", trials=1)
     cfg.grids.update(change)
@@ -638,8 +663,9 @@ def test_cli_recovery_config_errors_exit_2(tmp_path, capsys, change):
     {"laws": [{"family": "gaussian", "tail": 6.0}]},
     {"laws": [{"family": "gaussian", "tail_param": "6"}]},
     {"laws": []},
+    {"n_sample": 2000},
 ], ids=["p-1", "n-samples-1", "unknown-law", "heavy-law", "no-family", "unknown-key",
-        "tail-string", "no-laws"])
+        "tail-string", "no-laws", "misspelt-grid-key"])
 def test_cli_moments_config_errors_exit_2(tmp_path, capsys, change):
     cfg = _moments_config(tmp_path / "out", trials=1)
     cfg.grids.update(change)

@@ -220,6 +220,8 @@ def test_ratio_arithmetic():
     st = ProcessStats(2.0, 2.0, np.zeros(2), np.zeros(2), {}, 0.0)
     width = WidthEstimate(4.0, 0.1, 100, None, 1.0, 16.0)
     assert ratio_statistic(st, width, CONST_NOISE) == 0.5
+    # an exact width is a number
+    assert ratio_statistic(st, 4.0, CONST_NOISE) == 0.5
 
 
 def test_ratio_degenerate_width_rejected():
