@@ -206,22 +206,25 @@ class SampleBatch:
         return self.X.shape[1]
 
 
+def _raw_draws(family: str, tail_param: float | None, size, rng: np.random.Generator) -> np.ndarray:
+    """iid unscaled draws of one coordinate or noise family, a fresh array."""
+    if family == "gaussian":
+        return rng.standard_normal(size)
+    if family == "student_t":
+        return rng.standard_t(tail_param, size=size)
+    if family == "rademacher":
+        return 2.0 * rng.integers(0, 2, size=size).astype(np.float64) - 1.0
+    if family == "symmetric_pareto":
+        mag = 1.0 + rng.pareto(tail_param, size=size)
+    else:  # symmetric_weibull
+        mag = rng.weibull(tail_param, size=size)
+    sign = 2.0 * rng.integers(0, 2, size=size).astype(np.float64) - 1.0
+    return sign * mag
+
+
 def sample_coordinates(spec: DistributionSpec, size, rng: np.random.Generator) -> np.ndarray:
     """iid draws from the coordinate law, in the given shape."""
-    if spec.family == "gaussian":
-        out = rng.standard_normal(size)
-    elif spec.family == "rademacher":
-        out = 2.0 * rng.integers(0, 2, size=size).astype(np.float64) - 1.0
-    elif spec.family == "student_t":
-        out = rng.standard_t(spec.tail_param, size=size)
-    elif spec.family == "symmetric_pareto":
-        mag = 1.0 + rng.pareto(spec.tail_param, size=size)
-        sign = 2.0 * rng.integers(0, 2, size=size).astype(np.float64) - 1.0
-        out = sign * mag
-    else:  # symmetric_weibull
-        mag = rng.weibull(spec.tail_param, size=size)
-        sign = 2.0 * rng.integers(0, 2, size=size).astype(np.float64) - 1.0
-        out = sign * mag
+    out = _raw_draws(spec.family, spec.tail_param, size, rng)
     if spec.scale != 1.0:
         out *= spec.scale  # out is a fresh array: scale it in place
     return out
@@ -231,15 +234,7 @@ def sample_noise(noise: NoiseSpec, size, rng: np.random.Generator) -> np.ndarray
     """iid draws of the noise multiplier, scaled to the target L_{q0} norm."""
     if noise.family == "constant":
         return np.full(size, noise.lq_norm, dtype=np.float64)
-    if noise.family == "gaussian":
-        raw = rng.standard_normal(size)
-    elif noise.family == "symmetric_pareto":
-        mag = 1.0 + rng.pareto(noise.tail_param, size=size)
-        sign = 2.0 * rng.integers(0, 2, size=size).astype(np.float64) - 1.0
-        raw = sign * mag
-    else:  # student_t
-        raw = rng.standard_t(noise.tail_param, size=size)
-    return noise.sample_scale * raw
+    return noise.sample_scale * _raw_draws(noise.family, noise.tail_param, size, rng)
 
 
 def sample_batch(

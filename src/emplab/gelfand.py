@@ -27,6 +27,10 @@ The kernels are nested, so the bound at m is the largest at any m' >= m.
 The one-m functions (``r_G_fixed_point``, ``r_X_fixed_point``,
 ``empirical_process_width``, ``kernel_section_diameter``) are the grids of
 one m; for non-gaussian laws they read the sample that one m alone draws.
+
+``calibrate_kernel_constant`` reads gamma off one gaussian sample: since
+phi is nonincreasing there, r_G reaches a target radius rho exactly when
+gamma * sqrt(m) <= phi(rho).
 """
 
 from __future__ import annotations
@@ -398,41 +402,24 @@ def calibrate_kernel_constant(
     seed_path: int | SeedPath,
     probes: int = 1000,
     width_draws: int = 2000,
-    tol_factor: float = 1e-3,
     margin: float = 1.05,
 ) -> float:
     """Fit the width-condition constant from one calibration run.
 
-    Finds (by bisection over gamma) the largest gamma whose fixed-point
-    radius satisfies 2*r_G >= margin * max of the calibration kernel
-    diameters; freezing the returned value leaves fresh draws above
-    2*r_G(V, gamma) only in the tail beyond the margin.
+    Returns the largest gamma whose fixed-point radius on one gaussian
+    sample reaches rho = min(margin * max of the calibration kernel
+    diameters / 2, d2(V)), so that 2*r_G >= margin * max diameter; freezing
+    it leaves fresh draws above 2*r_G(V, gamma) only in the tail beyond the
+    margin.  On the sample phi(r) = width(r)/r is nonincreasing, so
+    r_G >= rho exactly when gamma * sqrt(m) <= phi(rho): the constant is
+    phi(rho) / sqrt(m), read off the sample with no search over gamma.
     """
     path = as_seed_path(seed_path)
     lbs = [
         kernel_section_diameter(dist, spec, m, probes, child_path(path, i)).lower_bound
         for i in range(calibration_draws)
     ]
-    target = margin * float(np.max(lbs))
-    tol = tol_factor * d2(spec)
-
-    # one gaussian sample for every gamma: the bisections revisit the same
-    # dyadic radii, so most widths come from the memo
+    rho = min(margin * float(np.max(lbs)) / 2.0, d2(spec))
     blocks = _gaussian_blocks(spec.dim, width_draws, child_path(path, 10_000))
     width = _width_curve(spec, np.concatenate(list(blocks)))
-
-    def two_r_g(gamma: float) -> float:
-        return 2.0 * _fixed_point(width, spec, gamma, m, tol).r_star
-
-    g_lo, g_hi = 1e-3, 64.0
-    if two_r_g(g_lo) < target:
-        return g_lo
-    while two_r_g(g_hi) >= target and g_hi < 1e6:
-        g_hi *= 2.0
-    for _ in range(40):
-        mid = math.sqrt(g_lo * g_hi)
-        if two_r_g(mid) >= target:
-            g_lo = mid
-        else:
-            g_hi = mid
-    return g_lo
+    return width(rho).mean / (rho * math.sqrt(m))

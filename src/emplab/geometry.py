@@ -33,8 +33,9 @@ from .streams import SeedPath, rng_from_path
 
 FAMILIES = ("l1_ball", "l2_ball", "sparse_cap", "l1_cap_l2", "permutation_polytope")
 
-# Convergence tolerance of the 1-D scan used for the localized
-# permutation-polytope support (the one family without a closed form).
+# Convergence tolerance, relative to ||z||, of the 1-D bounded minimization
+# used for the localized permutation-polytope support (the one family
+# without a closed form).
 _LOCALIZED_SCAN_TOL = 1e-12
 
 # Values per block of the gaussian stream (_gaussian_blocks)
@@ -279,19 +280,21 @@ def _owl_value(x: np.ndarray, w_star: np.ndarray) -> float:
 
 
 def _permpoly_localized_support_one(
-    z: np.ndarray, w_star: np.ndarray, radius: float, isotonic_regression
+    z: np.ndarray, w_star: np.ndarray, radius: float, isotonic_regression, minimize_scalar
 ) -> float:
     """sup over (perm polytope of w) cap radius*B2 of <v, z>.
 
     Computed as the infimal convolution  min_u OWL_w(u) + radius*||z - u||_2
-    via a golden-section scan over the scalar t in
+    via scipy's bounded Brent minimization over the scalar t in
 
         F(t) = min_u OWL_w(u) + (radius/2) (||z - u||^2 / t + t),
 
     which is convex in t; the inner minimum is the exact OWL prox.  Every
-    evaluation is an upper bound on the true support, so the scan minimum
-    (together with the endpoint candidates u = z and u = 0) converges to
-    the exact value from above.
+    evaluation is an upper bound on the true support, and the returned
+    minimum is the best value evaluated, so the result (together with the
+    endpoint candidates u = z and u = 0) converges to the exact value from
+    above.  ``isotonic_regression`` and ``minimize_scalar`` are
+    scipy.optimize's, imported by the caller.
     """
     znorm = float(np.linalg.norm(z))
     if znorm == 0.0:
@@ -304,21 +307,9 @@ def _permpoly_localized_support_one(
             np.sum((z - u) ** 2)
         ) + 0.5 * radius * t
 
-    lo, hi = 1e-9 * znorm, znorm
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f_of_t(x1), f_of_t(x2)
-    while hi - lo > _LOCALIZED_SCAN_TOL * znorm:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f_of_t(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f_of_t(x2)
-    return min(best, f1, f2)
+    res = minimize_scalar(f_of_t, bounds=(1e-9 * znorm, znorm), method="bounded",
+                          options={"xatol": _LOCALIZED_SCAN_TOL * znorm})
+    return min(best, float(res.fun))
 
 
 def support_curve(spec: IndexSetSpec, Z: np.ndarray):
@@ -356,12 +347,13 @@ def _permpoly_localized_support(spec: IndexSetSpec, Z: np.ndarray, radius: float
     # no closed form for the intersection
     if radius >= d2(spec):
         return support_batch(spec, Z)
-    from scipy.optimize import isotonic_regression
+    from scipy.optimize import isotonic_regression, minimize_scalar
 
     w_star = np.sort(np.abs(np.asarray(spec.w)))[::-1]
-    return np.array(
-        [_permpoly_localized_support_one(z, w_star, radius, isotonic_regression) for z in Z]
-    )
+    return np.array([
+        _permpoly_localized_support_one(z, w_star, radius, isotonic_regression, minimize_scalar)
+        for z in Z
+    ])
 
 
 def localized_support_batch(

@@ -127,6 +127,21 @@ def test_noise_hits_target_lq_norm():
         assert emp == pytest.approx(2.0, rel=0.1), family
 
 
+@pytest.mark.parametrize("family, values", [
+    ("gaussian", [0.5019128728678918, 1.2946764268661206, 0.20694645929462122,
+                  -0.8298865066525879, -1.4722019190650018]),
+    ("symmetric_pareto", [1.129705906690879, 1.0465426175064945, -0.5869543516154746,
+                          0.6394749238763897, -0.7691616533167631]),
+    ("student_t", [0.1958959384980234, -1.2819115504032188, -0.2953390831673864,
+                   0.22206210119043845, -0.5159223061523017]),
+])
+def test_noise_draws_pinned(family, values):
+    # the noise stream's values, bit for bit: the draw is shared with the
+    # coordinate samplers, and every recovery and multiplier CSV rests on it
+    xi = sample_noise(NoiseSpec(family, q0=3.0), 5, rng_from_path((2024,), "xi"))
+    assert xi.tolist() == values
+
+
 # ---------------------------------------------------------------------------
 # moment-growth norm
 

@@ -11,6 +11,7 @@ from emplab.gelfand import (
     _kernel_projectors,
     _normalized_sums,
     _width_curve,
+    calibrate_kernel_constant,
     empirical_process_width,
     kernel_section_diameter,
     kernel_section_diameters,
@@ -33,7 +34,7 @@ from emplab.geometry import (
     permutation_polytope,
     sparse_cap,
 )
-from emplab.streams import rng_from_path
+from emplab.streams import child_path, rng_from_path
 
 from _oracles import direct_gaussian_l2_norm, kernel_projector_svd
 
@@ -361,3 +362,33 @@ def test_kernel_diameter_parameter_validation():
         kernel_section_diameter(GAUSS8, l1_ball(8), m=8, probes=10, seed_path=(17,))
     with pytest.raises(ValueError):
         kernel_section_diameter(GAUSS8, l1_ball(8), m=2, probes=0, seed_path=(18,))
+
+
+# ---------------------------------------------------------------------------
+# calibration
+
+def test_calibrated_gamma_is_the_largest_reaching_the_target():
+    # on the calibration's own sample, r_G reaches rho = margin * max lb / 2
+    # just below the returned gamma and falls short just above it
+    n, m, path = 32, 8, (8,)
+    spec, dist = l1_ball(n), DistributionSpec("gaussian", n)
+    gamma = calibrate_kernel_constant(dist, spec, m, calibration_draws=10, seed_path=path,
+                                      probes=200, width_draws=500)
+    lbs = [kernel_section_diameter(dist, spec, m, 200, child_path(path, i)).lower_bound
+           for i in range(10)]
+    rho = min(1.05 * max(lbs) / 2.0, d2(spec))
+    sample = np.concatenate(list(geometry._gaussian_blocks(n, 500, child_path(path, 10_000))))
+    width, tol = _width_curve(spec, sample), 1e-9 * d2(spec)
+    assert _fixed_point(width, spec, gamma * (1 - 1e-9), m, tol).r_star >= rho
+    assert _fixed_point(width, spec, gamma * (1 + 1e-9), m, tol).r_star < rho
+
+
+@pytest.mark.parametrize("n, m, seed, bisected", [
+    (128, 60, 100_010, 1.219759), (64, 20, 7, 1.247168), (32, 8, 8, 1.226612),
+])
+def test_calibrated_gamma_matches_the_bisection(n, m, seed, bisected):
+    # the values a 40-step bisection over gamma gave, which stops at a grid
+    # point below the target radius
+    gamma = calibrate_kernel_constant(DistributionSpec("gaussian", n), l1_ball(n), m,
+                                      calibration_draws=40, seed_path=(seed,))
+    assert gamma == pytest.approx(bisected, rel=3e-3)

@@ -242,6 +242,17 @@ def test_localized_permutation_polytope_cube_oracle():
         assert localized_support(cube, z, r) == pytest.approx(oracle(z, r), rel=1e-9)
 
 
+def test_localized_permutation_polytope_scan_is_short(monkeypatch):
+    # each evaluation of the scalar scan is one OWL prox
+    calls = []
+    prox = geometry._prox_owl
+    monkeypatch.setattr(geometry, "_prox_owl", lambda *a: calls.append(1) or prox(*a))
+    spec = permutation_polytope(np.linspace(1.0, -0.4, 32))
+    z = np.random.default_rng(7033).standard_normal(32)
+    assert 0.0 < localized_support(spec, z, 0.3 * d2(spec)) < support(spec, z)
+    assert 0 < len(calls) <= 40
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         support(l1_ball(4), np.zeros(5))

@@ -8,6 +8,7 @@ from scipy.linalg import qr
 
 from emplab.distributions import DistributionSpec, NoiseSpec
 from emplab.harness import ExperimentConfig, run
+from emplab.streams import child_path
 from emplab.recovery import (
     RecoveryProblem,
     _reduced_triangular_factor,
@@ -343,6 +344,32 @@ def test_recovery_zero_sparsity_always_succeeds(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert float(rows[0]["success_rate"]) == 1.0
+
+
+def test_noise_free_lasso_columns_report_basis_pursuit(tmp_path):
+    # at lam = 0 the homotopy's certificate accepts any interpolant, and on
+    # these rademacher designs some have a larger l1 norm than basis
+    # pursuit's; the lam -> 0+ LASSO is the minimum-l1 interpolant
+    config = ExperimentConfig(
+        experiment="recovery",
+        grids={"n": [40], "s": [2], "N": [6, 10, 16], "x_family": ["rademacher"],
+               "noise_family": "none"},
+        trials=15,
+        master_seed=4321,
+        output_dir=str(tmp_path),
+    )
+    run(config)
+    with (tmp_path / "recovery.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["N"]) for row in rows] == [6, 10, 16]
+    for row in rows:
+        ci, N = int(row["cell"]), int(row["N"])
+        bp = [basis_pursuit(make_recovery_problem(DistributionSpec("rademacher", 40), N, 2,
+                                                  child_path(4321, ci, ti)))
+              for ti in range(15)]
+        assert float(row["err_l1_med"]) == float(np.median([r.errors_lp[1.0] for r in bp]))
+        assert float(row["err_l2_med"]) == float(np.median([r.errors_lp[2.0] for r in bp]))
+        assert row["lasso_unconverged"] == row["bp_unconverged"]
 
 
 def test_error_shape_in_sparsity():
