@@ -14,11 +14,10 @@ import numpy as np
 from emplab.distributions import DistributionSpec, NoiseSpec, canonical_heavy_tail_spec
 from emplab.recovery import (
     DEFAULT_LASSO_C1,
-    basis_pursuit,
+    bp_recovers,
     rate_penalty,
     lasso,
     make_recovery_problem,
-    recovery_success,
 )
 
 SEED = 2026_08_10
@@ -33,7 +32,7 @@ def bp_phase():
         wins = 0
         for t in range(trials):
             prob = make_recovery_problem(dist, N, s, (SEED, N, t))
-            wins += int(recovery_success(basis_pursuit(prob), prob.v0))
+            wins += int(bp_recovers(prob.Gamma, prob.v0)[0])
         bar = "#" * int(round(20 * wins / trials))
         print(f"  N={N:>3}  success {wins / trials:5.2f}  {bar}")
 

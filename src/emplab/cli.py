@@ -60,6 +60,10 @@ def _run_experiment(args) -> int:
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable file, or bytes that are not UTF-8
+        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
+        return 2
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -188,6 +192,14 @@ def _selftest() -> int:
                                     np.array([1.0, -2.0, 0.0, 3.0]), 4)
     res = recovery.basis_pursuit(prob)
     check("basis pursuit identity", float(np.abs(res.v_hat - prob.y).max()) < 1e-9)
+
+    # an instance the dual certificate proves is one basis pursuit recovers
+    Gamma = np.random.default_rng(21).standard_normal((24, 48))
+    v0 = np.zeros(48)
+    v0[[3, 17, 30]] = [1.0, -1.0, 1.0]
+    res = recovery.basis_pursuit(recovery.RecoveryProblem(Gamma, Gamma @ v0, v0, 3))
+    check("certified instance recovered by basis pursuit",
+          recovery.certifies_recovery(Gamma, v0) and recovery.recovery_success(res, v0))
 
     # determinism of a sampled batch
     spec_x = DistributionSpec("student_t", 16, tail_param=6.0)

@@ -52,12 +52,11 @@ from .geometry import (
 from .process import DEFAULT_U_GRID, multiplier_stats
 from .recovery import (
     DEFAULT_LASSO_C1,
-    RecoveryProblem,
     basis_pursuit,
+    bp_recovers,
     rate_penalty,
     lasso,
     make_recovery_problem,
-    recovery_success,
 )
 from .streams import child_path
 
@@ -456,18 +455,24 @@ class _RecoveryAdapter(_Adapter):
 
     @_per_cell
     def trial(config, cell, ci, ti):
-        noisy = make_recovery_problem(cell["x"], cell["N"], cell["s"],
-                                      child_path(config.master_seed, ci, ti),
-                                      noise=cell["noise"], lam=cell["lam"])
-        clean = RecoveryProblem(noisy.Gamma, noisy.Gamma @ noisy.v0, noisy.v0, cell["s"])
-        bp = basis_pursuit(clean)
-        # without noise lam is 0, where the KKT certificate only says
-        # "interpolates"; the lam -> 0+ limit of the LASSO is the minimum-l1
-        # interpolant, which basis pursuit has just solved exactly
-        la = lasso(noisy) if cell["noise"] is not None else bp
+        prob = make_recovery_problem(cell["x"], cell["N"], cell["s"],
+                                     child_path(config.master_seed, ci, ti),
+                                     noise=cell["noise"], lam=cell["lam"])
+        success, bp = bp_recovers(prob.Gamma, prob.v0)
+        if cell["noise"] is not None:
+            la = lasso(prob)
+        else:
+            # lam is 0, where the KKT certificate only says "interpolates";
+            # the lam -> 0+ limit of the LASSO is the minimum-l1 interpolant,
+            # basis pursuit's, solved on prob (y = Gamma v0) where the
+            # certificate spared the solve
+            if bp is None:
+                bp = basis_pursuit(prob)
+            la = bp
         return {
-            "bp_success": int(recovery_success(bp, clean.v0)),
-            "bp_unconverged": int(not bp.converged),
+            "bp_success": int(success),
+            # only the solves that ran: a certified trial has none
+            "bp_unconverged": int(bp is not None and not bp.converged),
             "lasso_unconverged": int(not la.converged),
             "err_l1": la.errors_lp[1.0],
             "err_l2": la.errors_lp[2.0],
@@ -1038,7 +1043,18 @@ def summarize(results_dir: str | Path) -> SummaryReport:
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigurationError(f"no manifest.json in {out_dir}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IntegrityError(f"manifest.json is not valid JSON: {exc}") from None
+    experiment = manifest.get("experiment") if isinstance(manifest, dict) else None
+    if experiment not in EXPERIMENTS:
+        raise IntegrityError(f"manifest.json names no known experiment: {experiment!r}")
+    if not (isinstance(manifest.get("checksums"), dict)
+            and f"{experiment}.csv" in manifest["checksums"]
+            and isinstance(manifest.get("failed"), list)):
+        raise IntegrityError(f"manifest.json lacks the checksum of {experiment}.csv "
+                             "or the list of failed tasks")
     for name, digest in manifest["checksums"].items():
         path = out_dir / name
         if not path.exists():
@@ -1046,7 +1062,6 @@ def summarize(results_dir: str | Path) -> SummaryReport:
         if _sha256_file(path) != digest:
             raise IntegrityError(f"checksum mismatch for {name}")
 
-    experiment = manifest["experiment"]
     adapter = _ADAPTERS[experiment]
     rows = _read_rows(out_dir / f"{experiment}.csv")
     aggregates = _aggregate(rows, adapter.group, adapter.values)

@@ -10,6 +10,10 @@ the raw inner products <col_j, residual>; its ``converged`` flag is the KKT
 certificate of the returned v, checked from scratch.
 ``basis_pursuit`` solves min ||v||_1 s.t. Gamma v = y exactly, as one
 linear program over v = p - q with p, q >= 0, by scipy's HiGHS.
+``bp_recovers`` is the one exact-recovery rule: whether basis pursuit
+recovers v0 from y = Gamma v0.  ``certifies_recovery``, the minimum-norm
+dual certificate, decides it in closed form where it holds, and
+``basis_pursuit`` runs only where it fails.
 scipy is imported where it is called, so ``import emplab`` loads numpy only.
 """
 
@@ -25,6 +29,7 @@ from .streams import SeedPath, as_seed_path, rng_from_path
 
 ERROR_NORMS = (1.0, 1.5, 2.0)
 EXACT_RECOVERY_RTOL = 1e-6
+CERTIFICATE_MARGIN = 1e-6
 
 
 @dataclass
@@ -244,6 +249,50 @@ def basis_pursuit(problem: RecoveryProblem) -> RecoveryResult:
         errors_lp=_lp_errors(v, problem.v0),
         converged=converged,
     )
+
+
+def certifies_recovery(Gamma: np.ndarray, v0: np.ndarray) -> bool:
+    """Whether the minimum-norm dual certificate proves v0 the unique
+    solution of min ||v||_1 subject to Gamma v = Gamma v0.
+
+    With S = supp(v0) and Gamma_S of full column rank, z = Gamma_S
+    (Gamma_S^T Gamma_S)^-1 sign(v0_S) has Gamma_S^T z = sign(v0_S); if
+    also |Gamma_j^T z| < 1 off S, v0 is the unique minimizer (Fuchs 2004;
+    Tropp 2006).  z = Q R^-T sign(v0_S) from a reduced QR of Gamma_S, whose
+    rank is read off diag R by the rule of ``gelfand._kernel_projectors``.
+    The test asks for |Gamma_j^T z| <= 1 - 1e-6 off S, a margin far above
+    the rounding in z.  v0 = 0 certifies: 0 is the one point of norm 0.
+    A sufficient test: False (never an exception) when Gamma_S is rank
+    deficient, s > N included, or when the certificate misses the margin.
+    """
+    N, n = Gamma.shape
+    supp = np.flatnonzero(v0)
+    s = supp.size
+    if s == 0:
+        return True
+    if s > N:
+        return False
+    Q, R = np.linalg.qr(Gamma[:, supp])
+    diag = np.abs(np.diag(R))
+    if not np.all(diag > max(N, s) * np.finfo(np.float64).eps * diag.max()):
+        return False
+    c = Gamma.T @ (Q @ np.linalg.solve(R.T, np.sign(v0[supp])))
+    c[supp] = 0.0
+    return bool(np.abs(c).max() <= 1.0 - CERTIFICATE_MARGIN)
+
+
+def bp_recovers(Gamma: np.ndarray, v0: np.ndarray) -> tuple[bool, RecoveryResult | None]:
+    """Whether basis pursuit recovers v0 exactly from y = Gamma v0.
+
+    ``certifies_recovery`` decides where it holds, with no linear program;
+    elsewhere ``basis_pursuit`` runs and ``recovery_success`` decides.
+    Returns the decision and the basis-pursuit result, None where the
+    certificate decided.
+    """
+    if certifies_recovery(Gamma, v0):
+        return True, None
+    bp = basis_pursuit(RecoveryProblem(Gamma, Gamma @ v0, v0, int(np.count_nonzero(v0))))
+    return recovery_success(bp, v0), bp
 
 
 def rate_penalty(noise: NoiseSpec, N: int, n: int, c1: float) -> float:

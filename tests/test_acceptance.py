@@ -38,10 +38,10 @@ from emplab.harness import ExperimentConfig, loglog_slope, run
 from emplab.process import check_A_u, multiplier_stats, ratio_statistic
 from emplab.recovery import (
     basis_pursuit,
+    bp_recovers,
     rate_penalty,
     lasso,
     make_recovery_problem,
-    recovery_success,
 )
 from emplab.streams import rng_from_path
 
@@ -276,8 +276,7 @@ def _bp_success_rate(n, s, N, trials, seed_block):
     wins = 0
     for t in range(trials):
         prob = make_recovery_problem(dist, N, s, (seed_block, N, t))
-        res = basis_pursuit(prob)
-        wins += int(recovery_success(res, prob.v0))
+        wins += int(bp_recovers(prob.Gamma, prob.v0)[0])
     return wins / trials
 
 

@@ -516,6 +516,20 @@ def test_summarize_missing_manifest(tmp_path):
         summarize(tmp_path)
 
 
+@pytest.mark.parametrize("manifest", [
+    b"{not json", b"\xff\xfe{}", b"[]", b'{"experiment": "nope", "checksums": {}}',
+    b'{"experiment": "widths"}', b'{"experiment": "widths", "checksums": {}, "failed": []}',
+    b'{"experiment": "widths", "checksums": {"widths.csv": "0"}, "failed": {}}',
+])
+def test_summarize_bad_manifest_is_an_integrity_error(tmp_path, capsys, manifest):
+    run(_widths_config(tmp_path / "out", trials=1))
+    (tmp_path / "out" / "manifest.json").write_bytes(manifest)
+    with pytest.raises(IntegrityError, match="manifest.json"):
+        summarize(tmp_path / "out")
+    assert cli_main(["summarize", str(tmp_path / "out")]) == 1
+    assert "integrity error: manifest.json" in capsys.readouterr().err
+
+
 def test_loglog_slope_hand_computed():
     # points (1, 1), (e, e), (e^2, e): logs x = (0,1,2), y = (0,1,1)
     xs = [1.0, math.e, math.e**2]
@@ -545,6 +559,14 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["widths", "--config", str(bad)]) == 2
     bad.write_text('{"experiment": "widths", "trials": "x", "master_seed": 0}')
     assert cli_main(["widths", "--config", str(bad)]) == 2
+
+
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"experiment": "widths", "note": "\xe9"}')
+    for path in (tmp_path, not_utf8):
+        assert cli_main(["widths", "--config", str(path)]) == 2
+        assert f"config error: cannot read {path}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("radii", [

@@ -13,6 +13,8 @@ from emplab.recovery import (
     RecoveryProblem,
     _reduced_triangular_factor,
     basis_pursuit,
+    bp_recovers,
+    certifies_recovery,
     rate_penalty,
     lasso,
     make_recovery_problem,
@@ -290,6 +292,115 @@ def test_bp_converges_where_splitting_stalled(tmp_path):
     with (tmp_path / "recovery.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert [row["bp_unconverged"] for row in rows] == ["0"]
+
+
+# ---------------------------------------------------------------------------
+# the dual certificate
+
+def _solve_recovers(Gamma, v0):
+    bp = basis_pursuit(RecoveryProblem(Gamma, Gamma @ v0, v0, int(np.count_nonzero(v0))))
+    return recovery_success(bp, v0)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "student_t", "rademacher"])
+def test_certificate_implies_basis_pursuit_recovery(family):
+    # bp-phase shapes and small rademacher designs, whose columns repeat up
+    # to sign: wherever the certificate holds, the LP recovers v0 too
+    certified = 0
+    for n, N, s in ((128, 24, 4), (128, 48, 4), (64, 32, 2), (40, 6, 2), (40, 10, 2),
+                    (32, 8, 1), (16, 16, 8)):
+        dist = DistributionSpec(family, n, tail_param=6.0 if family == "student_t" else None)
+        for t in range(12):
+            prob = make_recovery_problem(dist, N, s, (8821, n, N, t))
+            if certifies_recovery(prob.Gamma, prob.v0):
+                certified += 1
+                assert _solve_recovers(prob.Gamma, prob.v0), (n, N, s, t)
+    assert certified >= 20
+
+
+def test_bp_recovers_solves_only_where_the_certificate_fails():
+    dist = DistributionSpec("gaussian", 64)
+    outcomes = set()
+    for N in (8, 16, 24, 32):
+        for t in range(10):
+            prob = make_recovery_problem(dist, N, 3, (8822, N, t))
+            success, bp = bp_recovers(prob.Gamma, prob.v0)
+            certified = certifies_recovery(prob.Gamma, prob.v0)
+            assert (bp is None) == certified
+            assert success == _solve_recovers(prob.Gamma, prob.v0)
+            outcomes.add((certified, success))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_certificate_of_the_zero_vector():
+    # 0 is the one point of l1 norm 0, whatever Gamma is, N = 0 included
+    for N in (0, 3):
+        Gamma = RNG.standard_normal((N, 6))
+        assert certifies_recovery(Gamma, np.zeros(6))
+        assert bp_recovers(Gamma, np.zeros(6)) == (True, None)
+
+
+def _degenerate_instances():
+    Gamma = RNG.standard_normal((10, 20))
+    v0 = np.zeros(20)
+    v0[[2, 5, 9]] = [1.0, -1.0, 1.0]
+    yield "s > N", Gamma[:2], v0
+    yield "N = 0", Gamma[:0], v0
+    for sign in (1.0, -1.0):
+        dup = Gamma.copy()
+        dup[:, 5] = sign * dup[:, 2]
+        yield f"support column times {sign:+}", dup, v0
+        off = Gamma.copy()
+        off[:, 7] = sign * off[:, 9]
+        yield f"off-support column times {sign:+}", off, v0
+    zero = Gamma.copy()
+    zero[:, 2] = 0.0
+    yield "zero support column", zero, v0
+    # column 2 is minus column 0, so v0 = e_0 and -e_2 tie in l1 norm and
+    # |Gamma_2^T z| = 1 exactly in floating point: only a margin below 1
+    # keeps the certificate from claiming a unique solution
+    yield "exact tie", np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]), np.array([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("case", list(_degenerate_instances()), ids=lambda c: c[0])
+def test_certificate_rejects_degenerate_supports(case):
+    _, Gamma, v0 = case
+    assert certifies_recovery(Gamma, v0) is False
+    success, bp = bp_recovers(Gamma, v0)
+    assert bp is not None and success == recovery_success(bp, v0)
+
+
+def test_harness_solves_basis_pursuit_only_off_the_certificate(tmp_path, monkeypatch):
+    # a noisy trial skips the LP where the certificate holds; a noise-free
+    # one still solves it, since its LASSO columns report basis pursuit
+    import emplab.harness as harness
+    import emplab.recovery as recovery
+
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return basis_pursuit(problem)
+
+    monkeypatch.setattr(harness, "basis_pursuit", counted)
+    monkeypatch.setattr(recovery, "basis_pursuit", counted)
+    grids = {"n": [64], "s": [3], "N": [10, 20, 30], "x_family": ["gaussian"]}
+    trials, seed = 6, 515
+    for noise, expected in (("symmetric_pareto", None), ("none", 3 * trials)):
+        calls.clear()
+        config = ExperimentConfig(experiment="recovery", grids={**grids, "noise_family": noise},
+                                  trials=trials, master_seed=seed,
+                                  output_dir=str(tmp_path / noise))
+        run(config)
+        if expected is None:
+            cells = [make_recovery_problem(DistributionSpec("gaussian", 64), N, 3,
+                                           child_path(seed, ci, ti))
+                     for ci, N in enumerate(grids["N"]) for ti in range(trials)]
+            expected = sum(not certifies_recovery(p.Gamma, p.v0) for p in cells)
+            assert 0 < expected < 3 * trials
+        assert len(calls) == expected
+        with (tmp_path / noise / "recovery.csv").open() as fh:
+            assert [row["bp_unconverged"] for row in csv.DictReader(fh)] == ["0"] * 3
 
 
 # ---------------------------------------------------------------------------
