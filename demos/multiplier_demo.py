@@ -5,16 +5,18 @@ with barely more than 2 moments: the supremum of the multiplier process
 over the l1 ball, normalized by ||xi||_{L_q0} * l*(V), stays bounded as n
 grows, as if everything were subgaussian.  Here l*(V) = E||G||_inf is
 exact (emplab.geometry.gaussian_width), so the ratio carries no width
-error.  Per trial the script also shows the realization-level
-diagnostics: whether the rearranged noise stayed below its (eN/i)^(1/q0)
-envelope, and the smallest constant C with Z*_j <= C sqrt(log(en/j)).
+error.  Each trial is drawn and measured as in `lab multiplier`
+(emplab.process.multiplier_sums, then stats_from_sums).  Per trial the
+script also shows the realization-level diagnostics: whether the
+rearranged noise stayed below its (eN/i)^(1/q0) envelope, and the
+smallest constant C with Z*_j <= C sqrt(log(en/j)).
 """
 
 import numpy as np
 
-from emplab.distributions import NoiseSpec, canonical_heavy_tail_spec, sample_batch
+from emplab.distributions import NoiseSpec, canonical_heavy_tail_spec
 from emplab.geometry import gaussian_width, l1_ball
-from emplab.process import multiplier_stats, ratio_statistic
+from emplab.process import multiplier_sums, ratio_statistic, stats_from_sums
 
 SEED = 2026_08_10
 TRIALS = 100
@@ -32,8 +34,7 @@ def main():
         width = gaussian_width(spec)
         ratios, chats, a2 = [], [], 0
         for t in range(TRIALS):
-            batch = sample_batch(dist, noise, n, (SEED, n, t))
-            st = multiplier_stats(batch, spec, noise)
+            st = stats_from_sums(multiplier_sums(dist, noise, n, (SEED, n, t)), spec, noise)
             ratios.append(ratio_statistic(st, width, noise))
             chats.append(st.envelope_constant)
             a2 += int(st.A_u_holds[2.0])

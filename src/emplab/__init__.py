@@ -31,6 +31,7 @@ from .distributions import (
     empirical_p_norm,
     moment_growth_profile,
     sample_batch,
+    sample_block_sums,
     small_ball_estimate,
 )
 from .gelfand import (
@@ -67,8 +68,10 @@ from .process import (
     ProcessStats,
     check_A_u,
     multiplier_stats,
+    multiplier_sums,
     order_stat_envelope,
     ratio_statistic,
+    stats_from_sums,
 )
 from .recovery import (
     RecoveryProblem,
@@ -89,6 +92,7 @@ __all__ = [
     "empirical_p_norm",
     "moment_growth_profile",
     "sample_batch",
+    "sample_block_sums",
     "small_ball_estimate",
     "IndexSetSpec",
     "WidthEstimate",
@@ -109,8 +113,10 @@ __all__ = [
     "ProcessStats",
     "check_A_u",
     "multiplier_stats",
+    "multiplier_sums",
     "order_stat_envelope",
     "ratio_statistic",
+    "stats_from_sums",
     "RecoveryProblem",
     "RecoveryResult",
     "basis_pursuit",

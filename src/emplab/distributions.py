@@ -9,8 +9,11 @@ empirical moment-growth diagnostics used throughout: the sup_{q<=p} of
 Families
 --------
 Coordinates: ``gaussian``, ``rademacher``, ``student_t`` (df > 2),
-``symmetric_pareto`` (tail exponent > 2), ``symmetric_weibull`` (shape > 0).
-Noise: ``gaussian``, ``symmetric_pareto``, ``student_t``, ``constant``.
+``symmetric_pareto`` (tail exponent > 2), ``symmetric_weibull`` (shape >=
+0.05).  Noise: ``gaussian``, ``symmetric_pareto``, ``student_t``, ``constant``.
+
+``gaussian`` and ``student_t`` are gaussian scale mixtures (Andrews &
+Mallows 1974): ``sample_block_sums`` draws sums of their rows exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from .streams import SeedPath, as_seed_path, rng_from_path
 
 X_FAMILIES = ("gaussian", "rademacher", "student_t", "symmetric_pareto", "symmetric_weibull")
+GAUSSIAN_MIXTURES = ("gaussian", "student_t")
 NOISE_FAMILIES = ("gaussian", "symmetric_pareto", "student_t", "constant")
 
 # Tail parameters of heavy noise families are derived from the guaranteed
@@ -31,6 +35,10 @@ NOISE_FAMILIES = ("gaussian", "symmetric_pareto", "student_t", "constant")
 # small margin but not much more.
 PARETO_NOISE_TAIL_MARGIN = 0.5
 STUDENT_NOISE_DF_MARGIN = 1.0
+
+# Below this shape the unit variance rests on draws too rare to sample, and
+# below about 0.0117 Gamma(1 + 2/shape) overflows a float.
+WEIBULL_MIN_SHAPE = 0.05
 
 
 class ConfigurationError(ValueError):
@@ -65,11 +73,6 @@ def pareto_abs_moment(alpha: float, q: float) -> float:
     return alpha / (alpha - q)
 
 
-def weibull_abs_moment(shape: float, q: float) -> float:
-    """E W^q for W Weibull with the given shape and unit scale."""
-    return math.exp(math.lgamma(1.0 + q / shape))
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
     """Coordinate law of an isotropic measurement vector on R^dim.
@@ -102,9 +105,10 @@ class DistributionSpec:
                     f"symmetric_pareto requires tail exponent > 2, got {self.tail_param}"
                 )
         elif self.family == "symmetric_weibull":
-            if self.tail_param is None or self.tail_param <= 0.0:
+            if self.tail_param is None or self.tail_param < WEIBULL_MIN_SHAPE:
                 raise ConfigurationError(
-                    f"symmetric_weibull requires shape > 0, got {self.tail_param}"
+                    f"symmetric_weibull requires shape >= {WEIBULL_MIN_SHAPE}, "
+                    f"got {self.tail_param}"
                 )
         if self.scale is None:
             object.__setattr__(self, "scale", _unit_variance_scale(self.family, self.tail_param))
@@ -121,8 +125,8 @@ def _unit_variance_scale(family: str, tail_param: float | None) -> float:
     if family == "symmetric_pareto":
         alpha = tail_param
         return math.sqrt((alpha - 2.0) / alpha)
-    # symmetric_weibull
-    return 1.0 / math.sqrt(weibull_abs_moment(tail_param, 2.0))
+    # symmetric_weibull: 1 / sqrt(E W^2), E W^2 = Gamma(1 + 2/shape)
+    return 1.0 / math.sqrt(math.exp(math.lgamma(1.0 + 2.0 / tail_param)))
 
 
 def canonical_heavy_tail_spec(dim: int) -> DistributionSpec:
@@ -201,10 +205,6 @@ class SampleBatch:
     def N(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]
-
 
 def _raw_draws(family: str, tail_param: float | None, size, rng: np.random.Generator) -> np.ndarray:
     """iid unscaled draws of one coordinate or noise family, a fresh array."""
@@ -237,6 +237,50 @@ def sample_noise(noise: NoiseSpec, size, rng: np.random.Generator) -> np.ndarray
     return noise.sample_scale * _raw_draws(noise.family, noise.tail_param, size, rng)
 
 
+def sample_block_sums(
+    spec: DistributionSpec, weights: np.ndarray, copies: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Independent copies of the block sums sum_i weights[b, i] X_i, exactly in law.
+
+    X_1, ..., X_m are iid rows of ``spec`` coordinates, a gaussian scale
+    mixture (``GAUSSIAN_MIXTURES``), and the k rows of ``weights`` (k x m)
+    have disjoint supports.  Given the mixing variances W, block b is
+    scale * sqrt(sum_i weights[b, i]^2 W_i) times one gaussian, and the k
+    blocks are independent, so this draws one Gamma(df / 2) per (row,
+    coordinate) of the rows in some block, none for gaussian X, then one
+    gaussian per (block, coordinate).  Returns an array k x copies x dim.
+    """
+    c2 = np.square(np.asarray(weights, dtype=np.float64))
+    if c2.ndim != 2 or np.any(np.count_nonzero(c2, axis=0) > 1):
+        raise ValueError("weights must be a k x m matrix whose rows have disjoint supports")
+    if spec.family not in GAUSSIAN_MIXTURES:
+        raise ValueError(f"{spec.family} coordinates are not a gaussian scale mixture")
+    if spec.family == "gaussian":
+        var = c2.sum(axis=1)[:, None, None]
+    else:  # student_t: W = df/2 / Gamma(df/2), drawn for the rows of each block in turn
+        block, row = np.nonzero(c2)
+        half = 0.5 * spec.tail_param
+        W = rng.standard_gamma(half, size=(len(row), copies, spec.dim))
+        np.reciprocal(W, out=W)
+        W *= (half * c2[block, row])[:, None, None]
+        ends = np.searchsorted(block, np.arange(len(c2)), side="right")
+        var = np.stack([W[lo:hi].sum(axis=0) for lo, hi in zip([0, *ends], ends)])
+    out = rng.standard_normal((len(c2), copies, spec.dim))
+    out *= np.sqrt(var)
+    if spec.scale != 1.0:
+        out *= spec.scale
+    return out
+
+
+def _sample_multipliers(noise: NoiseSpec, N: int, path: SeedPath):
+    """(xi, eps) of one batch, from the substreams tagged "xi" and "eps"."""
+    if N < 1:
+        raise ConfigurationError("N must be >= 1")
+    xi = sample_noise(noise, N, rng_from_path(path, "xi"))
+    eps = 2.0 * rng_from_path(path, "eps").integers(0, 2, size=N).astype(np.float64) - 1.0
+    return xi, eps
+
+
 def sample_batch(
     spec: DistributionSpec,
     noise: NoiseSpec,
@@ -248,12 +292,9 @@ def sample_batch(
     X, xi and eps come from the independent substreams tagged "X", "xi"
     and "eps" of ``seed_path``.
     """
-    if N < 1:
-        raise ConfigurationError("N must be >= 1")
     path = as_seed_path(seed_path)
+    xi, eps = _sample_multipliers(noise, N, path)
     X = sample_coordinates(spec, (N, spec.dim), rng_from_path(path, "X"))
-    xi = sample_noise(noise, N, rng_from_path(path, "xi"))
-    eps = 2.0 * rng_from_path(path, "eps").integers(0, 2, size=N).astype(np.float64) - 1.0
     return SampleBatch(X=X, xi=xi, eps=eps, seed_path=path)
 
 

@@ -16,7 +16,8 @@ standard errors.
 Every m of a grid is read off one sample.  ``r_G_fixed_points`` bisects
 one gaussian width curve against each threshold gamma*sqrt(m);
 ``r_X_fixed_points`` takes the sums at every m from one nested sample
-(for gaussian X, one exact gaussian block per grid increment).
+(for gaussian or Student-t X, one exact gaussian-mixture block per grid
+increment).
 
 ``kernel_section_diameters`` draws one m_max x n measurement matrix, and
 each m reads its first m rows: one reduced QR factorization of the
@@ -26,7 +27,7 @@ through the exact gauge, which certifies a lower bound on diam(ker cap V).
 The kernels are nested, so the bound at m is the largest at any m' >= m.
 The one-m functions (``r_G_fixed_point``, ``r_X_fixed_point``,
 ``empirical_process_width``, ``kernel_section_diameter``) are the grids of
-one m; for non-gaussian laws they read the sample that one m alone draws.
+one m, and read the sample that one m alone draws.
 
 ``calibrate_kernel_constant`` reads gamma off one gaussian sample: since
 phi is nonincreasing there, r_G reaches a target radius rho exactly when
@@ -41,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, sample_coordinates
+from .distributions import GAUSSIAN_MIXTURES, DistributionSpec, sample_block_sums
+from .distributions import sample_coordinates
 from .geometry import IndexSetSpec, WidthEstimate, d2, gauge_batch, localized_support_batch
 from .geometry import _gaussian_blocks, _make_width_estimate, support_curve
 from .streams import SeedPath, as_seed_path, child_path, rng_from_path
@@ -65,34 +67,39 @@ def _normalized_sums(
 ) -> np.ndarray:
     """The draws x dim normalized sums m^{-1/2} sum_{i<=m} X_i at every m of ms.
 
-    ``ms`` is strictly increasing, and the sums are nested: one sample of
-    draws x m_max x dim coordinates, drawn in chunks of about 4M values,
-    gives every m by adding the row blocks between grid values.  For
-    gaussian X the sum of m - m' rows is exactly sqrt(m - m') times one
-    gaussian row, so each grid increment draws one draws x dim block
-    instead: the exact joint law of the sums, from len(ms) rows per draw
-    rather than m_max.  Returns an array len(ms) x draws x dim.
+    ``ms`` is strictly increasing, and the sums are nested: every m adds
+    the row blocks (m', m] between grid values.  For a gaussian scale
+    mixture (gaussian or Student-t X) ``sample_block_sums`` draws each
+    block exactly, one Gamma mixing value per coordinate of the m_max rows
+    (none for gaussian X) and one gaussian per block and coordinate;
+    otherwise the draws x m_max x dim coordinates are drawn and summed.
+    Either way the draws go in chunks of about 4M values.  Returns an array
+    len(ms) x draws x dim.
     """
     if draws < 2:
         raise ValueError("draws must be >= 2")
     if ms[0] < 1:
         raise ValueError("m must be >= 1")
-    exact = dist.family == "gaussian"
+    bounds = list(zip([0, *ms], ms))
+    mixture = dist.family in GAUSSIAN_MIXTURES
+    if mixture:
+        increments = np.zeros((len(ms), ms[-1]))
+        for k, (lo, hi) in enumerate(bounds):
+            increments[k, lo:hi] = 1.0
     sums = np.empty((len(ms), draws, dim))
-    chunk = max(1, 4_000_000 // ((len(ms) if exact else ms[-1]) * dim))
+    # rows of values per draw: gaussian X draws only its len(ms) block gaussians
+    rows = len(ms) if dist.family == "gaussian" else ms[-1]
+    chunk = max(1, 4_000_000 // (rows * dim))
     for done in range(0, draws, chunk):
         take = min(chunk, draws - done)
-        if not exact:
+        if mixture:
+            blocks = sample_block_sums(dist, increments, take, rng)
+        else:
             X = sample_coordinates(dist, (take, ms[-1], dim), rng)
-        prev = 0
-        for k, m in enumerate(ms):
-            if exact:
-                block = math.sqrt(m - prev) * sample_coordinates(dist, (take, dim), rng)
-            else:
-                block = X[:, prev:m].sum(axis=1)
+            blocks = [X[:, lo:hi].sum(axis=1) for lo, hi in bounds]
+        for k, (m, block) in enumerate(zip(ms, blocks)):
             total = block if k == 0 else total + block
             sums[k, done:done + take] = total * (1.0 / math.sqrt(m))
-            prev = m
     return sums
 
 

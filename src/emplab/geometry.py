@@ -84,6 +84,8 @@ class IndexSetSpec:
             if self.w is None or len(self.w) != self.dim:
                 raise ValueError("permutation_polytope needs w with len(w) == dim")
             object.__setattr__(self, "w", tuple(float(v) for v in self.w))
+            if not any(self.w):
+                raise ValueError("permutation_polytope with w = 0 is the set {0}")
 
     def to_dict(self) -> dict:
         d = {"family": self.family, "dim": self.dim}

@@ -40,7 +40,6 @@ from .distributions import (
     DistributionSpec,
     NoiseSpec,
     moment_growth_profile,
-    sample_batch,
 )
 from .gelfand import kernel_section_diameters, r_G_fixed_points, r_X_fixed_points
 from .geometry import (
@@ -49,7 +48,7 @@ from .geometry import (
     gaussian_width,
     index_set_from_dict,
 )
-from .process import DEFAULT_U_GRID, multiplier_stats
+from .process import DEFAULT_U_GRID, multiplier_sums, stats_from_sums
 from .recovery import (
     DEFAULT_LASSO_C1,
     basis_pursuit,
@@ -365,9 +364,9 @@ class _MultiplierAdapter(_Adapter):
 
     @_per_cell
     def trial(config, cell, ci, ti):
-        batch = sample_batch(cell["x"], cell["noise"], cell["N"],
-                             child_path(config.master_seed, ci, ti))
-        stats = multiplier_stats(batch, cell["set"], cell["noise"], u_grid=cell["u_grid"])
+        sums = multiplier_sums(cell["x"], cell["noise"], cell["N"],
+                               child_path(config.master_seed, ci, ti))
+        stats = stats_from_sums(sums, cell["set"], cell["noise"], u_grid=cell["u_grid"])
         return {
             "A_u": "|".join(str(int(stats.A_u_holds[u])) for u in cell["u_grid"]),
             "sup_centred": stats.sup_centred,
@@ -396,7 +395,7 @@ class _MultiplierAdapter(_Adapter):
             "noise_family": cell["noise"].family,
             "u_grid": "|".join(f"{u:g}" for u in cell["u_grid"]),
             **rec,
-            "ratio": rec["sup_centred"] / denom if denom > 0 else math.nan,
+            "ratio": rec["sup_centred"] / denom,
         } for ti, rec in records]
 
     @staticmethod

@@ -13,6 +13,10 @@ E xi <X,v>)|, the rearranged-noise event
 
 and the smallest constant making a sqrt(log(en/j)) envelope hold for the
 non-increasing rearrangement of |Z|.
+
+The statistics see X only through its sums (``MultiplierSums``), and
+``stats_from_sums`` computes them: from a batch's own sums
+(``multiplier_stats``) or from a trial's sums drawn by ``multiplier_sums``.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import NoiseSpec, SampleBatch
+from .distributions import GAUSSIAN_MIXTURES, DistributionSpec, NoiseSpec, SampleBatch
+from .distributions import _sample_multipliers, sample_batch, sample_block_sums
 from .geometry import IndexSetSpec, WidthEstimate, support
+from .streams import SeedPath, as_seed_path, rng_from_path
 
 DEFAULT_U_GRID = (2.0, 4.0, 8.0)
 
@@ -39,6 +45,14 @@ class ProcessStats:
     Z_sorted: np.ndarray
     A_u_holds: dict
     envelope_constant: float
+
+
+class MultiplierSums(NamedTuple):
+    """Z = N^{-1/2} sum_i eps_i xi_i X_i, centred = N^{-1/2} sum_i xi_i X_i, and xi."""
+
+    Z: np.ndarray
+    centred: np.ndarray
+    xi: np.ndarray
 
 
 class EnvelopeResult(NamedTuple):
@@ -76,40 +90,67 @@ def order_stat_envelope(Z_sorted: np.ndarray, n: int | None = None) -> EnvelopeR
     return EnvelopeResult(C_hat=float(profile.max()), profile=profile)
 
 
+def _batch_sums(batch: SampleBatch) -> MultiplierSums:
+    sqrt_n_obs = math.sqrt(batch.N)
+    return MultiplierSums(Z=batch.X.T @ (batch.eps * batch.xi) / sqrt_n_obs,
+                          centred=batch.X.T @ batch.xi / sqrt_n_obs, xi=batch.xi)
+
+
+def multiplier_sums(
+    x: DistributionSpec, noise: NoiseSpec, N: int, seed_path: int | SeedPath
+) -> MultiplierSums:
+    """One trial's sums; xi and eps are those of ``sample_batch``.
+
+    For gaussian-mixture X the "X" stream draws the block sums S+ and S- of
+    N^{-1/2} xi_i X_i over the rows with eps = +1 and -1
+    (``sample_block_sums``): Z = S+ - S- and centred = S+ + S-.  Other laws
+    take the sums of ``sample_batch``'s X.
+    """
+    if x.family not in GAUSSIAN_MIXTURES:
+        return _batch_sums(sample_batch(x, noise, N, seed_path))
+    path = as_seed_path(seed_path)
+    xi, eps = _sample_multipliers(noise, N, path)
+    plus = eps > 0
+    weights = np.stack([np.where(plus, xi, 0.0), np.where(plus, 0.0, xi)]) / math.sqrt(N)
+    s_plus, s_minus = sample_block_sums(x, weights, 1, rng_from_path(path, "X"))[:, 0]
+    return MultiplierSums(Z=s_plus - s_minus, centred=s_plus + s_minus, xi=xi)
+
+
+def stats_from_sums(
+    sums: MultiplierSums,
+    spec: IndexSetSpec,
+    noise: NoiseSpec,
+    u_grid=DEFAULT_U_GRID,
+) -> ProcessStats:
+    """Compute the per-trial process statistics from one trial's sums.
+
+    The centring term E xi <X,v> is zero exactly whenever xi*X is
+    symmetric, which holds for every generated pair (all coordinate laws
+    are symmetric), so the centred process is N^{-1/2} sum_i xi_i X_i.
+    """
+    n = sums.Z.size
+    if spec.dim != n:
+        raise ValueError(f"index set dim {spec.dim} != sums dim {n}")
+    a_u = {float(u): check_A_u(sums.xi, noise.q0, noise.lq_norm, float(u)) for u in u_grid}
+    Z_sorted = np.sort(np.abs(sums.Z))[::-1]
+    return ProcessStats(
+        sup_centred=float(support(spec, sums.centred)),
+        sup_symmetrized=float(support(spec, sums.Z)),
+        Z=sums.Z,
+        Z_sorted=Z_sorted,
+        A_u_holds=a_u,
+        envelope_constant=order_stat_envelope(Z_sorted, n).C_hat,
+    )
+
+
 def multiplier_stats(
     batch: SampleBatch,
     spec: IndexSetSpec,
     noise: NoiseSpec,
     u_grid=DEFAULT_U_GRID,
 ) -> ProcessStats:
-    """Compute the per-trial process statistics for one batch.
-
-    The centring term E xi <X,v> is zero exactly whenever xi*X is
-    symmetric, which holds for every generated pair (all coordinate laws
-    are symmetric), so the centred process is N^{-1/2} sum_i xi_i X_i.
-    """
-    N, n = batch.X.shape
-    if spec.dim != n:
-        raise ValueError(f"index set dim {spec.dim} != batch dim {n}")
-    sqrt_n_obs = math.sqrt(N)
-
-    Z = batch.X.T @ (batch.eps * batch.xi) / sqrt_n_obs
-    sup_symmetrized = support(spec, Z)
-
-    sup_centred = support(spec, batch.X.T @ batch.xi / sqrt_n_obs)
-
-    a_u = {float(u): check_A_u(batch.xi, noise.q0, noise.lq_norm, float(u)) for u in u_grid}
-    Z_sorted = np.sort(np.abs(Z))[::-1]
-    envelope = order_stat_envelope(Z_sorted, n)
-
-    return ProcessStats(
-        sup_centred=float(sup_centred),
-        sup_symmetrized=float(sup_symmetrized),
-        Z=Z,
-        Z_sorted=Z_sorted,
-        A_u_holds=a_u,
-        envelope_constant=envelope.C_hat,
-    )
+    """The per-trial process statistics of one batch, from its own sums."""
+    return stats_from_sums(_batch_sums(batch), spec, noise, u_grid)
 
 
 def ratio_statistic(stats: ProcessStats, width: float | WidthEstimate, noise: NoiseSpec) -> float:

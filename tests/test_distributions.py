@@ -15,6 +15,7 @@ from emplab.distributions import (
     moment_cap,
     moment_growth_profile,
     sample_batch,
+    sample_block_sums,
     sample_coordinates,
     sample_noise,
     small_ball_estimate,
@@ -140,6 +141,50 @@ def test_noise_draws_pinned(family, values):
     # coordinate samplers, and every recovery and multiplier CSV rests on it
     xi = sample_noise(NoiseSpec(family, q0=3.0), 5, rng_from_path((2024,), "xi"))
     assert xi.tolist() == values
+
+
+# ---------------------------------------------------------------------------
+# exact block sums of gaussian scale mixtures
+
+def _three_blocks():
+    # disjoint supports over 12 rows, row 11 in no block
+    weights = np.zeros((3, 12))
+    weights[0, :2] = [0.5, -1.5]
+    weights[1, 2:7] = [1.0, 2.0, -0.25, 1.0, 0.75]
+    weights[2, 7:11] = 1.0
+    return weights
+
+
+@pytest.mark.parametrize("family, nu", [("gaussian", None), ("student_t", 3.0),
+                                        ("student_t", 8.0)])
+def test_block_sums_have_the_law_of_materialised_sums(family, nu):
+    # each block sum, and the difference of two blocks, against the same sums
+    # of drawn coordinates (two-sample KS at fixed seeds)
+    spec, weights, copies = DistributionSpec(family, 4, tail_param=nu), _three_blocks(), 3000
+    S = sample_block_sums(spec, weights, copies, rng_from_path((61,), "X"))
+    assert S.shape == (3, copies, 4)
+    X = sample_coordinates(spec, (copies, 12, 4), rng_from_path((62,), "X"))
+    M = np.einsum("km,cmd->kcd", weights, X)
+    for a, b in [*zip(S, M), (S[0] - S[1], M[0] - M[1])]:
+        assert stats.ks_2samp(a.ravel(), b.ravel()).pvalue > 0.01
+
+
+def test_gaussian_block_sums_draw_no_mixing_values():
+    # W = 1: block b is sqrt(sum_i w_bi^2) times the b-th gaussian block, bit for bit
+    weights = _three_blocks()
+    S = sample_block_sums(DistributionSpec("gaussian", 5), weights, 7, rng_from_path((63,), "X"))
+    G = rng_from_path((63,), "X").standard_normal((3, 7, 5))
+    assert np.array_equal(S, np.sqrt((weights ** 2).sum(axis=1))[:, None, None] * G)
+
+
+def test_block_sums_reject_overlaps_and_other_laws():
+    weights = _three_blocks()
+    weights[2, 0] = 1.0
+    with pytest.raises(ValueError, match="disjoint"):
+        sample_block_sums(DistributionSpec("gaussian", 2), weights, 1, rng_from_path((1,), "X"))
+    with pytest.raises(ValueError, match="not a gaussian scale mixture"):
+        sample_block_sums(DistributionSpec("rademacher", 2), _three_blocks(), 1,
+                          rng_from_path((1,), "X"))
 
 
 # ---------------------------------------------------------------------------

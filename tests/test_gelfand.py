@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from emplab import geometry
 from emplab.distributions import DistributionSpec, sample_coordinates
@@ -176,9 +177,9 @@ def _sums_for_one_m(dist, dim, m, draws, seed_path):
 
 
 def test_one_m_functions_are_the_sample_drawn_for_that_m():
-    # for a non-gaussian law the one-m functions read the sample that one m
-    # alone draws, bit for bit (m 300 at dim 64 draws it in two chunks)
-    dist, spec = DistributionSpec("student_t", 64, tail_param=5.0), l1_ball(64)
+    # for a law that is not a gaussian mixture the one-m functions read the
+    # sample that one m alone draws, bit for bit (m 300 at dim 64 draws it in two chunks)
+    dist, spec = DistributionSpec("symmetric_pareto", 64, tail_param=5.0), l1_ball(64)
     m, draws, path = 300, 250, (24, 1)
     sums = _sums_for_one_m(dist, 64, m, draws, path)
     assert np.array_equal(_normalized_sums(dist, 64, [m], draws, rng_from_path(path, "X"))[0],
@@ -210,7 +211,7 @@ def test_one_m_functions_are_the_sample_drawn_for_that_m():
     assert (res.kernel_dim, res.rank_deficient) == (64 - m, False)
 
 
-@pytest.mark.parametrize("family, nu", [("student_t", 5.0), ("rademacher", None)])
+@pytest.mark.parametrize("family, nu", [("symmetric_pareto", 5.0), ("rademacher", None)])
 def test_nested_sums_are_prefix_sums(family, nu):
     # one draws x m_max x dim sample, in two chunks; every m reads its first m rows
     dist, ms, draws, dim = DistributionSpec(family, 16, tail_param=nu), [3, 10, 40], 7000, 16
@@ -223,6 +224,40 @@ def test_nested_sums_are_prefix_sums(family, nu):
     assert sums.shape == (3, draws, dim)
     for m, s in zip(ms, sums):
         assert np.abs(s - X[:, :m].sum(axis=1) / math.sqrt(m)).max() <= 1e-12
+
+
+def test_gaussian_nested_sums_are_one_gaussian_block_per_increment():
+    # W = 1 draws no mixing values: each chunk of about 4M values draws one
+    # draws x dim gaussian block per grid increment, bit for bit (m 1, 2, 5
+    # at dim 1000 take three chunks)
+    dist, ms, draws, dim = DistributionSpec("gaussian", 1000), [1, 2, 5], 3000, 1000
+    rng = rng_from_path((28,), "X")
+    chunk = 4_000_000 // (len(ms) * dim)
+    assert 2 * chunk < draws
+    expect = np.empty((len(ms), draws, dim))
+    for done in range(0, draws, chunk):
+        take, prev = min(chunk, draws - done), 0
+        for k, m in enumerate(ms):
+            block = math.sqrt(m - prev) * rng.standard_normal((take, dim))
+            total = block if k == 0 else total + block
+            expect[k, done:done + take] = total * (1.0 / math.sqrt(m))
+            prev = m
+    assert np.array_equal(_normalized_sums(dist, dim, ms, draws, rng_from_path((28,), "X")),
+                          expect)
+
+
+@pytest.mark.parametrize("nu", [3.0, 8.0])
+def test_student_t_nested_sums_have_the_law_of_drawn_sums(nu):
+    # the sums at two m, and their increment, against those of drawn
+    # coordinates on another seed path (two-sample KS)
+    dist, ms, draws, dim = DistributionSpec("student_t", 4, tail_param=nu), [3, 10], 3000, 4
+    sums = _normalized_sums(dist, dim, ms, draws, rng_from_path((29, 0), "X"))
+    X = sample_coordinates(dist, (draws, ms[-1], dim), rng_from_path((29, 1), "X"))
+    drawn = [X[:, :m].sum(axis=1) / math.sqrt(m) for m in ms]
+    pairs = [*zip(sums, drawn), (sums[1] * math.sqrt(10) - sums[0] * math.sqrt(3),
+                                 drawn[1] * math.sqrt(10) - drawn[0] * math.sqrt(3))]
+    for a, b in pairs:
+        assert stats.ks_2samp(a.ravel(), b.ravel()).pvalue > 0.01
 
 
 def test_exact_gaussian_sums_have_the_law_of_nested_sums():

@@ -694,6 +694,39 @@ def test_cli_moments_config_errors_exit_2(tmp_path, capsys, change):
     _assert_config_error(tmp_path, capsys, cfg)
 
 
+@pytest.mark.parametrize("config, change", [
+    (_recovery_config, {"x_family": ["symmetric_weibull"], "nu": 0.01}),
+    (_moments_config, {"laws": [{"family": "symmetric_weibull", "tail_param": 0.01}]}),
+], ids=["recovery", "moments"])
+def test_cli_weibull_shape_below_floor_exits_2(tmp_path, capsys, config, change):
+    # Gamma(1 + 2/shape) overflows a float: a config error, not a runtime failure
+    cfg = config(tmp_path / "out", trials=1)
+    cfg.grids.update(change)
+    _assert_config_error(tmp_path, capsys, cfg)
+
+
+def test_weibull_shape_at_floor_runs_without_nan(tmp_path):
+    cfg = _moments_config(tmp_path / "out", trials=1)
+    cfg.grids["laws"] = [{"family": "symmetric_weibull", "tail_param": 0.05}]
+    run(cfg, workers=1)
+    rows = list(csv.DictReader(open(tmp_path / "out" / "moments.csv")))
+    assert rows and all(math.isfinite(float(r["ratio"])) for r in rows)
+
+
+@pytest.mark.parametrize("config, change", [
+    (_widths_config, {"sets": [{"family": "permutation_polytope", "dim": 4, "w": [0, 0, 0, 0]}]}),
+    (_multiplier_config, {"set": {"family": "permutation_polytope", "w": [0.0] * 8},
+                          "n": [8]}),
+    (_gelfand_config, {"sets": [{"family": "permutation_polytope", "dim": 16,
+                                 "w": [0.0] * 16}]}),
+], ids=["widths", "multiplier", "gelfand"])
+def test_cli_zero_permutation_polytope_exits_2(tmp_path, capsys, config, change):
+    # w = 0 generates the set {0}: every experiment rejects it before any task runs
+    cfg = config(tmp_path / "out", trials=1)
+    cfg.grids.update(change)
+    _assert_config_error(tmp_path, capsys, cfg)
+
+
 def test_pool_starts_no_idle_workers(tmp_path, monkeypatch):
     # a forked pool starts every worker at its first submit, so two tasks get two
     sizes = []

@@ -4,18 +4,27 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from emplab.distributions import DistributionSpec, NoiseSpec, SampleBatch, sample_batch
+from emplab.distributions import (
+    DistributionSpec,
+    NoiseSpec,
+    SampleBatch,
+    canonical_heavy_tail_spec,
+    sample_batch,
+)
 from emplab.geometry import gaussian_mean_width, l1_ball, permutation_polytope, support
 from emplab.process import (
     check_A_u,
     multiplier_stats,
+    multiplier_sums,
     order_stat_envelope,
     ratio_statistic,
+    stats_from_sums,
 )
 
 from _oracles import support_permutation_polytope_enum
 
 CONST_NOISE = NoiseSpec("constant", q0=3.0, lq_norm=1.0)
+PINNED_TRIAL = (1.5449546431939094, 0.9168093450989903, 0.5061909580250329)
 
 
 def _manual_batch(X, xi, eps):
@@ -65,6 +74,41 @@ def test_reduction_exactness_against_vertex_enumeration():
     brute = support_permutation_polytope_enum(Z, np.asarray(w))
     assert st.sup_symmetrized == pytest.approx(brute, rel=1e-12)
     assert st.sup_symmetrized == pytest.approx(support(spec, Z), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_multiplier_sums_have_the_law_of_materialised_batches(n):
+    # the trial statistics from the exact block sums against those of drawn
+    # Student-t batches, on disjoint seed paths (two-sample KS)
+    dist, spec, noise = canonical_heavy_tail_spec(n), l1_ball(n), NoiseSpec("symmetric_pareto")
+    N, trials = 32, 1500
+    new = [stats_from_sums(multiplier_sums(dist, noise, N, (71, 0, t)), spec, noise)
+           for t in range(trials)]
+    old = [multiplier_stats(sample_batch(dist, noise, N, (71, 1, t)), spec, noise)
+           for t in range(trials)]
+    for field in ("sup_centred", "sup_symmetrized", "envelope_constant"):
+        a, b = ([getattr(st, field) for st in sts] for sts in (new, old))
+        assert sps.ks_2samp(a, b).pvalue > 0.01, field
+
+
+def test_multiplier_trial_values_pinned():
+    # the "xi" and "eps" streams, then the Gamma mixing values and the two
+    # block gaussians of the "X" stream
+    dist, spec, noise = canonical_heavy_tail_spec(16), l1_ball(16), NoiseSpec("symmetric_pareto")
+    sums = multiplier_sums(dist, noise, 8, (2026, 0, 0))
+    assert np.array_equal(sums.xi, sample_batch(dist, noise, 8, (2026, 0, 0)).xi)
+    st = stats_from_sums(sums, spec, noise)
+    assert (st.sup_centred, st.sup_symmetrized, st.envelope_constant) == pytest.approx(
+        PINNED_TRIAL, rel=1e-12)
+
+
+def test_batch_statistics_are_those_of_its_sums():
+    batch = sample_batch(DistributionSpec("rademacher", 6), NoiseSpec("gaussian"), 10, (72,))
+    st = multiplier_stats(batch, l1_ball(6), NoiseSpec("gaussian"))
+    # a law that is not a gaussian mixture takes the sums of the batch itself
+    sums = multiplier_sums(DistributionSpec("rademacher", 6), NoiseSpec("gaussian"), 10, (72,))
+    assert np.array_equal(sums.Z, st.Z)
+    assert np.array_equal(sums.centred, batch.X.T @ batch.xi / math.sqrt(10))
 
 
 def test_z_sorted_is_sorted_rearrangement():
