@@ -399,6 +399,19 @@ def test_width_l2_ball_vs_direct_norm_simulation():
     assert abs(est.mean - oracle_mean) <= 3.0 * math.hypot(est.std_error, oracle_se)
 
 
+def test_width_degenerate_polytope_zero():
+    # w = 0 generates the set {0}: it is refused before any width is drawn
+    with pytest.raises(ValueError, match="set {0}"):
+        gaussian_mean_width(permutation_polytope(np.zeros(6)), draws=100, seed_path=(23,))
+    # one nonzero entry c is kept: conv{±c e_i}, of width c E max_i |g_i| on the same sample
+    w = np.zeros(6)
+    w[0] = 0.25
+    est = gaussian_mean_width(permutation_polytope(w), draws=2000, seed_path=(23,))
+    assert est.d2 == 0.25
+    top = gaussian_order_stat_means(6, 2000, seed_path=(23,))[0]
+    assert est.mean == pytest.approx(0.25 * top, rel=1e-12)
+
+
 def test_width_estimate_fields():
     est = gaussian_mean_width(l1_ball(16), draws=5000, localized_radius=0.5, seed_path=(24,))
     assert est.draws == 5000
