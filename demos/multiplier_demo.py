@@ -35,7 +35,7 @@ def main():
         ratios, chats, a2 = [], [], 0
         for t in range(TRIALS):
             st = stats_from_sums(multiplier_sums(dist, noise, n, (SEED, n, t)), spec, noise)
-            ratios.append(ratio_statistic(st, width, noise))
+            ratios.append(ratio_statistic(st.sup_centred, width, noise))
             chats.append(st.envelope_constant)
             a2 += int(st.A_u_holds[2.0])
         print(f"{n:>6} {np.mean(ratios):>11.4f} {np.quantile(chats, 0.95):>10.4f} "

@@ -321,11 +321,6 @@ def _kernel_projectors(Gamma: np.ndarray, ms: list[int]) -> list[tuple[np.ndarra
     return out
 
 
-def _kernel_projector(Gamma: np.ndarray) -> tuple[np.ndarray, int]:
-    """Orthogonal projector P onto ker(Gamma), and the rank of Gamma."""
-    return _kernel_projectors(Gamma, [len(Gamma)])[0]
-
-
 def kernel_section_diameters(
     dist: DistributionSpec,
     spec: IndexSetSpec,

@@ -48,7 +48,7 @@ from .geometry import (
     gaussian_width,
     index_set_from_dict,
 )
-from .process import DEFAULT_U_GRID, multiplier_sums, stats_from_sums
+from .process import DEFAULT_U_GRID, multiplier_sums, ratio_statistic, stats_from_sums
 from .recovery import (
     DEFAULT_LASSO_C1,
     basis_pursuit,
@@ -385,7 +385,6 @@ class _MultiplierAdapter(_Adapter):
 
     @staticmethod
     def rows(cell, ci, records, width):
-        denom = cell["noise"].lq_norm * width
         return [{
             "cell": ci,
             "trial": ti,
@@ -395,7 +394,7 @@ class _MultiplierAdapter(_Adapter):
             "noise_family": cell["noise"].family,
             "u_grid": "|".join(f"{u:g}" for u in cell["u_grid"]),
             **rec,
-            "ratio": rec["sup_centred"] / denom,
+            "ratio": ratio_statistic(rec["sup_centred"], width, cell["noise"]),
         } for ti, rec in records]
 
     @staticmethod
@@ -434,7 +433,7 @@ class _RecoveryAdapter(_Adapter):
 
     @staticmethod
     def scipy_modules(cells):
-        return ("scipy.linalg", "scipy.optimize")  # basis_pursuit
+        return ("scipy.optimize",)  # basis_pursuit
 
     @staticmethod
     def cells(config):

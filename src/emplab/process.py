@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import GAUSSIAN_MIXTURES, DistributionSpec, NoiseSpec, SampleBatch
 from .distributions import _sample_multipliers, sample_batch, sample_block_sums
-from .geometry import IndexSetSpec, WidthEstimate, support
+from .geometry import IndexSetSpec, support
 from .streams import SeedPath, as_seed_path, rng_from_path
 
 DEFAULT_U_GRID = (2.0, 4.0, 8.0)
@@ -75,13 +75,10 @@ def check_A_u(xi: np.ndarray, q0: float, lq_norm: float, u: float) -> bool:
     return bool(np.all(xs <= bound))
 
 
-def order_stat_envelope(Z_sorted: np.ndarray, n: int | None = None) -> EnvelopeResult:
-    """Smallest C with Z*_j <= C * sqrt(log(en/j)) for this realization."""
+def order_stat_envelope(Z_sorted: np.ndarray) -> EnvelopeResult:
+    """Smallest C with Z*_j <= C * sqrt(log(en/j)) for this realization, n = Z_sorted.size."""
     Zs = np.asarray(Z_sorted, dtype=np.float64)
-    if n is None:
-        n = Zs.size
-    if Zs.size != n:
-        raise ValueError("Z_sorted length must equal n")
+    n = Zs.size
     if np.any(np.diff(Zs) > 1e-12 * max(1.0, float(np.abs(Zs).max(initial=0.0)))):
         raise ValueError("Z_sorted must be non-increasing")
     j = np.arange(1, n + 1, dtype=np.float64)
@@ -139,7 +136,7 @@ def stats_from_sums(
         Z=sums.Z,
         Z_sorted=Z_sorted,
         A_u_holds=a_u,
-        envelope_constant=order_stat_envelope(Z_sorted, n).C_hat,
+        envelope_constant=order_stat_envelope(Z_sorted).C_hat,
     )
 
 
@@ -153,15 +150,14 @@ def multiplier_stats(
     return stats_from_sums(_batch_sums(batch), spec, noise, u_grid)
 
 
-def ratio_statistic(stats: ProcessStats, width: float | WidthEstimate, noise: NoiseSpec) -> float:
+def ratio_statistic(sup_centred: float, width: float, noise: NoiseSpec) -> float:
     """sup_centred normalized by ||xi||_{L_q0} * width; the bounded quantity.
 
-    ``width`` is l*(V): exact (``geometry.gaussian_width``) or a Monte-Carlo
-    ``WidthEstimate``.
+    ``width`` is l*(V), exact (``geometry.gaussian_width``) or the mean of a
+    Monte-Carlo estimate.
     """
-    mean = width.mean if isinstance(width, WidthEstimate) else width
-    if not (mean > 0.0):
-        raise ValueError("degenerate index set: estimated width is zero")
+    if not (width > 0.0):
+        raise ValueError("degenerate index set: its width is not positive")
     if not (noise.lq_norm > 0.0):
         raise ValueError("noise lq_norm must be positive")
-    return stats.sup_centred / (noise.lq_norm * mean)
+    return sup_centred / (noise.lq_norm * width)

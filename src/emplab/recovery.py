@@ -191,32 +191,6 @@ def lasso(problem: RecoveryProblem) -> RecoveryResult:
     )
 
 
-def _reduced_triangular_factor(Gamma: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """First min(N, n) rows of the triangular factor of (Gamma | y).
-
-    The bits of scipy.linalg.qr(mode="r"), from one Fortran-ordered copy
-    factored in place by LAPACK geqrf, instead of the column stack, the
-    copy made for LAPACK and the full N x (n + 1) triangle.
-    """
-    from scipy.linalg import get_lapack_funcs
-
-    N, n = Gamma.shape
-    if N == 0:
-        return np.zeros((0, n + 1))  # LAPACK rejects an empty matrix
-    A = np.empty((N, n + 1), order="F")
-    A[:, :n] = Gamma
-    A[:, n] = y
-    if not np.isfinite(A).all():
-        raise ValueError("array must not contain infs or NaNs")
-    geqrf, = get_lapack_funcs(("geqrf",), (A,))
-    # the workspace query leaves A alone, so it need not be copied for it
-    lwork = int(geqrf(A, lwork=-1, overwrite_a=True)[2][0])
-    qr, _, _, info = geqrf(A, lwork=lwork, overwrite_a=True)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of geqrf")
-    return np.triu(qr[: min(N, n)])
-
-
 def basis_pursuit(problem: RecoveryProblem) -> RecoveryResult:
     """min ||v||_1 subject to Gamma v = y, as one HiGHS linear program.
 
@@ -231,7 +205,10 @@ def basis_pursuit(problem: RecoveryProblem) -> RecoveryResult:
 
     Gamma, y = problem.Gamma, problem.y
     N, n = Gamma.shape
-    Rb = _reduced_triangular_factor(Gamma, y)
+    Gy = np.column_stack([Gamma, y])
+    if not np.isfinite(Gy).all():
+        raise ValueError("Gamma and y must be finite")
+    Rb = np.linalg.qr(Gy, mode="r")[: min(N, n)]
     R, b = Rb[:, :n], Rb[:, n]
     # presolve only slows HiGHS down on these dense rows (about 2x at n = 256)
     lp = linprog(np.ones(2 * n), A_eq=np.hstack([R, -R]), b_eq=b, bounds=(0, None),

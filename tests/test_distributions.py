@@ -99,7 +99,6 @@ def test_unit_variance_all_families(spec):
     assert x.var() == pytest.approx(1.0, abs=0.05)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("spec", [DistributionSpec("gaussian", 8),
                                   DistributionSpec("student_t", 8, tail_param=6.0)],
                          ids=lambda s: s.family)

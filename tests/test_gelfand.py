@@ -8,7 +8,6 @@ from emplab import geometry
 from emplab.distributions import DistributionSpec, sample_coordinates
 from emplab.gelfand import (
     _fixed_point,
-    _kernel_projector,
     _kernel_projectors,
     _normalized_sums,
     _width_curve,
@@ -37,7 +36,7 @@ from emplab.geometry import (
 )
 from emplab.streams import child_path, rng_from_path
 
-from _oracles import direct_gaussian_l2_norm, kernel_projector_svd
+from _oracles import gaussian_l2_norm_mean, kernel_projector_svd
 
 GAUSS8 = DistributionSpec("gaussian", 8)
 
@@ -50,7 +49,7 @@ def test_l2_ball_constant_phi_collapses_or_flags():
     # is the same at every radius
     n, R = 16, 1.0
     spec = l2_ball(n, R)
-    e_norm, _ = direct_gaussian_l2_norm(n, 20000, seed=3)
+    e_norm = gaussian_l2_norm_mean(n)
     m = 4
     gamma_hi = 1.5 * e_norm / math.sqrt(m)
     res = r_G_fixed_point(spec, gamma_hi, m, tol=1e-3, draws=3000, seed_path=(1,))
@@ -289,7 +288,7 @@ def test_r_G_fixed_points_share_one_curve():
 def test_kernel_projector_matches_svd_oracle():
     n, m = 24, 10
     Gamma = sample_coordinates(GAUSS8, (m, n), rng_from_path((12,), "X"))
-    P, rank = _kernel_projector(Gamma)
+    P, rank = _kernel_projectors(Gamma, [len(Gamma)])[0]
     assert rank == m
     assert np.abs(P - P.T).max() <= 1e-15
     assert np.abs(P @ P - P).max() <= 1e-12
@@ -305,7 +304,7 @@ def test_kernel_projector_rank_deficient_rows():
     base = sample_coordinates(DistributionSpec("gaussian", n), (5, n), rng_from_path((22,), "X"))
     Gamma = np.vstack([base[0], base[1], base[0], base[2], -base[1], base[3],
                        base[2] - 2.0 * base[3], base[4]])
-    P, rank = _kernel_projector(Gamma)
+    P, rank = _kernel_projectors(Gamma, [len(Gamma)])[0]
     assert rank == 5
     assert np.abs(Gamma @ P).max() <= 1e-12 * np.linalg.norm(Gamma)
     assert np.abs(P - kernel_projector_svd(Gamma)[0]).max() <= 1e-12
@@ -377,7 +376,7 @@ def test_kernel_diameter_probe_membership():
     assert res.lower_bound > 0
     # rebuild one probe direction deterministically and verify the scaling
     Gamma = sample_coordinates(dist, (5, 12), rng_from_path((15,), "X"))
-    P, _ = _kernel_projector(Gamma)
+    P, _ = _kernel_projectors(Gamma, [len(Gamma)])[0]
     g = rng_from_path((15,), "probe").standard_normal((12, 64))
     v = (P @ g)[:, 0]
     assert np.abs(Gamma @ v).max() <= 1e-12 * np.linalg.norm(Gamma) * np.linalg.norm(v)

@@ -31,8 +31,8 @@ from emplab.streams import rng_from_path
 
 from _oracles import (
     gauge_direct,
-    direct_gaussian_l2_norm,
-    support_l1_cap_l2_pga,
+    gaussian_l2_norm_mean,
+    support_l1_cap_l2_sandwich,
     support_l1_vertices,
     support_permutation_polytope_enum,
     support_sparse_cap_enum,
@@ -100,22 +100,22 @@ def test_l1_cap_l2_l2_constraint_binds_alone():
     assert support(spec, z) == pytest.approx(r * np.linalg.norm(z), rel=1e-12)
 
 
-def test_l1_cap_l2_spec_example_vs_pga():
+def test_l1_cap_l2_spec_example_vs_sandwich():
     z = np.array([1.0, 0.8, 0.1])
     spec = l1_cap_l2(3, 1.0, 0.5)
-    oracle = support_l1_cap_l2_pga(z[:, None], 1.0, 0.5)[0]
-    assert support(spec, z) == pytest.approx(oracle, rel=1e-6)
+    [lower], [upper] = support_l1_cap_l2_sandwich(z[None, :], 1.0, 0.5)
+    got = support(spec, z)
+    assert max(upper - got, got - lower) <= 1e-14 * upper
 
 
-def test_l1_cap_l2_pga_sandwich():
-    # PGA iterates are feasible (lower bounds); the scan evaluates upper
-    # bounds; agreement pins the support value from both sides
-    Z = RNG.standard_normal((6, 200))
+def test_l1_cap_l2_duality_sandwich():
+    # a feasible point bounds the support from below, a dual point from
+    # above; got within 1e-14 of both ends pins it and the bounds' gap
+    Z = RNG.standard_normal((200, 6))
     rho, r = 1.0, 0.45
-    lower = support_l1_cap_l2_pga(Z, rho, r)
-    scan = support_batch(l1_cap_l2(6, rho, r), Z.T)
-    assert np.all(scan >= lower - 1e-11)
-    np.testing.assert_allclose(scan, lower, rtol=1e-8)
+    lower, upper = support_l1_cap_l2_sandwich(Z, rho, r)
+    got = support_batch(l1_cap_l2(6, rho, r), Z)
+    assert np.all(np.maximum(upper - got, got - lower) <= 1e-14 * upper)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +393,10 @@ def test_gaussian_width_none_without_closed_form(spec):
 
 
 def test_width_l2_ball_vs_direct_norm_simulation():
+    # the Monte-Carlo estimate against the exact chi mean E||G||_2
     n = 100
     est = gaussian_mean_width(l2_ball(n, 1.0), draws=50_000, seed_path=(22,))
-    oracle_mean, oracle_se = direct_gaussian_l2_norm(n, 50_000, seed=9)
-    assert abs(est.mean - oracle_mean) <= 3.0 * math.hypot(est.std_error, oracle_se)
+    assert abs(est.mean - gaussian_l2_norm_mean(n)) <= 3.0 * est.std_error
 
 
 def test_width_degenerate_polytope_zero():

@@ -11,7 +11,7 @@ from emplab.distributions import (
     canonical_heavy_tail_spec,
     sample_batch,
 )
-from emplab.geometry import gaussian_mean_width, l1_ball, permutation_polytope, support
+from emplab.geometry import gaussian_width, l1_ball, permutation_polytope, support
 from emplab.process import (
     check_A_u,
     multiplier_stats,
@@ -128,9 +128,9 @@ def test_scale_equivariance_power_of_two():
     st2 = multiplier_stats(scaled, spec, noise4)
     assert st2.sup_symmetrized == 4.0 * st1.sup_symmetrized
     assert np.array_equal(st2.Z, 4.0 * st1.Z)
-    width = gaussian_mean_width(spec, draws=2000, seed_path=(11,))
-    assert ratio_statistic(st2, width, noise4) == pytest.approx(
-        ratio_statistic(st1, width, noise), rel=1e-14
+    width = gaussian_width(spec)
+    assert ratio_statistic(st2.sup_centred, width, noise4) == pytest.approx(
+        ratio_statistic(st1.sup_centred, width, noise), rel=1e-14
     )
 
 
@@ -157,7 +157,7 @@ def test_symmetrization_domination_in_means():
 
 def test_mean_sup_matches_width_at_matched_scale():
     # xi == 1 and gaussian X make Z exactly standard gaussian, so the mean
-    # symmetrized supremum over B1 must agree with the width estimate
+    # symmetrized supremum over B1 must agree with the exact width E||G||_inf
     n, N, trials = 256, 256, 200
     dist = DistributionSpec("gaussian", n)
     spec = l1_ball(n)
@@ -166,9 +166,8 @@ def test_mean_sup_matches_width_at_matched_scale():
                          ).sup_symmetrized
         for t in range(trials)
     ])
-    width = gaussian_mean_width(spec, draws=20_000, seed_path=(612,))
-    se = math.hypot(sups.std(ddof=1) / math.sqrt(trials), width.std_error)
-    assert abs(sups.mean() - width.mean) <= 3.0 * se
+    se = sups.std(ddof=1) / math.sqrt(trials)
+    assert abs(sups.mean() - gaussian_width(spec)) <= 3.0 * se
 
 
 def test_gaussian_equivalence_two_sample_ks():
@@ -222,18 +221,18 @@ def test_envelope_of_reference_vector_is_one():
     n = 50
     j = np.arange(1, n + 1)
     z0 = np.sqrt(np.log(math.e * n / j))
-    res = order_stat_envelope(z0, n)
+    res = order_stat_envelope(z0)
     assert res.C_hat == pytest.approx(1.0, rel=1e-12)
     assert np.allclose(res.profile, 1.0)
 
 
 def test_envelope_zero_vector():
-    assert order_stat_envelope(np.zeros(16), 16).C_hat == 0.0
+    assert order_stat_envelope(np.zeros(16)).C_hat == 0.0
 
 
 def test_envelope_rejects_unsorted():
     with pytest.raises(ValueError):
-        order_stat_envelope(np.array([1.0, 2.0, 0.5]), 3)
+        order_stat_envelope(np.array([1.0, 2.0, 0.5]))
 
 
 def test_envelope_gaussian_scale():
@@ -243,7 +242,7 @@ def test_envelope_gaussian_scale():
     chats = []
     for _ in range(200):
         z = np.sort(np.abs(rng.standard_normal(n)))[::-1]
-        chats.append(order_stat_envelope(z, n).C_hat)
+        chats.append(order_stat_envelope(z).C_hat)
     assert np.quantile(chats, 0.95) <= 3.0
 
 
@@ -253,26 +252,15 @@ def test_envelope_gaussian_scale():
 def test_ratio_zero_sup():
     batch = _manual_batch(np.zeros((4, 3)), np.zeros(4), np.ones(4))
     st = multiplier_stats(batch, l1_ball(3), CONST_NOISE)
-    width = gaussian_mean_width(l1_ball(3), draws=500, seed_path=(1,))
-    assert ratio_statistic(st, width, CONST_NOISE) == 0.0
+    assert ratio_statistic(st.sup_centred, gaussian_width(l1_ball(3)), CONST_NOISE) == 0.0
 
 
 def test_ratio_arithmetic():
-    from emplab.geometry import WidthEstimate
-    from emplab.process import ProcessStats
-
-    st = ProcessStats(2.0, 2.0, np.zeros(2), np.zeros(2), {}, 0.0)
-    width = WidthEstimate(4.0, 0.1, 100, None, 1.0, 16.0)
-    assert ratio_statistic(st, width, CONST_NOISE) == 0.5
-    # an exact width is a number
-    assert ratio_statistic(st, 4.0, CONST_NOISE) == 0.5
+    assert ratio_statistic(2.0, 4.0, CONST_NOISE) == 0.5
+    assert ratio_statistic(2.0, 4.0, NoiseSpec("constant", q0=3.0, lq_norm=0.5)) == 1.0
 
 
 def test_ratio_degenerate_width_rejected():
-    from emplab.geometry import WidthEstimate
-    from emplab.process import ProcessStats
-
-    st = ProcessStats(2.0, 2.0, np.zeros(2), np.zeros(2), {}, 0.0)
-    width = WidthEstimate(0.0, 0.0, 100, None, 0.0, math.nan)
-    with pytest.raises(ValueError, match="degenerate"):
-        ratio_statistic(st, width, CONST_NOISE)
+    for width in (0.0, math.nan):
+        with pytest.raises(ValueError, match="degenerate"):
+            ratio_statistic(2.0, width, CONST_NOISE)

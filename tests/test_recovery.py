@@ -4,14 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import qr
 
 from emplab.distributions import DistributionSpec, NoiseSpec
 from emplab.harness import ExperimentConfig, run
 from emplab.streams import child_path
 from emplab.recovery import (
     RecoveryProblem,
-    _reduced_triangular_factor,
     basis_pursuit,
     bp_recovers,
     certifies_recovery,
@@ -216,12 +214,18 @@ def test_bp_zero_rhs():
         assert res.converged
 
 
-def test_bp_reduced_factor_matches_scipy_qr():
-    # the in-place geqrf gives the bits of scipy.linalg.qr(mode="r")
-    for N, n in ((40, 8), (5, 12), (9, 9), (1, 4)):
-        Gamma, y = RNG.standard_t(3, size=(N, n)), RNG.standard_normal(N)
-        expected = qr(np.column_stack([Gamma, y]), mode="r")[0][: min(N, n)]
-        assert np.array_equal(_reduced_triangular_factor(Gamma, y), expected)
+def test_bp_rejects_non_finite_input():
+    rng = np.random.default_rng(41)
+    Gamma, y = rng.standard_normal((6, 10)), rng.standard_normal(6)
+    for bad_Gamma, bad_y in ((np.where(np.eye(6, 10) > 0, np.nan, Gamma), y),
+                             (Gamma, np.where(np.arange(6) == 2, np.inf, y))):
+        with pytest.raises(ValueError, match="finite"):
+            basis_pursuit(RecoveryProblem(bad_Gamma, bad_y, np.zeros(10), 0))
+    # an infinite y on a zero row of Gamma, past the n rows that the factor keeps
+    Gamma, y = np.vstack([rng.standard_normal((4, 3)), np.zeros((1, 3))]), np.zeros(5)
+    y[4] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        basis_pursuit(RecoveryProblem(Gamma, y, np.zeros(3), 0))
 
 
 def test_bp_feasibility_at_termination():
