@@ -6,10 +6,18 @@ index the experiment cell, trial, draw block, etc.  A stream is derived as
 
     SeedSequence(entropy=master_seed, spawn_key=(*indices, tag))
 
-and fed to a Philox (4x64, 10 rounds) counter-based bit generator.  The
-derivation is a pure function of ``(seed_path, tag)``: streams never depend
-on evaluation order or worker count, and distinct tags or indices give
-statistically independent streams.
+and fed to an SFC64 bit generator (Chris Doty-Humphrey's Small Fast
+Chaotic generator, 256 bits of state).  The derivation is a pure function of
+``(seed_path, tag)``: streams never depend on evaluation order or worker
+count, and distinct tags or indices give statistically independent streams.
+SeedSequence hashes each path and tag into the 192 bits of the state
+beside SFC64's 64-bit counter, and the counter gives every stream a period
+of at least 2**64, so the chance that two streams of one run overlap is
+negligible.
+
+The values a stream gives are byte-identical for one numpy version: numpy
+may change the algorithms of its ``Generator`` distributions between
+releases (NEP 19), which moves every draw built on them.
 
 Stream tags for the standard sample blocks are fixed small integers
 (``TAGS``).  A string tag is mapped to an integer by taking the first four
@@ -63,8 +71,8 @@ def child_path(seed_path: int | SeedPath, *indices: int) -> SeedPath:
 
 
 def rng_from_path(seed_path: int | SeedPath, tag: int | str = 0) -> np.random.Generator:
-    """Return the Philox generator for ``(seed_path, tag)``."""
+    """Return the SFC64 generator for ``(seed_path, tag)``."""
     path = as_seed_path(seed_path)
     key = tuple(path[1:]) + (stream_tag(tag),)
     ss = np.random.SeedSequence(entropy=path[0], spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))

@@ -114,7 +114,9 @@ def test_isotropy_and_symmetry_invariant(spec):
     se_pair = np.sqrt(((X[:, :, None] * X[:, None, :]) ** 2).mean(axis=0) / N)
     z = np.abs(off) / se_pair
     np.fill_diagonal(z, 0.0)
-    assert z.max() < 3.0
+    # Sidak bound for the largest of the 28 pair z-scores at the two-sided
+    # 3 sigma level of one comparison; 3.0 fails 7.3 % of fresh streams
+    assert z.max() < 3.90
     mean_se = X.std(axis=0) / math.sqrt(N)
     assert np.all(np.abs(X.mean(axis=0)) < 3.0 * mean_se)
 
@@ -128,12 +130,12 @@ def test_noise_hits_target_lq_norm():
 
 
 @pytest.mark.parametrize("family, values", [
-    ("gaussian", [0.5019128728678918, 1.2946764268661206, 0.20694645929462122,
-                  -0.8298865066525879, -1.4722019190650018]),
-    ("symmetric_pareto", [1.129705906690879, 1.0465426175064945, -0.5869543516154746,
-                          0.6394749238763897, -0.7691616533167631]),
-    ("student_t", [0.1958959384980234, -1.2819115504032188, -0.2953390831673864,
-                   0.22206210119043845, -0.5159223061523017]),
+    ("gaussian", [0.4248993420525041, -1.0101198449396511, 0.8586730004788202,
+                  0.0938595694864067, 0.402366524599129]),
+    ("symmetric_pareto", [-0.5625974532185257, -0.604982994582108, 0.6713677955195699,
+                          -0.6300576368813344, -0.8226033647757043]),
+    ("student_t", [0.4691571488111325, 0.05058860870467363, -0.005319313549409139,
+                   0.4924681383501794, 0.17994107009435284]),
 ])
 def test_noise_draws_pinned(family, values):
     # the noise stream's values, bit for bit: the draw is shared with the

@@ -38,16 +38,14 @@ from _oracles import (
     support_sparse_cap_enum,
 )
 
-RNG = np.random.default_rng(7031)
 
-
-def all_specs(n):
+def all_specs(n, rng):
     return [
         l1_ball(n, 1.0),
         l2_ball(n, 1.3),
         sparse_cap(n, max(1, n // 3)),
         l1_cap_l2(n, 1.0, 0.6),
-        permutation_polytope(RNG.standard_normal(n)),
+        permutation_polytope(rng.standard_normal(n)),
     ]
 
 
@@ -55,10 +53,11 @@ def all_specs(n):
 # closed forms vs oracles
 
 def test_l1_ball_vertex_examples():
+    rng = np.random.default_rng(7041)
     spec = l1_ball(4, 1.0)
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     assert support(spec, e1) == 1.0
-    z = RNG.standard_normal(4)
+    z = rng.standard_normal(4)
     assert support(spec, z) == pytest.approx(support_l1_vertices(z, 1.0))
 
 
@@ -69,19 +68,21 @@ def test_sparse_cap_345():
 
 
 def test_sparse_cap_enumeration():
+    rng = np.random.default_rng(7042)
     for _ in range(50):
-        z = RNG.standard_normal(7)
-        s = int(RNG.integers(1, 7))
+        z = rng.standard_normal(7)
+        s = int(rng.integers(1, 7))
         assert support(sparse_cap(7, s), z) == pytest.approx(
             support_sparse_cap_enum(z, s), rel=1e-12
         )
 
 
 def test_permutation_polytope_enumeration():
+    rng = np.random.default_rng(7043)
     for _ in range(30):
-        n = int(RNG.integers(2, 7))
-        w = RNG.standard_normal(n)
-        z = RNG.standard_normal(n)
+        n = int(rng.integers(2, 7))
+        w = rng.standard_normal(n)
+        z = rng.standard_normal(n)
         assert support(permutation_polytope(w), z) == pytest.approx(
             support_permutation_polytope_enum(z, w), rel=1e-12
         )
@@ -94,7 +95,8 @@ def test_permutation_polytope_zero_generator():
 
 
 def test_l1_cap_l2_l2_constraint_binds_alone():
-    z = RNG.standard_normal(8)
+    rng = np.random.default_rng(7044)
+    z = rng.standard_normal(8)
     r = 0.9 * np.linalg.norm(z) / np.abs(z).sum()  # r <= ||z||_2 * rho/||z||_1
     spec = l1_cap_l2(8, 1.0, r)
     assert support(spec, z) == pytest.approx(r * np.linalg.norm(z), rel=1e-12)
@@ -111,7 +113,8 @@ def test_l1_cap_l2_spec_example_vs_sandwich():
 def test_l1_cap_l2_duality_sandwich():
     # a feasible point bounds the support from below, a dual point from
     # above; got within 1e-14 of both ends pins it and the bounds' gap
-    Z = RNG.standard_normal((200, 6))
+    rng = np.random.default_rng(7045)
+    Z = rng.standard_normal((200, 6))
     rho, r = 1.0, 0.45
     lower, upper = support_l1_cap_l2_sandwich(Z, rho, r)
     got = support_batch(l1_cap_l2(6, rho, r), Z)
@@ -123,8 +126,9 @@ def test_l1_cap_l2_duality_sandwich():
 
 @pytest.mark.parametrize("n", [3, 8])
 def test_homogeneity_power_of_two_exact(n):
-    for spec in all_specs(n):
-        z = RNG.standard_normal(n)
+    rng = np.random.default_rng(7046)
+    for spec in all_specs(n, rng):
+        z = rng.standard_normal(n)
         h = support(spec, z)
         assert support(spec, 2.0 * z) == 2.0 * h
         assert support(spec, -4.0 * z) == 4.0 * h
@@ -133,24 +137,27 @@ def test_homogeneity_power_of_two_exact(n):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_homogeneity_general(c):
-    z = np.random.default_rng(3).standard_normal(5)
-    for spec in all_specs(5):
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(5)
+    for spec in all_specs(5, rng):
         assert support(spec, c * z) == pytest.approx(c * support(spec, z), rel=1e-11)
 
 
 @pytest.mark.parametrize("n", [4, 10])
 def test_unconditionality_all_families(n):
-    for spec in all_specs(n):
+    rng = np.random.default_rng(7048)
+    for spec in all_specs(n, rng):
         report = unconditionality_check(spec, trials=200, seed_path=(17,))
         assert report.passed, (spec.label(), report)
 
 
 def test_localized_upper_bounds_and_monotonicity():
+    rng = np.random.default_rng(7049)
     n = 9
     radii = [0.2, 0.5, 1.0, 2.0]
-    for spec in all_specs(n):
+    for spec in all_specs(n, rng):
         for _ in range(20):
-            z = RNG.standard_normal(n)
+            z = rng.standard_normal(n)
             h_full = support(spec, z)
             values = [localized_support(spec, z, r) for r in radii]
             for r, hv in zip(radii, values):
@@ -189,7 +196,8 @@ def test_support_curve_matches_localized_support_batch(spec):
 
 
 def test_localized_l1_equality_when_l2_binds():
-    z = RNG.standard_normal(7)
+    rng = np.random.default_rng(7050)
+    z = rng.standard_normal(7)
     spec = l1_ball(7, 1.0)
     r = 0.9 * np.linalg.norm(z) / np.abs(z).sum()
     assert localized_support(spec, z, r) == pytest.approx(r * np.linalg.norm(z), rel=1e-12)
@@ -197,14 +205,15 @@ def test_localized_l1_equality_when_l2_binds():
 
 def test_localized_permutation_polytope_cross_forms():
     # w = e1 makes the polytope an l1 ball: must match the breakpoint scan
+    rng = np.random.default_rng(7051)
     n = 8
     w = np.zeros(n)
     w[0] = 1.0
     pp = permutation_polytope(w)
     ball = l1_ball(n, 1.0)
     for _ in range(40):
-        z = RNG.standard_normal(n) * math.exp(RNG.uniform(-1, 1))
-        r = RNG.uniform(0.05, 2.0)
+        z = rng.standard_normal(n) * math.exp(rng.uniform(-1, 1))
+        r = rng.uniform(0.05, 2.0)
         assert localized_support(pp, z, r) == pytest.approx(
             localized_support(ball, z, r), rel=1e-9
         )
@@ -213,6 +222,7 @@ def test_localized_permutation_polytope_cross_forms():
 def test_localized_permutation_polytope_cube_oracle():
     # w = ones makes the polytope the cube: infimal convolution of the l1
     # norm and the scaled l2 norm has a scalar clip characterization
+    rng = np.random.default_rng(7052)
     n = 5
     cube = permutation_polytope(np.ones(n))
 
@@ -238,8 +248,8 @@ def test_localized_permutation_polytope_cube_oracle():
         return min(val(0.0), f1, f2, a.sum())
 
     for _ in range(40):
-        z = RNG.standard_normal(n) * math.exp(RNG.uniform(-1, 1))
-        r = RNG.uniform(0.05, 3.0)
+        z = rng.standard_normal(n) * math.exp(rng.uniform(-1, 1))
+        r = rng.uniform(0.05, 3.0)
         assert localized_support(cube, z, r) == pytest.approx(oracle(z, r), rel=1e-9)
 
 
@@ -273,24 +283,26 @@ def test_d2_values():
 
 
 def test_gauge_membership_scaling():
+    rng = np.random.default_rng(7053)
     n = 6
-    for spec in all_specs(n):
+    for spec in all_specs(n, rng):
         for _ in range(20):
-            v = RNG.standard_normal(n)
+            v = rng.standard_normal(n)
             if spec.family == "sparse_cap":
                 dense = v.copy()
                 assert gauge(spec, dense) == math.inf or np.count_nonzero(dense) <= spec.s
                 v = np.zeros(n)
-                v[: spec.s] = RNG.standard_normal(spec.s)
+                v[: spec.s] = rng.standard_normal(spec.s)
             gv = gauge(spec, v)
             assert math.isfinite(gv) and gv > 0
             assert gauge(spec, v / gv) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_gauge_batch_matches_rowwise_gauge():
+    rng = np.random.default_rng(7054)
     n = 6
-    for spec in all_specs(n):
-        V = RNG.standard_normal((40, n))
+    for spec in all_specs(n, rng):
+        V = rng.standard_normal((40, n))
         V[0] = 0.0
         V[1, 2:] = 0.0  # 2-sparse: inside every sparse cap here
         got = gauge_batch(spec, V)
@@ -326,14 +338,15 @@ def test_gauge_known_values():
 
 def test_gauge_consistency_with_support():
     # duality spot check: <v, z> <= gauge(v) * support(z) for all pairs
+    rng = np.random.default_rng(7055)
     n = 7
-    for spec in all_specs(n):
+    for spec in all_specs(n, rng):
         for _ in range(30):
-            z = RNG.standard_normal(n)
-            v = RNG.standard_normal(n)
+            z = rng.standard_normal(n)
+            v = rng.standard_normal(n)
             if spec.family == "sparse_cap":
                 v = np.zeros(n)
-                v[: spec.s] = RNG.standard_normal(spec.s)
+                v[: spec.s] = rng.standard_normal(spec.s)
             gv = gauge(spec, v)
             if math.isfinite(gv):
                 assert abs(v @ z) <= gv * support(spec, z) + 1e-9
@@ -427,7 +440,7 @@ def test_width_determinism_and_chunk_invariance():
     assert a.mean == b.mean and a.std_error == b.std_error
 
 
-@pytest.mark.parametrize("spec", all_specs(24), ids=lambda spec: spec.family)
+@pytest.mark.parametrize("spec", all_specs(24, np.random.default_rng(7031)), ids=lambda spec: spec.family)
 def test_gaussian_mean_widths_match_one_radius_calls(spec, monkeypatch):
     # blocks of 8 rows: 30 draws span four blocks, the last one partial
     monkeypatch.setattr(geometry, "_GAUSSIAN_BLOCK_VALUES", 8 * spec.dim)

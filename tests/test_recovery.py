@@ -21,8 +21,6 @@ from emplab.recovery import (
 
 from _oracles import basis_pursuit_enum, lasso_kkt_enum
 
-RNG = np.random.default_rng(9217)
-
 
 def _random_sparse_instance(n, N, s, rng, noise_sd=0.0, lam=0.0):
     Gamma = rng.standard_normal((N, n))
@@ -37,8 +35,9 @@ def _random_sparse_instance(n, N, s, rng, noise_sd=0.0, lam=0.0):
 # LASSO
 
 def test_lasso_unregularized_orthonormal_recovers_exactly():
+    rng = np.random.default_rng(9221)
     n, N = 6, 12
-    q, _ = np.linalg.qr(RNG.standard_normal((N, n)))
+    q, _ = np.linalg.qr(rng.standard_normal((N, n)))
     v0 = np.zeros(n)
     v0[[1, 4]] = [1.0, -1.0]
     prob = RecoveryProblem(q, q @ v0, v0, 2, lam=0.0)
@@ -59,7 +58,8 @@ def test_lasso_one_dimensional_soft_threshold():
 
 
 def test_lasso_zero_data_zero_solution():
-    prob = RecoveryProblem(RNG.standard_normal((8, 5)), np.zeros(8), np.zeros(5), 0, lam=0.3)
+    rng = np.random.default_rng(9222)
+    prob = RecoveryProblem(rng.standard_normal((8, 5)), np.zeros(8), np.zeros(5), 0, lam=0.3)
     res = lasso(prob)
     assert np.all(res.v_hat == 0.0)
 
@@ -74,7 +74,8 @@ def test_lasso_empty_problem_has_a_finite_objective():
 
 
 def test_lasso_result_consistency_on_recompute():
-    prob = _random_sparse_instance(10, 20, 3, RNG, noise_sd=0.2, lam=0.1)
+    rng = np.random.default_rng(9223)
+    prob = _random_sparse_instance(10, 20, 3, rng, noise_sd=0.2, lam=0.1)
     res = lasso(prob)
     r = prob.Gamma @ res.v_hat - prob.y
     obj = float(r @ r) / len(r) + prob.lam * float(np.abs(res.v_hat).sum())
@@ -100,23 +101,26 @@ def _kkt_violation(prob, v):
 def test_lasso_kkt_residual():
     # the exact path ends on the KKT conditions to rounding, far inside the
     # 1e-9 relative tolerance that converged certifies
-    prob = _random_sparse_instance(12, 24, 3, RNG, noise_sd=0.3, lam=0.2)
+    rng = np.random.default_rng(9224)
+    prob = _random_sparse_instance(12, 24, 3, rng, noise_sd=0.3, lam=0.2)
     res = lasso(prob)
     assert res.converged
     assert _kkt_violation(prob, res.v_hat) <= 1e-12
 
 
 def test_lasso_matches_kkt_enumeration():
+    rng = np.random.default_rng(9225)
     for trial in range(20):
         n, N = 6, 5
-        prob = _random_sparse_instance(n, N, 2, RNG, noise_sd=0.4, lam=0.3)
+        prob = _random_sparse_instance(n, N, 2, rng, noise_sd=0.4, lam=0.3)
         res = lasso(prob)
         obj_oracle, _ = lasso_kkt_enum(prob.Gamma, prob.y, prob.lam)
         assert res.objective == pytest.approx(obj_oracle, rel=1e-8, abs=1e-10)
 
 
 def test_lasso_errors_lp_keys():
-    prob = _random_sparse_instance(8, 16, 2, RNG, lam=0.05)
+    rng = np.random.default_rng(9226)
+    prob = _random_sparse_instance(8, 16, 2, rng, lam=0.05)
     res = lasso(prob)
     assert set(res.errors_lp) == {1.0, 1.5, 2.0}
 
@@ -207,8 +211,9 @@ def test_bp_identity_system():
 
 
 def test_bp_zero_rhs():
+    rng = np.random.default_rng(9227)
     for N in (3, 0):
-        prob = RecoveryProblem(RNG.standard_normal((N, 8)), np.zeros(N), np.zeros(8), 0)
+        prob = RecoveryProblem(rng.standard_normal((N, 8)), np.zeros(N), np.zeros(8), 0)
         res = basis_pursuit(prob)
         assert np.all(res.v_hat == 0.0)
         assert res.converged
@@ -229,15 +234,17 @@ def test_bp_rejects_non_finite_input():
 
 
 def test_bp_feasibility_at_termination():
+    rng = np.random.default_rng(9228)
     for _ in range(10):
-        prob = _random_sparse_instance(16, 8, 2, RNG)
+        prob = _random_sparse_instance(16, 8, 2, rng)
         res = basis_pursuit(prob)
         assert res.residual <= 1e-8 * max(1.0, np.linalg.norm(prob.y))
 
 
 def test_bp_one_sparse_gaussian_recovery():
+    rng = np.random.default_rng(9229)
     n, N = 32, 16
-    Gamma = RNG.standard_normal((N, n))
+    Gamma = rng.standard_normal((N, n))
     v0 = np.zeros(n)
     v0[0] = 1.0
     prob = RecoveryProblem(Gamma, Gamma @ v0, v0, 1)
@@ -246,9 +253,10 @@ def test_bp_one_sparse_gaussian_recovery():
 
 
 def test_bp_matches_support_enumeration():
+    rng = np.random.default_rng(9230)
     for trial in range(20):
         n, N = 10, 5
-        prob = _random_sparse_instance(n, N, 2, RNG)
+        prob = _random_sparse_instance(n, N, 2, rng)
         res = basis_pursuit(prob)
         oracle = basis_pursuit_enum(prob.Gamma, prob.y)
         assert res.objective == pytest.approx(oracle, rel=1e-6, abs=1e-8)
@@ -256,7 +264,8 @@ def test_bp_matches_support_enumeration():
 
 def test_bp_rank_deficient_flagged():
     # duplicated rows with inconsistent rhs cannot be satisfied
-    row = RNG.standard_normal(6)
+    rng = np.random.default_rng(9231)
+    row = rng.standard_normal(6)
     Gamma = np.vstack([row, row])
     y = np.array([1.0, 2.0])
     prob = RecoveryProblem(Gamma, y, np.zeros(6), 0)
@@ -266,7 +275,8 @@ def test_bp_rank_deficient_flagged():
 
 def test_bp_tall_consistent_system_recovers():
     # N > n: the QR reduction keeps n rows and the solution is unique
-    prob = _random_sparse_instance(8, 20, 3, RNG)
+    rng = np.random.default_rng(9232)
+    prob = _random_sparse_instance(8, 20, 3, rng)
     res = basis_pursuit(prob)
     assert res.converged
     np.testing.assert_allclose(res.v_hat, prob.v0, atol=1e-9)
@@ -275,7 +285,8 @@ def test_bp_tall_consistent_system_recovers():
 def test_bp_tall_inconsistent_system_flagged():
     # y off the range of Gamma: the reduced n-row system is solvable, so only
     # the residual check on Gamma v = y can flag it
-    prob = _random_sparse_instance(8, 20, 3, RNG, noise_sd=0.1)
+    rng = np.random.default_rng(9233)
+    prob = _random_sparse_instance(8, 20, 3, rng, noise_sd=0.1)
     res = basis_pursuit(prob)
     assert not res.converged
     assert res.residual > 1e-3
@@ -338,14 +349,15 @@ def test_bp_recovers_solves_only_where_the_certificate_fails():
 
 def test_certificate_of_the_zero_vector():
     # 0 is the one point of l1 norm 0, whatever Gamma is, N = 0 included
+    rng = np.random.default_rng(9234)
     for N in (0, 3):
-        Gamma = RNG.standard_normal((N, 6))
+        Gamma = rng.standard_normal((N, 6))
         assert certifies_recovery(Gamma, np.zeros(6))
         assert bp_recovers(Gamma, np.zeros(6)) == (True, None)
 
 
 def _degenerate_instances():
-    Gamma = RNG.standard_normal((10, 20))
+    Gamma = np.random.default_rng(9217).standard_normal((10, 20))
     v0 = np.zeros(20)
     v0[[2, 5, 9]] = [1.0, -1.0, 1.0]
     yield "s > N", Gamma[:2], v0

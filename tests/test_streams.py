@@ -51,3 +51,11 @@ def test_string_tags_are_stable_and_distinct():
 def test_empty_path_rejected():
     with pytest.raises(ValueError):
         as_seed_path(())
+
+
+def test_generator_is_sfc64_and_pinned():
+    # every stream of every experiment rests on this generator and derivation
+    rng = rng_from_path((123, 4, 5), "X")
+    assert isinstance(rng.bit_generator, np.random.SFC64)
+    assert rng.standard_normal(4).tolist() == [
+        -1.9430554167901395, 0.5312614418194779, -0.8730186492716061, -0.5189601150531785]
