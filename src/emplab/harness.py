@@ -25,7 +25,7 @@ import hashlib
 import importlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -178,7 +178,7 @@ def config_hash(config: ExperimentConfig) -> str:
 #   group, values                      -> summary aggregation: the columns to
 #                                         group rows by and the ones to summarize
 #   scipy_modules(cells)               -> the scipy subpackages its tasks import,
-#                                         loaded by run() before the pool forks
+#                                         loaded by run() before it forks workers
 
 def _grids(config, *keys: str) -> dict:
     """config.grids, if it has no key outside keys; else ConfigurationError.
@@ -430,10 +430,6 @@ class _RecoveryAdapter(_Adapter):
     ]
     group = ["n", "s", "N", "family"]
     values = ["success_rate", "err_l1_med", "err_l2_med"]
-
-    @staticmethod
-    def scipy_modules(cells):
-        return ("scipy.optimize",)  # basis_pursuit
 
     @staticmethod
     def cells(config):
@@ -746,6 +742,62 @@ def _run_task(task) -> tuple[list | None, str | None]:
         return None, repr(exc)
 
 
+def _run_tasks(tasks: list, workers: int) -> list[tuple[list | None, str | None]]:
+    """The outcomes of ``_run_task`` on every task, in task order.
+
+    With k = min(workers, len(tasks)) > 1, this process and k - 1 forked
+    children run the tasks: each takes the next task index from one shared
+    counter, under its lock, until the counter passes the last task.  A child
+    then sends back its ``{index: outcome}`` over its own pipe.  A child that
+    exits without sending loses every task it took; those come back as
+    failed.  On any exception here the children are terminated and joined.
+    """
+    k = min(workers, len(tasks))
+    if k <= 1:
+        return list(map(_run_task, tasks))
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("q", 0)
+
+    def work() -> dict:
+        done = {}
+        while True:
+            with counter.get_lock():
+                i = counter.value
+                counter.value = i + 1
+            if i >= len(tasks):
+                return done
+            done[i] = _run_task(tasks[i])
+
+    def child(send) -> None:
+        send.send(work())
+
+    children = []
+    try:
+        for _ in range(k - 1):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=child, args=(send,))
+            proc.start()
+            # close it here before the next fork, so that only the child holds
+            # its sending end, and its exit ends the parent's recv()
+            send.close()
+            children.append((proc, recv))
+        outcomes = work()
+        for proc, recv in children:
+            try:
+                outcomes.update(recv.recv())
+            except EOFError:
+                pass
+            proc.join()
+    finally:
+        for proc, recv in children:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            recv.close()
+    lost = (None, "a worker process exited before returning this task")
+    return [outcomes.get(i, lost) for i in range(len(tasks))]
+
+
 def _sample_groups(cells: list[dict], nested: tuple) -> list[list[tuple[int, dict]]]:
     """The cells, as (ci, cell), in groups that share one sample.
 
@@ -804,7 +856,7 @@ def _one_blas_thread():
     """Pin every loaded OpenBLAS to one thread; restore the counts on exit.
 
     Yields the thread count in force, or None when no OpenBLAS is loaded.
-    Pool workers forked inside inherit the pin, so k workers run k BLAS
+    Worker processes forked inside inherit the pin, so k workers run k BLAS
     threads on k cores instead of each spinning up one per core.
     """
     controls = _openblas_thread_controls()
@@ -854,12 +906,13 @@ def _utc_now() -> str:
 def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     """Execute all grid cells x trials and write CSV + summary + manifest.
 
-    Every task runs with one BLAS thread per process, in a pool of at most
-    one worker per task.  There is one task per (sample group, trial), and
-    the groups' shared work (``adapter.cell``) is queued ahead of the
-    trials, in group order.  The experiment's scipy subpackages are
-    imported first, so forked workers inherit them instead of each
-    importing them again, and the BLAS pin also covers scipy.linalg's.
+    Every task runs with one BLAS thread per process, in this process and
+    at most workers - 1 forked children, none idle (see ``_run_tasks``).
+    There is one task per (sample group, trial), and the groups' shared
+    work (``adapter.cell``) is queued ahead of the trials, in group order.
+    The experiment's scipy subpackages are imported first, so forked
+    workers inherit them instead of each importing them again, and the
+    BLAS pin also covers scipy.linalg's.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -876,12 +929,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     for module in adapter.scipy_modules(cells):
         importlib.import_module(module)
     with _one_blas_thread() as blas_threads:
-        if workers > 1 and len(tasks) > 1:
-            # a forked pool starts every worker at the first submit: start no idle ones
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                outcomes = list(pool.map(_run_task, tasks))
-        else:
-            outcomes = list(map(_run_task, tasks))
+        outcomes = _run_tasks(tasks, workers)
 
     # each record is filed under its own cell; a failed task fails every member
     records: list[list[tuple[int, dict]]] = [[] for _ in cells]

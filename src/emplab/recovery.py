@@ -8,13 +8,14 @@ truth v0.  ``lasso`` minimizes
 exactly, by the homotopy (LARS-lasso) path in the threshold t = N*lam/2 on
 the raw inner products <col_j, residual>; its ``converged`` flag is the KKT
 certificate of the returned v, checked from scratch.
-``basis_pursuit`` solves min ||v||_1 s.t. Gamma v = y exactly, as one
-linear program over v = p - q with p, q >= 0, by scipy's HiGHS.
+``basis_pursuit`` solves min ||v||_1 s.t. Gamma v = y exactly, on the same
+path run to t = 0, and certifies the result by primal feasibility and the
+path's dual point.
 ``bp_recovers`` is the one exact-recovery rule: whether basis pursuit
 recovers v0 from y = Gamma v0.  ``certifies_recovery``, the minimum-norm
 dual certificate, decides it in closed form where it holds, and
 ``basis_pursuit`` runs only where it fails.
-scipy is imported where it is called, so ``import emplab`` loads numpy only.
+The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -88,39 +89,43 @@ def make_recovery_problem(
     return RecoveryProblem(Gamma=Gamma, y=y, v0=v0, s=s, lam=lam)
 
 
-def lasso(problem: RecoveryProblem) -> RecoveryResult:
-    """Exact LASSO by homotopy: the LARS-lasso path of Osborne, Presnell &
-    Turlach (2000) and Efron et al. (2004).
+def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
+                t_end: float) -> tuple[np.ndarray, int, float, float]:
+    """The LARS-lasso path of Osborne, Presnell & Turlach (2000) and Efron
+    et al. (2004) on (Gamma, y), from v = 0 down to the threshold t_end.
 
-    With c = Gamma^T (y - Gamma v), the solution at threshold t = N lam / 2
-    has c_j = t sign(v_j) on its support and |c_j| <= t off it.  The path
+    With c = Gamma^T (y - Gamma v), the solution at threshold t has
+    c_j = t sign(v_j) on its support and |c_j| <= t off it.  The path
     starts at v = 0, t = ||Gamma^T y||_inf and lowers t.  On the active set
     A, v moves along d with (Gamma_A^T Gamma_A) d = sign(c_A), and c along
     a = Gamma^T Gamma_A d, until the next event: a column reaches the
     boundary |c_j| = t and joins, an active coordinate reaches 0 and drops,
-    or t reaches N lam / 2.  A column that has just dropped may not rejoin
+    or t reaches t_end.  A column that has just dropped may not rejoin
     at the boundary it left on the next step, and a column numerically in
     the span of the active columns does not join, so the active system
-    stays nonsingular without a ridge term.
+    stays nonsingular without a ridge term.  The path depends on (Gamma, y)
+    only through Gamma^T Gamma and Gamma^T y, up to rounding.
 
-    ``converged`` is the KKT certificate, computed from scratch on the
-    returned v: |c_j - t sign(v_j)| on the support and |c_j| - t off it are
-    at most 1e-9 max(t, ||Gamma^T y||_inf).  ``iterations`` counts
-    homotopy steps.
+    Returns (v, steps, t_max, bound): where the path stopped, the number of
+    homotopy steps, the starting threshold, and the largest lower bound on
+    min ||w||_1 subject to Gamma w = y that the segments' dual points give.
+    A segment's z = Gamma_A d has Gamma^T z = a and y^T z = b_A^T d, so by
+    weak duality every such w has ||w||_1 >= b_A^T d / ||a||_inf.  Near
+    t = 0 this bound meets ||v||_1, whatever rounding does to the last
+    segments.
     """
-    Gamma, y, lam = problem.Gamma, problem.y, problem.lam
     N, n = Gamma.shape
-    t_end = N * lam / 2.0
     b = Gamma.T @ y
     c = b.copy()
     v = np.zeros(n)
     t = t_max = float(np.abs(b).max(initial=0.0))
+    bound = 0.0
     active: list[int] = []
     join = int(np.argmax(np.abs(b))) if t > t_end else -1
     dropped = -1
     steps = 0
     # a guard against cycling on degenerate designs: a path this long is
-    # returned where it stopped, and the certificate below rejects it
+    # returned where it stopped, and the caller's certificate rejects it
     while t > t_end and steps < 4 * (n + N):
         if join >= 0:
             active.append(join)
@@ -130,6 +135,7 @@ def lasso(problem: RecoveryProblem) -> RecoveryResult:
         G = Gamma_A.T @ Gamma_A
         d = np.linalg.solve(G, np.sign(c[A]))
         a = Gamma.T @ (Gamma_A @ d)
+        bound = max(bound, float(b[A] @ d) / float(np.abs(a).max()))
 
         # the step at which c_j - gamma a_j reaches t - gamma (up) or
         # -(t - gamma) (down); a column already on the boundary and moving
@@ -171,7 +177,21 @@ def lasso(problem: RecoveryProblem) -> RecoveryResult:
             v[dropped] = 0.0
         if join < 0 and drop < 0:
             break
+    return v, steps, t_max, bound
 
+
+def lasso(problem: RecoveryProblem) -> RecoveryResult:
+    """Exact LASSO by homotopy: ``_lasso_path`` down to t = N lam / 2.
+
+    ``converged`` is the KKT certificate, computed from scratch on the
+    returned v: with c = Gamma^T (y - Gamma v), |c_j - t sign(v_j)| on the
+    support and |c_j| - t off it are at most 1e-9 max(t, ||Gamma^T y||_inf).
+    ``iterations`` counts homotopy steps.
+    """
+    Gamma, y, lam = problem.Gamma, problem.y, problem.lam
+    N = Gamma.shape[0]
+    t_end = N * lam / 2.0
+    v, steps, t_max, _ = _lasso_path(Gamma, y, t_end)
     resid = Gamma @ v - y
     c = -(Gamma.T @ resid)
     tol = 1e-9 * max(t_end, t_max)
@@ -192,35 +212,36 @@ def lasso(problem: RecoveryProblem) -> RecoveryResult:
 
 
 def basis_pursuit(problem: RecoveryProblem) -> RecoveryResult:
-    """min ||v||_1 subject to Gamma v = y, as one HiGHS linear program.
+    """min ||v||_1 subject to Gamma v = y, exactly: the LASSO path to t = 0
+    (Donoho & Tsaig 2008).
 
     The constraints are first reduced to min(N, n) rows: (R | b) is the
-    triangular factor of (Gamma | y), so R v = b has the solutions of
-    Gamma v = y whenever that system is consistent.  The reduced system
-    cannot see an inconsistent y when N > n, so the result is converged
-    only if HiGHS reports an optimum and ||Gamma v - y|| <= 1e-8 max(1, ||y||);
-    otherwise v_hat is 0.
-    """
-    from scipy.optimize import linprog
+    triangular factor of (Gamma | y), so R^T R = Gamma^T Gamma and
+    R^T b = Gamma^T y, and ``_lasso_path`` runs on (R, b).
 
+    The result is converged only if it carries a primal-dual certificate:
+    the primal residual ||Gamma v - y|| <= 1e-8 max(1, ||y||), and
+    ||v||_1 <= (1 + 1e-9) times the path's dual lower bound (see
+    ``_lasso_path``), so that no feasible point has a norm below
+    ||v||_1 / (1 + 1e-9).  The residual check is on Gamma, not R, since the
+    reduced system cannot see an inconsistent y when N > n.  Otherwise
+    v_hat is 0.  ``iterations`` counts homotopy steps.
+    """
     Gamma, y = problem.Gamma, problem.y
     N, n = Gamma.shape
     Gy = np.column_stack([Gamma, y])
     if not np.isfinite(Gy).all():
         raise ValueError("Gamma and y must be finite")
     Rb = np.linalg.qr(Gy, mode="r")[: min(N, n)]
-    R, b = Rb[:, :n], Rb[:, n]
-    # presolve only slows HiGHS down on these dense rows (about 2x at n = 256)
-    lp = linprog(np.ones(2 * n), A_eq=np.hstack([R, -R]), b_eq=b, bounds=(0, None),
-                 method="highs", options={"presolve": False})
-    v = lp.x[:n] - lp.x[n:] if lp.status == 0 else np.zeros(n)
+    v, steps, _, bound = _lasso_path(Rb[:, :n], Rb[:, n], 0.0)
     residual = float(np.linalg.norm(Gamma @ v - y))
-    converged = lp.status == 0 and residual <= 1e-8 * max(1.0, float(np.linalg.norm(y)))
+    converged = (residual <= 1e-8 * max(1.0, float(np.linalg.norm(y)))
+                 and float(np.abs(v).sum()) <= (1.0 + 1e-9) * bound)
     if not converged:
         v = np.zeros(n)
     return RecoveryResult(
         v_hat=v,
-        iterations=int(lp.nit),
+        iterations=steps,
         residual=residual,
         objective=float(np.abs(v).sum()),
         errors_lp=_lp_errors(v, problem.v0),
@@ -261,7 +282,7 @@ def certifies_recovery(Gamma: np.ndarray, v0: np.ndarray) -> bool:
 def bp_recovers(Gamma: np.ndarray, v0: np.ndarray) -> tuple[bool, RecoveryResult | None]:
     """Whether basis pursuit recovers v0 exactly from y = Gamma v0.
 
-    ``certifies_recovery`` decides where it holds, with no linear program;
+    ``certifies_recovery`` decides where it holds, with no solve;
     elsewhere ``basis_pursuit`` runs and ``recovery_success`` decides.
     Returns the decision and the basis-pursuit result, None where the
     certificate decided.

@@ -110,8 +110,10 @@ def test_isotropy_and_symmetry_invariant(spec):
     cov = X.T @ X / N
     assert np.all(np.abs(np.diag(cov) - 1.0) < 0.01)
     off = cov - np.diag(np.diag(cov))
-    # per-pair standard errors of the empirical cross moments
-    se_pair = np.sqrt(((X[:, :, None] * X[:, None, :]) ** 2).mean(axis=0) / N)
+    # per-pair standard errors of the empirical cross moments, from the
+    # second moments of X_i X_j: (X**2).T @ (X**2) / N
+    X2 = X**2
+    se_pair = np.sqrt(X2.T @ X2 / N / N)
     z = np.abs(off) / se_pair
     np.fill_diagonal(z, 0.0)
     # Sidak bound for the largest of the 28 pair z-scores at the two-sided

@@ -1,10 +1,11 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 from pathlib import Path
 
 import numpy as np
@@ -302,8 +303,8 @@ for name in sys.argv[1:]:
 print(json.dumps(loaded()))
 """
 
-# ... and after a run at two workers (whose tasks all run in forked workers),
-# then after one at one worker
+# ... and after a run at two workers (whose tasks run in this process and a
+# forked child), then after one at one worker
 _RUN_SCRIPT = _PRELUDE + """
 from emplab.harness import ExperimentConfig, run
 seen = [loaded()]
@@ -333,17 +334,32 @@ def test_fresh_interpreter_loads_only_the_adapter_scipy_modules(tmp_path, make_c
     after_import, after_w2, after_w1 = json.loads(
         _fresh_python(_RUN_SCRIPT, json.dumps(config.to_dict()), str(tmp_path)))
     # import emplab is numpy-only; run loads the adapter's subpackages before
-    # the pool forks, and the tasks load nothing beyond them
+    # it forks, and the tasks load nothing beyond them
     assert after_import == []
     assert after_w2 == after_w1 == expected
-    # only recovery, and widths with a localized permutation polytope, need scipy
-    assert bool(expected) == (make_config in (_recovery_config, _permutation_widths_config))
+    # only widths with a localized permutation polytope needs scipy
+    assert bool(expected) == (make_config is _permutation_widths_config)
     csv_name = f"{config.experiment}.csv"
     assert (tmp_path / "w2" / csv_name).read_bytes() == (tmp_path / "w1" / csv_name).read_bytes()
 
 
 def _blas_threads():
     return [get() for get, _ in _openblas_thread_controls()]
+
+
+def _in_forked_child(fn):
+    """fn() as computed in a child forked from this process."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=lambda: send.send(fn()))
+    proc.start()
+    send.close()
+    try:
+        assert recv.poll(60)
+        return recv.recv()
+    finally:
+        proc.join(60)
+        assert not proc.is_alive()
 
 
 def test_blas_pinned_to_one_thread_and_restored():
@@ -357,8 +373,7 @@ def test_blas_pinned_to_one_thread_and_restored():
         with _one_blas_thread() as threads:
             assert threads == 1
             assert _blas_threads() == [1] * len(controls)
-            with ProcessPoolExecutor(max_workers=1) as pool:
-                assert pool.submit(_blas_threads).result() == [1] * len(controls)
+            assert _in_forked_child(_blas_threads) == [1] * len(controls)
         assert _blas_threads() == [2] * len(controls)
         with pytest.raises(RuntimeError, match="boom"):
             with _one_blas_thread():
@@ -727,22 +742,100 @@ def test_cli_zero_permutation_polytope_exits_2(tmp_path, capsys, config, change)
     _assert_config_error(tmp_path, capsys, cfg)
 
 
-def test_pool_starts_no_idle_workers(tmp_path, monkeypatch):
-    # a forked pool starts every worker at its first submit, so two tasks get two
-    sizes = []
+def _count_forks(monkeypatch) -> list:
+    """A list that gets one entry per worker process the harness forks."""
+    started = []
+    base = multiprocessing.context.ForkContext.Process
 
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
+    class RecordingProcess(base):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(multiprocessing.context.ForkContext, "Process", RecordingProcess)
+    return started
+
+
+def test_run_forks_no_idle_workers(tmp_path, monkeypatch):
+    # two tasks at eight workers: this process runs tasks too, so one child
+    forked = _count_forks(monkeypatch)
     run(_widths_config(tmp_path / "w1"), workers=1)
+    assert forked == []
     manifest = run(_widths_config(tmp_path / "w8"), workers=8)
-    assert sizes == [2]
+    assert len(forked) == 1
+    assert multiprocessing.active_children() == []
     assert manifest.workers == 8
     assert (tmp_path / "w8" / "widths.csv").read_bytes() == (
         tmp_path / "w1" / "widths.csv").read_bytes()
+
+
+def test_shared_counter_runs_every_task_once(tmp_path, monkeypatch):
+    # more workers than cores on many short tasks: a lost update of the
+    # counter would run a task twice or not at all
+    log = tmp_path / "ran"
+
+    def logged(config, group, ti):
+        with log.open("a") as fh:
+            fh.write(f"{ti}\n")
+        return [[]]
+
+    monkeypatch.setattr(_WidthsAdapter, "trial", staticmethod(logged))
+    manifest = run(_widths_config(tmp_path / "out", trials=3000), workers=4)
+    assert multiprocessing.active_children() == []
+    assert manifest.failed == []
+    assert sorted(int(line) for line in log.read_text().split()) == list(range(3000))
+
+
+def test_worker_that_exits_fails_its_tasks(tmp_path, monkeypatch):
+    # a child that dies inside a task loses every task it took: each is in
+    # manifest.failed and its cell is dropped; the run neither hangs nor
+    # leaves a process behind, and this process runs every other task
+    parent = os.getpid()
+    took = tmp_path / "child-took-a-task"
+    trial = _WidthsAdapter.trial
+
+    def dying(config, group, ti):
+        if os.getpid() != parent:
+            took.touch()
+            os._exit(3)
+        # hold this process in its first task until the child has taken one
+        deadline = time.monotonic() + 60
+        while not took.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return trial(config, group, ti)
+
+    monkeypatch.setattr(_WidthsAdapter, "trial", staticmethod(dying))
+    cfg = _widths_config(tmp_path / "out", trials=3)
+    cfg.grids["sets"].append({"family": "l1_ball", "dim": 8})
+    manifest = run(cfg, workers=2)
+    assert multiprocessing.active_children() == []
+    assert took.exists()
+    [lost] = manifest.failed
+    assert lost["trial"] in range(3) and "exited" in lost["error"]
+    with (tmp_path / "out" / "widths.csv").open() as fh:
+        rows = [(int(row["cell"]), int(row["trial"])) for row in csv.DictReader(fh)]
+    kept = 1 - lost["cell"]
+    assert dropped_cells(manifest.failed) == [lost["cell"]]
+    assert sorted(set(rows)) == [(kept, ti) for ti in range(3)]
+
+
+def test_run_terminates_its_children_on_an_exception(tmp_path, monkeypatch):
+    class Stop(BaseException):
+        pass
+
+    parent = os.getpid()
+
+    def stuck(config, group, ti):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise Stop
+
+    monkeypatch.setattr(_WidthsAdapter, "trial", staticmethod(stuck))
+    start = time.monotonic()
+    with pytest.raises(Stop):
+        run(_widths_config(tmp_path / "out", trials=4), workers=3)
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - start < 30
 
 
 def test_cli_experiment_mismatch(tmp_path):

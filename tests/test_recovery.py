@@ -309,6 +309,55 @@ def test_bp_converges_where_splitting_stalled(tmp_path):
     assert [row["bp_unconverged"] for row in rows] == ["0"]
 
 
+def _lp_optimum(Gamma, y):
+    """min ||v||_1 subject to Gamma v = y, by scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    n = Gamma.shape[1]
+    lp = linprog(np.ones(2 * n), A_eq=np.hstack([Gamma, -Gamma]), b_eq=y, bounds=(0, None),
+                 method="highs")
+    assert lp.status == 0
+    return lp.fun
+
+
+# bp-phase-shaped instances (n 128, s 4, Student t): seed path and N.  The
+# first six end in 1 to 12 path segments below 1e-12 t_max, whose dual
+# points miss |a_j| <= 1 by up to 1.5; in the last four a column also drops
+# a rounding error before t = 0, just above that cut, and the segment after
+# it misses by 2.5e-4 to 7.5e-3.
+_BP_PHASE_TAILS = [
+    ((1901, 12, 35), 12), ((1901, 18, 14), 18), ((1901, 24, 3), 24), ((1901, 24, 19), 24),
+    ((1901, 30, 4), 30), ((1901, 36, 37), 36), ((1903, 36, 13), 36),
+    ((424242, 128, 24, 4, 120), 24), ((424242, 128, 24, 4, 192), 24),
+    ((424242, 128, 36, 4, 65), 36),
+]
+
+
+@pytest.mark.parametrize("path, N", _BP_PHASE_TAILS, ids=[str(p) for p, _ in _BP_PHASE_TAILS])
+def test_bp_certifies_paths_with_rounding_tails(path, N):
+    dist = DistributionSpec("student_t", 128, tail_param=2.0 * math.log(128))
+    prob = make_recovery_problem(dist, N, 4, path)
+    assert not certifies_recovery(prob.Gamma, prob.v0)
+    res = basis_pursuit(prob)
+    assert res.converged
+    assert res.objective == pytest.approx(_lp_optimum(prob.Gamma, prob.y), rel=1e-10)
+
+
+def test_bp_never_certifies_a_suboptimal_point():
+    # +-1 designs at N 10, n 40 tie many columns at once, where the path can
+    # end on a feasible point of larger norm than the optimum with every
+    # |a_j| <= 1; the duality gap keeps such a point uncertified
+    dist = DistributionSpec("rademacher", 40)
+    uncertified = 0
+    for t in range(60):
+        prob = make_recovery_problem(dist, 10, 2, (424242, 40, 10, 2, t))
+        res = basis_pursuit(prob)
+        optimum = _lp_optimum(prob.Gamma, prob.y)
+        uncertified += not res.converged
+        assert not res.converged or res.objective <= optimum * (1 + 1e-9)
+    assert 0 < uncertified < 10
+
+
 # ---------------------------------------------------------------------------
 # the dual certificate
 
@@ -320,7 +369,7 @@ def _solve_recovers(Gamma, v0):
 @pytest.mark.parametrize("family", ["gaussian", "student_t", "rademacher"])
 def test_certificate_implies_basis_pursuit_recovery(family):
     # bp-phase shapes and small rademacher designs, whose columns repeat up
-    # to sign: wherever the certificate holds, the LP recovers v0 too
+    # to sign: wherever the certificate holds, basis pursuit recovers v0 too
     certified = 0
     for n, N, s in ((128, 24, 4), (128, 48, 4), (64, 32, 2), (40, 6, 2), (40, 10, 2),
                     (32, 8, 1), (16, 16, 8)):
@@ -387,7 +436,7 @@ def test_certificate_rejects_degenerate_supports(case):
 
 
 def test_harness_solves_basis_pursuit_only_off_the_certificate(tmp_path, monkeypatch):
-    # a noisy trial skips the LP where the certificate holds; a noise-free
+    # a noisy trial skips basis pursuit where the certificate holds; a noise-free
     # one still solves it, since its LASSO columns report basis pursuit
     import emplab.harness as harness
     import emplab.recovery as recovery
