@@ -26,6 +26,7 @@ import importlib
 import json
 import math
 import multiprocessing
+import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -748,8 +749,9 @@ def _run_tasks(tasks: list, workers: int) -> list[tuple[list | None, str | None]
     With k = min(workers, len(tasks)) > 1, this process and k - 1 forked
     children run the tasks: each takes the next task index from one shared
     counter, under its lock, until the counter passes the last task.  A child
-    then sends back its ``{index: outcome}`` over its own pipe.  A child that
-    exits without sending loses every task it took; those come back as
+    then sends back its ``{index: outcome}`` over its own pipe; an outcome
+    that cannot be pickled is sent as its task's failure instead.  A child
+    that exits without sending loses every task it took; those come back as
     failed.  On any exception here the children are terminated and joined.
     """
     k = min(workers, len(tasks))
@@ -769,7 +771,16 @@ def _run_tasks(tasks: list, workers: int) -> list[tuple[list | None, str | None]
             done[i] = _run_task(tasks[i])
 
     def child(send) -> None:
-        send.send(work())
+        done = work()
+        try:
+            send.send(done)
+        except Exception:  # noqa: BLE001 - each outcome that cannot be sent fails its task
+            for i, outcome in done.items():
+                try:
+                    pickle.dumps(outcome)
+                except Exception as exc:  # noqa: BLE001
+                    done[i] = (None, f"a worker could not return this task's outcome: {exc!r}")
+            send.send(done)
 
     children = []
     try:

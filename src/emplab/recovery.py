@@ -106,6 +106,17 @@ def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
     stays nonsingular without a ridge term.  The path depends on (Gamma, y)
     only through Gamma^T Gamma and Gamma^T y, up to rounding.
 
+    Several columns can reach the boundary at once: +-1 designs with
+    y = Gamma v0 tie many.  They join one at a time, in steps of length 0,
+    as in Lawson & Hanson's (1974) NNLS on the direction problem
+    min d^T G d / 2 - sign(c)^T d subject to sign(c_j) d_j >= 0 wherever
+    v_j is still 0.  A joining column whose own entry of d lacks the sign of
+    c_j left the boundary by rounding only; it may not join until the path
+    moves.  An active coordinate still at 0 whose entry of d has the wrong
+    sign leaves A, by the NNLS inner loop.  Without these two rules the path
+    can end on a feasible point of larger norm, or join and drop one column
+    without end.
+
     Returns (v, steps, t_max, bound): where the path stopped, the number of
     homotopy steps, the starting threshold, and the largest lower bound on
     min ||w||_1 subject to Gamma w = y that the segments' dual points give.
@@ -123,7 +134,16 @@ def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
     active: list[int] = []
     join = int(np.argmax(np.abs(b))) if t > t_end else -1
     dropped = -1
+    refused: list[int] = []
+    d_last = np.zeros(n)
     steps = 0
+
+    def direction(A):
+        Gamma_A = Gamma[:, A]
+        G = Gamma_A.T @ Gamma_A
+        sign_A = np.sign(c[A])
+        return Gamma_A, G, sign_A, np.linalg.solve(G, sign_A)
+
     # a guard against cycling on degenerate designs: a path this long is
     # returned where it stopped, and the caller's certificate rejects it
     while t > t_end and steps < 4 * (n + N):
@@ -131,9 +151,32 @@ def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
             active.append(join)
         steps += 1
         A = np.array(active)
-        Gamma_A = Gamma[:, A]
-        G = Gamma_A.T @ Gamma_A
-        d = np.linalg.solve(G, np.sign(c[A]))
+        Gamma_A, G, sign_A, d = direction(A)
+        if join >= 0 and sign_A[-1] * d[-1] <= 0.0:
+            # its crossing of the boundary was rounding: it may not join
+            # before the path moves
+            refused.append(active.pop())
+            A = A[:-1]
+            Gamma_A, G, sign_A, d = direction(A)
+        # Lawson-Hanson's inner loop: from the last direction, feasible for
+        # every coordinate still at 0, towards d, dropping each such
+        # coordinate whose d has the wrong sign where it reaches 0
+        x = d_last[A]
+        while True:
+            bad = (v[A] == 0.0) & (sign_A * d < 0.0)
+            if not bad.any():
+                break
+            ratio = np.full(len(A), np.inf)
+            ratio[bad] = x[bad] / (x[bad] - d[bad])
+            k = int(np.argmin(ratio))
+            x += ratio[k] * (d - x)
+            keep = ~bad | (sign_A * x > 0.0)
+            keep[k] = False
+            active = [j for j, kept in zip(active, keep) if kept]
+            A, x = A[keep], x[keep]
+            Gamma_A, G, sign_A, d = direction(A)
+        d_last[:] = 0.0
+        d_last[A] = d
         a = Gamma.T @ (Gamma_A @ d)
         bound = max(bound, float(b[A] @ d) / float(np.abs(a).max()))
 
@@ -150,6 +193,7 @@ def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
             (up if c[dropped] > 0 else down)[dropped] = np.inf
         to_join = np.minimum(up, down)
         to_join[A] = np.inf
+        to_join[refused] = np.inf
         # a join within 1e-12 t_max of the end is skipped: it would move c by
         # less than the certificate's tolerance, and joins that close to
         # t = 0 would only chase rounding noise in c
@@ -168,6 +212,8 @@ def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
         if to_drop[k] < gamma:
             gamma, join, drop = float(to_drop[k]), -1, k
 
+        if gamma > 0.0:
+            refused = []
         v[A] += gamma * d
         c -= gamma * a
         t -= gamma

@@ -819,6 +819,35 @@ def test_worker_that_exits_fails_its_tasks(tmp_path, monkeypatch):
     assert sorted(set(rows)) == [(kept, ti) for ti in range(3)]
 
 
+def test_unpicklable_outcome_fails_its_task_with_the_reason(tmp_path, monkeypatch):
+    # a child whose outcome cannot be pickled sends that task's failure and
+    # the reason, and its other tasks come back as usual
+    parent = os.getpid()
+    took = tmp_path / "child-took-a-task"
+    trial = _WidthsAdapter.trial
+
+    def unpicklable(config, group, ti):
+        if os.getpid() != parent and not took.exists():
+            took.touch()
+            return [lambda: None for _ in group]
+        deadline = time.monotonic() + 60
+        while not took.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return trial(config, group, ti)
+
+    monkeypatch.setattr(_WidthsAdapter, "trial", staticmethod(unpicklable))
+    cfg = _widths_config(tmp_path / "out", trials=3)
+    cfg.grids["sets"].append({"family": "l1_ball", "dim": 8})
+    manifest = run(cfg, workers=2)
+    assert multiprocessing.active_children() == []
+    [lost] = manifest.failed
+    assert "could not return" in lost["error"] and "pickle" in lost["error"].lower()
+    with (tmp_path / "out" / "widths.csv").open() as fh:
+        rows = [(int(row["cell"]), int(row["trial"])) for row in csv.DictReader(fh)]
+    kept = 1 - lost["cell"]
+    assert sorted(set(rows)) == [(kept, ti) for ti in range(3)]
+
+
 def test_run_terminates_its_children_on_an_exception(tmp_path, monkeypatch):
     class Stop(BaseException):
         pass
