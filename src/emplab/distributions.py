@@ -40,6 +40,9 @@ STUDENT_NOISE_DF_MARGIN = 1.0
 # below about 0.0117 Gamma(1 + 2/shape) overflows a float.
 WEIBULL_MIN_SHAPE = 0.05
 
+# Gamma mixing values per row block of sample_block_sums (1 MB of doubles)
+_MIXING_BLOCK_VALUES = 1 << 17
+
 
 class ConfigurationError(ValueError):
     """A spec violates one of its parameter bounds."""
@@ -248,7 +251,11 @@ def sample_block_sums(
     scale * sqrt(sum_i weights[b, i]^2 W_i) times one gaussian, and the k
     blocks are independent, so this draws one Gamma(df / 2) per (row,
     coordinate) of the rows in some block, none for gaussian X, then one
-    gaussian per (block, coordinate).  Returns an array k x copies x dim.
+    gaussian per (block, coordinate).  The Gamma values are drawn a few
+    rows at a time, never across blocks, into one buffer of about
+    _MIXING_BLOCK_VALUES values, and added to their block's variances in
+    row order: the same bits as drawing and summing them all at once.
+    Returns an array k x copies x dim.
     """
     c2 = np.square(np.asarray(weights, dtype=np.float64))
     if c2.ndim != 2 or np.any(np.count_nonzero(c2, axis=0) > 1):
@@ -260,13 +267,24 @@ def sample_block_sums(
     else:  # student_t: W = df/2 / Gamma(df/2), drawn for the rows of each block in turn
         block, row = np.nonzero(c2)
         half = 0.5 * spec.tail_param
-        W = rng.standard_gamma(half, size=(len(row), copies, spec.dim))
-        np.reciprocal(W, out=W)
-        W *= (half * c2[block, row])[:, None, None]
+        row_weights = half * c2[block, row]
         ends = np.searchsorted(block, np.arange(len(c2)), side="right")
-        var = np.stack([W[lo:hi].sum(axis=0) for lo, hi in zip([0, *ends], ends)])
+        var = np.zeros((len(c2), copies, spec.dim))
+        step = max(1, _MIXING_BLOCK_VALUES // max(1, copies * spec.dim))
+        # buf[0] holds a block's running sum (from an exact 0, as 0 + W = W),
+        # buf[1:] the W of its next rows
+        buf = np.empty((min(step, len(row)) + 1, copies, spec.dim))
+        for b, (lo, hi) in enumerate(zip([0, *ends], ends)):
+            for start in range(lo, hi, step):
+                stop = min(start + step, hi)
+                W = buf[1:1 + stop - start]
+                rng.standard_gamma(half, out=W)
+                np.reciprocal(W, out=W)
+                W *= row_weights[start:stop, None, None]
+                buf[0] = var[b]
+                np.add.reduce(buf[:1 + stop - start], axis=0, out=var[b])
     out = rng.standard_normal((len(c2), copies, spec.dim))
-    out *= np.sqrt(var)
+    out *= np.sqrt(var, out=var)
     if spec.scale != 1.0:
         out *= spec.scale
     return out

@@ -73,8 +73,9 @@ def _normalized_sums(
     block exactly, one Gamma mixing value per coordinate of the m_max rows
     (none for gaussian X) and one gaussian per block and coordinate;
     otherwise the draws x m_max x dim coordinates are drawn and summed.
-    Either way the draws go in chunks of about 4M values.  Returns an array
-    len(ms) x draws x dim.
+    Either way the draws go in chunks of about 4M values, which fix the
+    stream; for a mixture ``sample_block_sums`` holds only a row block of
+    a chunk's mixing values at a time.  Returns an array len(ms) x draws x dim.
     """
     if draws < 2:
         raise ValueError("draws must be >= 2")

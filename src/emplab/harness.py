@@ -14,7 +14,8 @@ indices and rows are merged in deterministic key order.
 Artifacts per run: ``<experiment>.csv`` (canonical formatting: fixed
 column order, repr floats, '.' decimal, '\\n' newlines), ``summary.json``
 (derived, deterministic) and ``manifest.json`` (config hash, version,
-timestamps, per-file checksums, seed ledger, workers and BLAS threads).
+timestamps, per-file checksums, seed ledger, workers, BLAS threads and
+peak RSS).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import json
 import math
 import multiprocessing
 import pickle
+import resource
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -717,6 +720,7 @@ class ExperimentManifest:
     rows: int
     workers: int
     blas_threads: int | None
+    peak_rss_mb: float
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -910,6 +914,14 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def _peak_rss_mb() -> float:
+    """The high-water RSS of this process plus that of its largest reaped child, in MB."""
+    unit = 1 << 20 if sys.platform == "darwin" else 1 << 10  # ru_maxrss: bytes, else KB
+    maxrss = sum(resource.getrusage(who).ru_maxrss
+                 for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return round(maxrss / unit, 1)
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -1000,6 +1012,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
         rows=len(rows),
         workers=workers,
         blas_threads=blas_threads,
+        peak_rss_mb=_peak_rss_mb(),
     )
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest.to_dict(), sort_keys=True, indent=1) + "\n"

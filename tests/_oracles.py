@@ -4,7 +4,8 @@ Nothing here shares code with the library paths it checks, and no oracle
 is an unconverged iterate or a second simulation: supports are re-derived
 from vertex enumeration or a primal-dual sandwich, moments and gaussian
 means from quadrature or closed forms, and the solvers from exhaustive
-enumeration over supports / sign patterns.
+enumeration over supports / sign patterns.  The row-blocked mixture draw is
+checked bit for bit against the one-shot draw of the same stream.
 """
 
 from __future__ import annotations
@@ -204,6 +205,25 @@ def kernel_projector_svd(Gamma: np.ndarray) -> tuple[np.ndarray, int]:
     _, sv, Vt = np.linalg.svd(Gamma)
     rank = int(np.count_nonzero(sv > max(Gamma.shape) * np.finfo(np.float64).eps * sv.max()))
     return np.eye(Gamma.shape[1]) - Vt[:rank].T @ Vt[:rank], rank
+
+
+# ---------------------------------------------------------------------------
+# Student-t block sums with every mixing value drawn at once
+
+def student_t_block_sums_one_shot(spec, weights: np.ndarray, copies: int,
+                                  rng: np.random.Generator) -> np.ndarray:
+    """The k x copies x dim block sums of Student-t rows: all len(rows) x
+    copies x dim Gamma(df / 2) mixing values in one draw, each block's
+    variances summed over its rows, then one gaussian per block and coordinate."""
+    c2 = np.square(np.asarray(weights, dtype=np.float64))
+    block, row = np.nonzero(c2)
+    half = 0.5 * spec.tail_param
+    W = rng.standard_gamma(half, size=(len(row), copies, spec.dim))
+    np.reciprocal(W, out=W)
+    W *= (half * c2[block, row])[:, None, None]
+    ends = np.searchsorted(block, np.arange(len(c2)), side="right")
+    var = np.stack([W[lo:hi].sum(axis=0) for lo, hi in zip([0, *ends], ends)])
+    return spec.scale * (rng.standard_normal((len(c2), copies, spec.dim)) * np.sqrt(var))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from emplab import distributions
 from emplab.distributions import (
     ConfigurationError,
     DistributionSpec,
@@ -22,7 +24,11 @@ from emplab.distributions import (
 )
 from emplab.streams import rng_from_path
 
-from _oracles import gaussian_abs_moment_quad, student_abs_moment_quad
+from _oracles import (
+    gaussian_abs_moment_quad,
+    student_abs_moment_quad,
+    student_t_block_sums_one_shot,
+)
 
 ALL_X_SPECS = [
     DistributionSpec("gaussian", 4),
@@ -178,6 +184,36 @@ def test_gaussian_block_sums_draw_no_mixing_values():
     S = sample_block_sums(DistributionSpec("gaussian", 5), weights, 7, rng_from_path((63,), "X"))
     G = rng_from_path((63,), "X").standard_normal((3, 7, 5))
     assert np.array_equal(S, np.sqrt((weights ** 2).sum(axis=1))[:, None, None] * G)
+
+
+@pytest.mark.parametrize("copies", [1, 7])
+@pytest.mark.parametrize("nu", [3.0, 8.0])
+@pytest.mark.parametrize("budget_rows", [1, 2, 4, None])
+def test_student_t_block_sums_equal_the_one_shot_draw(monkeypatch, copies, nu, budget_rows):
+    # row blocks of 1, 2 and 4 rows split the 5-row block inside and end on the
+    # 2- and 4-row blocks' boundaries; None keeps the module's budget (one row block each)
+    spec, weights = DistributionSpec("student_t", 3, tail_param=nu), _three_blocks()
+    if budget_rows is not None:
+        monkeypatch.setattr(distributions, "_MIXING_BLOCK_VALUES", budget_rows * copies * spec.dim)
+    S = sample_block_sums(spec, weights, copies, rng_from_path((64,), "X"))
+    oracle = student_t_block_sums_one_shot(spec, weights, copies, rng_from_path((64,), "X"))
+    assert np.array_equal(S, oracle)
+
+
+def test_student_t_block_sums_memory_is_bounded():
+    # the gelfand demo chunk: increments (0, 40], (40, 60], (60, 80] of 390 copies in
+    # dimension 128, whose 80 x 390 x 128 mixing values alone take 32 MB
+    weights = np.zeros((3, 80))
+    for b, (lo, hi) in enumerate([(0, 40), (40, 60), (60, 80)]):
+        weights[b, lo:hi] = 1.0
+    spec, rng = DistributionSpec("student_t", 128, tail_param=6.0), rng_from_path((65,), "X")
+    tracemalloc.start()
+    try:
+        sample_block_sums(spec, weights, 390, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_block_sums_reject_overlaps_and_other_laws():

@@ -261,8 +261,10 @@ def test_parallel_equals_serial(tmp_path, monkeypatch, make_config, failed, brea
         assert [(f["cell"], f["trial"]) for f in manifest.failed] == failed
         assert dropped_cells(manifest.failed) == dropped
         assert (manifest.workers, manifest.blas_threads) == (workers, blas_threads)
+        on_disk = json.loads((tmp_path / f"w{workers}" / "manifest.json").read_text())
+        assert on_disk["peak_rss_mb"] == manifest.peak_rss_mb > 0
         summary = json.loads((tmp_path / f"w{workers}" / "summary.json").read_text())
-        assert not {"workers", "blas_threads"} & set(summary)
+        assert not {"workers", "blas_threads", "peak_rss_mb"} & set(summary)
         csv_path = tmp_path / f"w{workers}" / f"{cfg.experiment}.csv"
         with csv_path.open() as fh:
             cells = {int(row["cell"]) for row in csv.DictReader(fh)}
