@@ -6,12 +6,10 @@ logarithmic-in-dimension number of well-behaved moments.  The package
 provides:
 
 - ``distributions``: isotropic samplers with prescribed moment growth,
-  noise multipliers with a target L_{q0} norm, moment and small-ball
-  diagnostics;
+  noise multipliers with a target L_{q0} norm, moment-growth diagnostics;
 - ``geometry``: exact support functions for five coordinate-symmetric
   families, Monte-Carlo gaussian mean widths (optionally localized to a
-  Euclidean ball), exact ones for the l1 and l2 balls, gaussian
-  order-statistic means;
+  Euclidean ball), exact ones for the l1 and l2 balls;
 - ``process``: the multiplier-process supremum, its symmetrized form, the
   rearranged-noise event A_u, order-statistic envelopes, and the
   normalized ratio statistic;
@@ -32,7 +30,6 @@ from .distributions import (
     moment_growth_profile,
     sample_batch,
     sample_block_sums,
-    small_ball_estimate,
 )
 from .gelfand import (
     FixedPointResult,
@@ -52,12 +49,10 @@ from .geometry import (
     gauge,
     gaussian_mean_width,
     gaussian_mean_widths,
-    gaussian_order_stat_means,
     gaussian_width,
     l1_ball,
     l1_cap_l2,
     l2_ball,
-    localized_support,
     permutation_polytope,
     sparse_cap,
     support,
@@ -93,19 +88,16 @@ __all__ = [
     "moment_growth_profile",
     "sample_batch",
     "sample_block_sums",
-    "small_ball_estimate",
     "IndexSetSpec",
     "WidthEstimate",
     "d2",
     "gauge",
     "gaussian_mean_width",
     "gaussian_mean_widths",
-    "gaussian_order_stat_means",
     "gaussian_width",
     "l1_ball",
     "l1_cap_l2",
     "l2_ball",
-    "localized_support",
     "permutation_polytope",
     "sparse_cap",
     "support",

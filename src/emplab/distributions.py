@@ -4,7 +4,7 @@ Measurement vectors have iid symmetric coordinates normalized to unit
 variance, so the vector is isotropic.  Noise multipliers are scaled so that
 their L_{q0} norm hits a prescribed target.  The module also provides the
 empirical moment-growth diagnostics used throughout: the sup_{q<=p} of
-``||.||_{L_q}/sqrt(q)`` and a directional small-ball estimate.
+``||.||_{L_q}/sqrt(q)`` and its per-q profile.
 
 Families
 --------
@@ -382,42 +382,3 @@ def moment_growth_profile(
     qs = np.arange(1, q_cap + 1)
     ratios = empirical_lq_norms(draws, qs) / np.sqrt(qs)
     return [(int(q), float(rat)) for q, rat in zip(qs, ratios)]
-
-
-def small_ball_estimate(
-    spec: DistributionSpec,
-    kappa: float,
-    n_dirs: int,
-    n_samples: int,
-    seed_path: int | SeedPath,
-    extra_dirs: np.ndarray | None = None,
-) -> float:
-    """min over random unit directions t of the frequency of |<X,t>| >= kappa.
-
-    Finitely many directions only, so this is a heuristic upper bound on
-    the true infimum over the sphere.  ``extra_dirs`` (rows, normalized
-    here) are forced into the direction set.
-    """
-    if kappa < 0:
-        raise ConfigurationError("kappa must be >= 0")
-    if n_dirs < 0 or n_samples < 1:
-        raise ConfigurationError("n_dirs must be >= 0 and n_samples >= 1")
-    path = as_seed_path(seed_path)
-    g = rng_from_path(path, "directions").standard_normal((n_dirs, spec.dim))
-    dirs = g / np.linalg.norm(g, axis=1, keepdims=True) if n_dirs else np.zeros((0, spec.dim))
-    if extra_dirs is not None:
-        extra = np.atleast_2d(np.asarray(extra_dirs, dtype=np.float64))
-        extra = extra / np.linalg.norm(extra, axis=1, keepdims=True)
-        dirs = np.vstack([dirs, extra])
-    if dirs.shape[0] == 0:
-        raise ConfigurationError("need at least one direction (random or forced)")
-    rng_x = rng_from_path(path, "X")
-    hits = np.zeros(dirs.shape[0])
-    total = 0
-    chunk = max(1, 2_000_000 // spec.dim)
-    while total < n_samples:
-        take = min(chunk, n_samples - total)
-        X = sample_coordinates(spec, (take, spec.dim), rng_x)
-        hits += (np.abs(X @ dirs.T) >= kappa).sum(axis=0)
-        total += take
-    return float((hits / n_samples).min())

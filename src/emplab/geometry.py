@@ -12,10 +12,10 @@ flips (so the associated sup-norm is 1-unconditional):
 Support values sup_{v in V} |<v, z>| are evaluated exactly (closed forms;
 the l1/l2 intersection by a breakpoint scan over sorted |z| with
 closed-form interior minimization).  The gaussian mean widths of the two
-balls are exact (``gaussian_width``).  Monte-Carlo gaussian mean widths and
-gaussian order-statistic means carry standard errors; every Monte-Carlo
-reduction is a numpy pairwise-summation mean, reproducible for a fixed
-seed path to the last bit and order-independent to ~1e-12 relative.
+balls are exact (``gaussian_width``).  Monte-Carlo gaussian mean widths
+carry standard errors; every Monte-Carlo reduction is a numpy
+pairwise-summation mean, reproducible for a fixed seed path to the last bit
+and order-independent to ~1e-12 relative.
 Every gaussian sample is drawn by ``_gaussian_blocks``; the widths at many
 radii (``gaussian_mean_widths``) share one sample.
 """
@@ -367,10 +367,6 @@ def localized_support_batch(
     return support_curve(spec, Z)(radius)
 
 
-def localized_support(spec: IndexSetSpec, z: np.ndarray, radius: float | None) -> float:
-    return float(localized_support_batch(spec, np.asarray(z, dtype=np.float64)[None, :], radius)[0])
-
-
 def gauge_batch(spec: IndexSetSpec, V: np.ndarray) -> np.ndarray:
     """Minkowski functional inf{t > 0 : v in t*V} for each row v of V (+inf if none)."""
     V = _as_batch(V, spec.dim)
@@ -442,7 +438,7 @@ def gaussian_width(spec: IndexSetSpec) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo widths and order statistics
+# Monte-Carlo widths
 
 @dataclass(frozen=True)
 class WidthEstimate:
@@ -520,20 +516,6 @@ def gaussian_mean_width(
 ) -> WidthEstimate:
     """Monte-Carlo E sup_{v in V cap rB2} |<G, v>| over standard gaussians."""
     return gaussian_mean_widths(spec, draws, [localized_radius], seed_path)[0]
-
-
-def gaussian_order_stat_means(
-    n: int, n_draws: int, seed_path: int | SeedPath = (0,)
-) -> np.ndarray:
-    """Monte-Carlo E g_j*: expected nonincreasing rearrangement of |g_1..g_n|."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    acc = np.zeros(n)
-    for G in _gaussian_blocks(n, n_draws, seed_path):
-        acc += _sorted_abs_desc(G).sum(axis=0)
-    return acc / n_draws
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .distributions import (
     ConfigurationError,
     DistributionSpec,
     NoiseSpec,
+    canonical_heavy_tail_spec,
     moment_growth_profile,
 )
 from .gelfand import kernel_section_diameters, r_G_fixed_points, r_X_fixed_points
@@ -224,7 +225,7 @@ def _x_spec(family, n: int, nu) -> DistributionSpec:
     if nu is not None:
         _number(nu, "nu")
     elif family == "student_t":
-        nu = 2.0 * math.log(n)
+        return canonical_heavy_tail_spec(n)
     elif family == "symmetric_pareto":
         nu = 4.0
     elif family == "symmetric_weibull":

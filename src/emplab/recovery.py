@@ -361,5 +361,6 @@ def recovery_success(result: RecoveryResult, v0: np.ndarray) -> bool:
 # Calibrated once on the canonical regime (n=256, Student t coordinates
 # with df = 2 ln n, Pareto noise with q0 = 3): the smallest grid value for
 # which the median errors reproduce the s^(1/p) sqrt(1/N) shape in both
-# norms; see demos/recovery_demo.py.
+# norms; acceptance criterion 07 (tests/test_acceptance.py) checks the l2
+# shape at this value.
 DEFAULT_LASSO_C1 = 2.0

@@ -20,7 +20,6 @@ from emplab.distributions import (
     sample_block_sums,
     sample_coordinates,
     sample_noise,
-    small_ball_estimate,
 )
 from emplab.streams import rng_from_path
 
@@ -308,36 +307,3 @@ def test_profile_student_log_moments_bounded():
         oracle = spec.scale * student_abs_moment_quad(spec.tail_param, q) ** (1 / q) / math.sqrt(q)
         assert ratio == pytest.approx(oracle, rel=0.15)
         assert ratio <= 3.0
-
-
-# ---------------------------------------------------------------------------
-# small ball
-
-def test_small_ball_rademacher_axis_direction():
-    # every axis direction gives |<X, e_j>| = 1 >= 0.5 with certainty
-    spec = DistributionSpec("rademacher", 5)
-    e1 = np.zeros(5)
-    e1[0] = 1.0
-    freq = small_ball_estimate(spec, kappa=0.5, n_dirs=0, n_samples=2000,
-                               seed_path=(1,), extra_dirs=e1[None, :])
-    assert freq == 1.0
-    all_axes = small_ball_estimate(spec, kappa=0.5, n_dirs=0, n_samples=2000,
-                                   seed_path=(1,), extra_dirs=np.eye(5))
-    assert all_axes == 1.0
-    # adding random directions can only lower the minimum
-    with_random = small_ball_estimate(spec, kappa=0.5, n_dirs=8, n_samples=2000,
-                                      seed_path=(1,), extra_dirs=e1[None, :])
-    assert with_random <= 1.0
-
-
-def test_small_ball_kappa_zero_is_one():
-    spec = DistributionSpec("gaussian", 3)
-    assert small_ball_estimate(spec, 0.0, 4, 500, (2,)) == 1.0
-
-
-def test_small_ball_gaussian_quartile():
-    spec = DistributionSpec("gaussian", 6)
-    kappa = stats.norm.ppf(0.75)  # |g| >= quartile with probability 1/2
-    freq = small_ball_estimate(spec, kappa, n_dirs=8, n_samples=200_000, seed_path=(3,))
-    # rotation invariance: every direction has hit probability exactly 1/2
-    assert freq == pytest.approx(0.5, abs=0.01)

@@ -13,12 +13,10 @@ from emplab.geometry import (
     gauge_batch,
     gaussian_mean_width,
     gaussian_mean_widths,
-    gaussian_order_stat_means,
     gaussian_width,
     l1_ball,
     l1_cap_l2,
     l2_ball,
-    localized_support,
     localized_support_batch,
     permutation_polytope,
     sparse_cap,
@@ -159,7 +157,7 @@ def test_localized_upper_bounds_and_monotonicity():
         for _ in range(20):
             z = rng.standard_normal(n)
             h_full = support(spec, z)
-            values = [localized_support(spec, z, r) for r in radii]
+            values = [localized_support_batch(spec, z[None, :], r)[0] for r in radii]
             for r, hv in zip(radii, values):
                 assert hv <= min(h_full, r * np.linalg.norm(z)) + 1e-9
             for a, b in zip(values, values[1:]):
@@ -190,7 +188,8 @@ def test_support_curve_matches_localized_support_batch(spec):
     # ... and a row gives the same bits in a batch as alone
     for r in radii[:6]:
         values = curve(r)
-        assert all(values[i] == localized_support(spec, Z[i], r) for i in range(0, len(Z), 3))
+        assert all(values[i] == localized_support_batch(spec, Z[i][None, :], r)[0]
+                   for i in range(0, len(Z), 3))
     with pytest.raises(ValueError):
         curve(0.0)
 
@@ -200,7 +199,9 @@ def test_localized_l1_equality_when_l2_binds():
     z = rng.standard_normal(7)
     spec = l1_ball(7, 1.0)
     r = 0.9 * np.linalg.norm(z) / np.abs(z).sum()
-    assert localized_support(spec, z, r) == pytest.approx(r * np.linalg.norm(z), rel=1e-12)
+    assert localized_support_batch(spec, z[None, :], r)[0] == pytest.approx(
+        r * np.linalg.norm(z), rel=1e-12
+    )
 
 
 def test_localized_permutation_polytope_cross_forms():
@@ -214,8 +215,8 @@ def test_localized_permutation_polytope_cross_forms():
     for _ in range(40):
         z = rng.standard_normal(n) * math.exp(rng.uniform(-1, 1))
         r = rng.uniform(0.05, 2.0)
-        assert localized_support(pp, z, r) == pytest.approx(
-            localized_support(ball, z, r), rel=1e-9
+        assert localized_support_batch(pp, z[None, :], r)[0] == pytest.approx(
+            localized_support_batch(ball, z[None, :], r)[0], rel=1e-9
         )
 
 
@@ -250,7 +251,9 @@ def test_localized_permutation_polytope_cube_oracle():
     for _ in range(40):
         z = rng.standard_normal(n) * math.exp(rng.uniform(-1, 1))
         r = rng.uniform(0.05, 3.0)
-        assert localized_support(cube, z, r) == pytest.approx(oracle(z, r), rel=1e-9)
+        assert localized_support_batch(cube, z[None, :], r)[0] == pytest.approx(
+            oracle(z, r), rel=1e-9
+        )
 
 
 def test_localized_permutation_polytope_scan_is_short(monkeypatch):
@@ -260,7 +263,7 @@ def test_localized_permutation_polytope_scan_is_short(monkeypatch):
     monkeypatch.setattr(geometry, "_prox_owl", lambda *a: calls.append(1) or prox(*a))
     spec = permutation_polytope(np.linspace(1.0, -0.4, 32))
     z = np.random.default_rng(7033).standard_normal(32)
-    assert 0.0 < localized_support(spec, z, 0.3 * d2(spec)) < support(spec, z)
+    assert 0.0 < localized_support_batch(spec, z[None, :], 0.3 * d2(spec))[0] < support(spec, z)
     assert 0 < len(calls) <= 40
 
 
@@ -421,8 +424,8 @@ def test_width_degenerate_polytope_zero():
     w[0] = 0.25
     est = gaussian_mean_width(permutation_polytope(w), draws=2000, seed_path=(23,))
     assert est.d2 == 0.25
-    top = gaussian_order_stat_means(6, 2000, seed_path=(23,))[0]
-    assert est.mean == pytest.approx(0.25 * top, rel=1e-12)
+    G = rng_from_path((23,), "gaussian").standard_normal((2000, 6))
+    assert est.mean == pytest.approx(0.25 * np.abs(G).max(axis=1).mean(), rel=1e-12)
 
 
 def test_width_estimate_fields():
@@ -455,19 +458,6 @@ def test_gaussian_mean_widths_match_one_radius_calls(spec, monkeypatch):
         assert est == gaussian_mean_width(spec, draws, r, path)
         # the sample drawn at once, evaluated at once
         assert est == geometry._make_width_estimate(localized_support_batch(spec, G, r), spec, r)
-
-
-def test_order_stat_means_basics():
-    one = gaussian_order_stat_means(1, 200_000, seed_path=(26,))
-    assert one[0] == pytest.approx(math.sqrt(2.0 / math.pi), abs=0.005)
-    means = gaussian_order_stat_means(64, 20_000, seed_path=(27,))
-    assert np.all(np.diff(means) <= 0)
-
-
-def test_order_stat_top_bracket_n1024():
-    means = gaussian_order_stat_means(1024, 3000, seed_path=(28,))
-    target = math.sqrt(2.0 * math.log(1024))
-    assert target - 1.0 <= means[0] <= target + 1.0
 
 
 # ---------------------------------------------------------------------------

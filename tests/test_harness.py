@@ -599,6 +599,23 @@ def test_cli_rejects_bad_widths_radii(tmp_path, capsys, radii):
     assert not (tmp_path / "out").exists()
 
 
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
+
+
+def test_one_demo_config_per_experiment():
+    assert [path.stem for path in DEMO_CONFIGS] == sorted(harness.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda path: path.stem)
+def test_demo_config_builds_its_cells(path):
+    # a stray or misspelt key fails here, not first in a run of the installed CLI
+    raw = json.loads(path.read_text())
+    cfg = ExperimentConfig.from_dict(raw)
+    assert set(raw) <= set(cfg.to_dict())
+    assert cfg.experiment == path.stem
+    assert _ADAPTERS[cfg.experiment].cells(cfg)
+
+
 def _assert_config_error(tmp_path, capsys, cfg):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
@@ -667,9 +684,11 @@ def test_cli_gelfand_m_at_dim_exits_2(tmp_path, capsys):
     {"N": 16},
     {"N": [0]},
     {"nu": 2.0},
+    {"n": [2]},
     {"width_draw": 50},
 ], ids=["unknown-set-family", "unknown-law", "unknown-noise", "q0-2", "width-draws-1",
-        "u-below-2", "n-not-a-list", "N-not-a-list", "N-0", "heavy-law", "misspelt-grid-key"])
+        "u-below-2", "n-not-a-list", "N-not-a-list", "N-0", "heavy-law", "default-df-below-2",
+        "misspelt-grid-key"])
 def test_cli_multiplier_config_errors_exit_2(tmp_path, capsys, change):
     cfg = _multiplier_config(tmp_path / "out", trials=1)
     cfg.grids.update(change)
