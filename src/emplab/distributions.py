@@ -19,7 +19,7 @@ Mallows 1974): ``sample_block_sums`` draws sums of their rows exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -83,14 +83,14 @@ class DistributionSpec:
     ``tail_param`` is the degrees of freedom for ``student_t``, the tail
     exponent for ``symmetric_pareto`` and the shape for
     ``symmetric_weibull``; it is ignored for ``gaussian``/``rademacher``.
-    ``scale`` defaults to the value that makes each coordinate unit
+    ``scale`` is derived: the value that makes each coordinate unit
     variance.
     """
 
     family: str
     dim: int
     tail_param: float | None = None
-    scale: float | None = None
+    scale: float = field(init=False)
 
     def __post_init__(self):
         if self.family not in X_FAMILIES:
@@ -113,10 +113,7 @@ class DistributionSpec:
                     f"symmetric_weibull requires shape >= {WEIBULL_MIN_SHAPE}, "
                     f"got {self.tail_param}"
                 )
-        if self.scale is None:
-            object.__setattr__(self, "scale", _unit_variance_scale(self.family, self.tail_param))
-        elif self.scale <= 0:
-            raise ConfigurationError("scale must be > 0")
+        object.__setattr__(self, "scale", _unit_variance_scale(self.family, self.tail_param))
 
 
 def _unit_variance_scale(family: str, tail_param: float | None) -> float:

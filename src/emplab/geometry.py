@@ -10,12 +10,12 @@ flips (so the associated sup-norm is 1-unconditional):
 - ``permutation_polytope``: convex hull of all signed permutations of w
 
 Support values sup_{v in V} |<v, z>| are evaluated exactly (closed forms;
-the l1/l2 intersection by a breakpoint scan over sorted |z| with
-closed-form interior minimization).  The gaussian mean widths of the two
-balls are exact (``gaussian_width``).  Monte-Carlo gaussian mean widths
-carry standard errors; every Monte-Carlo reduction is a numpy
-pairwise-summation mean, reproducible for a fixed seed path to the last bit
-and order-independent to ~1e-12 relative.
+the l1/l2 intersection by one count per row that finds the segment of
+sorted |z| holding its dual minimizer, then a closed-form minimum).  The
+gaussian mean widths of the two balls are exact (``gaussian_width``).
+Monte-Carlo gaussian mean widths carry standard errors; every Monte-Carlo
+reduction is a numpy pairwise-summation mean, reproducible for a fixed
+seed path to the last bit and order-independent to ~1e-12 relative.
 Every gaussian sample is drawn by ``_gaussian_blocks``; the widths at many
 radii (``gaussian_mean_widths``) share one sample.
 """
@@ -189,49 +189,45 @@ def _sorted_abs_desc(Z: np.ndarray) -> np.ndarray:
 def _l1_cap_l2_curve(A: np.ndarray, rho: float):
     """r -> exact sup over rho*B1 cap r*B2, from rows sorted as |z| descending.
 
-    Evaluates the one-dimensional dual  min_{mu>=0} rho*mu + r*||soft(z,mu)||_2
-    at every breakpoint mu = a_k, at mu = 0, and at the closed-form interior
-    stationary point of each segment.  Every evaluated mu yields an upper
-    bound on the true value, and the candidate set provably contains the
-    minimizer, so the minimum over candidates is exact.  The prefix sums and
-    the breakpoint terms do not depend on r and are computed once; each
-    radius then costs one pass over the candidates.
+    The value is the convex dual min_{mu>=0} g(mu) = rho*mu + r*||soft(z,mu)||_2,
+    least where the ratio ||soft(z,mu)||_1/||soft(z,mu)||_2, nonincreasing in
+    mu, meets rho/r (the threshold search of l1-ball projection).  The ratios
+    at the breakpoints mu = a_k are built once, from norms that are prefix
+    sums of nonnegative terms; at each radius the count k of ratios <= rho/r
+    names the segment [a_{k+1}, a_k] (a_{n+1} = 0) holding the minimizer.
+    g's closed-form stationary point on segment k and on each neighbour,
+    clipped into its segment, is an upper bound; the least of the three is
+    exact, the neighbours absorbing rounding in the count.
     """
-    B, n = A.shape
+    n = A.shape[1]
     ks = np.arange(1, n + 1, dtype=np.float64)
-    # A and the lower ends of its segments (a_{k+1}, and 0 after a_n) as two
-    # views of one padded array
-    padded = np.zeros((B, n + 1))
-    padded[:, :n] = A
-    A, lo = padded[:, :n], padded[:, 1:]
-    S1 = np.cumsum(A, axis=1)
-    S2 = np.cumsum(A * A, axis=1)
-    Vk = np.maximum(S2 - S1 * S1 / ks, 0.0)
-    l2_norm = np.sqrt(S2[:, -1])
-    # breakpoints mu = a_k: active set {j <= k}, tied terms contribute zero
-    rho_a = rho * A
-    sqrt_f_bp = np.sqrt(np.maximum(S2 - 2.0 * A * S1 + ks * A * A, 0.0))
+    gap = A[:, :-1] - A[:, 1:]
+    k_gap = ks[:-1] * gap
+    # l1_k = ||soft(z, a_k)||_1, q_k = ||soft(z, a_k)||_2^2; a zero soft(z, a_k) has ratio 0
+    l1, q = np.zeros(A.shape), np.zeros(A.shape)
+    np.cumsum(k_gap, axis=1, out=l1[:, 1:])
+    np.cumsum(gap * (2.0 * l1[:, :-1] + k_gap), axis=1, out=q[:, 1:])
+    l2 = np.sqrt(q)
+    ratio = np.divide(l1, l2, out=l2, where=l2 > 0)
+    rows = np.arange(len(A))
 
     def at(r: float) -> np.ndarray:
-        best = r * l2_norm  # mu = 0 (pure l2 bound)
-        best = np.minimum(best, (rho_a + r * sqrt_f_bp).min(axis=1))
-
-        # interior stationary point of each segment, where defined: denom is
-        # increasing in k, so the segments with denom > 0 are a suffix
-        denom = r * r - (rho * rho) / ks
-        k0 = int(np.count_nonzero(denom <= 0))
-        if k0 == n:
-            return best
-        tail = slice(k0, None)
-        t = rho * np.sqrt(Vk[:, tail] / denom[tail])
-        mu = (S1[:, tail] - t) / ks[tail]
-        valid = np.isfinite(mu) & (mu >= lo[:, tail]) & (mu <= A[:, tail])
-        g_int = np.where(
-            valid,
-            rho * mu + r * np.sqrt(Vk[:, tail] + np.where(valid, t * t, 0.0) / ks[tail]),
-            np.inf,
-        )
-        return np.minimum(best, g_int.min(axis=1))
+        count = np.count_nonzero(ratio <= rho / r, axis=1)
+        best = np.full(len(A), np.inf)
+        for seg in (count - 2, count - 1, count):  # k - 1 for segment k and its neighbours
+            seg = np.clip(seg, 0, n - 1)
+            a = A[rows, seg]
+            width = a - np.where(seg < n - 1, A[rows, np.minimum(seg + 1, n - 1)], 0.0)
+            s1, s2, k = l1[rows, seg], q[rows, seg], seg + 1.0
+            # mu = a_k - x gives ||soft||_2^2 = q + x (2 l1 + k x), stationary at x = (u - l1)/k
+            # with u = rho sqrt(W/(k r^2 - rho^2)), W = k q - l1^2; where k r^2 <= rho^2,
+            # g increases in mu on the segment (u = inf, x at the lower end)
+            W = np.maximum(k * s2 - s1 * s1, 0.0)
+            denom = k * (r * r) - rho * rho
+            u = rho * np.sqrt(np.divide(W, denom, out=np.full_like(W, np.inf), where=denom > 0))
+            x = np.clip((u - s1) / k, 0.0, width)
+            best = np.minimum(best, rho * (a - x) + r * np.sqrt(s2 + x * (2.0 * s1 + k * x)))
+        return best
 
     return at
 
@@ -317,9 +313,9 @@ def _permpoly_localized_support_one(
 def support_curve(spec: IndexSetSpec, Z: np.ndarray):
     """r -> localized_support_batch(spec, Z, r), for many radii on one Z.
 
-    The work that does not depend on r (sorting |z| and the prefix sums of
-    the l1 families, the norms of l2_ball and sparse_cap) is done once; the
-    permutation polytope evaluates each radius on its own.
+    The work that does not depend on r (sorting |z| and the breakpoint
+    ratios of the l1 families, the norms of l2_ball and sparse_cap) is done
+    once; the permutation polytope evaluates each radius on its own.
     """
     Z = _as_batch(Z, spec.dim)
     fam = spec.family
@@ -505,6 +501,7 @@ def gaussian_mean_widths(
         for i, r in enumerate(radii):
             values[i, done:done + len(G)] = support_batch(spec, G) if r is None else curve(r)
         done += len(G)
+        del G, curve  # freed before the next block is drawn and its curve built
     return [_make_width_estimate(v, spec, r) for v, r in zip(values, radii)]
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -105,6 +106,10 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigurationError(f"config must be a JSON object, got {type(d).__name__}")
+        keys = sorted(f.name for f in dataclasses.fields(cls))
+        unknown = sorted(set(d) - set(keys))
+        if unknown:
+            raise ConfigurationError(f"unknown config keys {unknown}; the keys are {keys}")
         try:
             fields = {
                 "experiment": d["experiment"],

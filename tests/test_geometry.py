@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,52 @@ def test_l1_cap_l2_duality_sandwich():
     lower, upper = support_l1_cap_l2_sandwich(Z, rho, r)
     got = support_batch(l1_cap_l2(6, rho, r), Z)
     assert np.all(np.maximum(upper - got, got - lower) <= 1e-14 * upper)
+
+
+def _breakpoint_radii(z, rho):
+    """The r with rho/r equal to z's ratio ||soft(z, a_k)||_1/||soft(z, a_k)||_2 at a few k."""
+    a = sorted(np.abs(z), reverse=True)
+    radii = []
+    for k in sorted({2, len(a) // 2, len(a)} & set(range(2, len(a) + 1))):
+        d = [x - a[k - 1] for x in a[:k - 1]]
+        l1 = math.fsum(d)
+        if l1 > 0:
+            radii.append(rho * math.sqrt(math.fsum(x * x for x in d)) / l1)
+    return radii
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "tied", "zero", "student_t"])
+@pytest.mark.parametrize("n", [1, 2, 128, 1024])
+def test_l1_cap_l2_segment_search_within_sandwich(n, kind):
+    rng = np.random.default_rng(7056 + n)
+    Z = {"gaussian": lambda: rng.standard_normal((20, n)),
+         "tied": lambda: np.round(2.0 * rng.standard_normal((20, n))) / 2.0,
+         "zero": lambda: np.zeros((3, n)),
+         "student_t": lambda: rng.standard_t(3.0, (20, n))}[kind]()
+    rho = 0.7
+    radii = [1e-300, 1e-3 * rho, *_breakpoint_radii(Z[0], rho), *_breakpoint_radii(Z[1], rho),
+             rho, 2.0 * rho, 100.0]
+    curve = support_curve(l1_ball(n, rho), Z)
+    for r in radii:
+        lower, upper = support_l1_cap_l2_sandwich(Z, rho, r)
+        for got in (curve(r), support_batch(l1_cap_l2(n, rho, r), Z)):
+            # the breakpoint norms are sums of nonnegative terms: no cancellation
+            tol = 1e-14 * upper
+            assert np.all((got >= lower - tol) & (got <= upper + tol)), r
+
+
+def test_l1_curve_evaluation_memory_is_bounded():
+    # one radius on a widths-demo block, 20000 x 128 gaussians: a count over
+    # the ratios and a few values per row, no float array the block's size (20 MB)
+    Z = rng_from_path((66,), "gaussian").standard_normal((20000, 128))
+    curve = support_curve(l1_ball(128), Z)
+    tracemalloc.start()
+    try:
+        curve(0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------

@@ -586,6 +586,18 @@ def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys):
         assert f"config error: cannot read {path}" in capsys.readouterr().err
 
 
+def test_cli_unknown_top_level_key_exits_2(tmp_path, capsys, monkeypatch):
+    # a misspelt output_dir would otherwise send the run to the default results/
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LAB_OUT", raising=False)
+    cfg = _widths_config(tmp_path / "out", trials=1).to_dict()
+    cfg["output_dri"] = cfg.pop("output_dir")
+    Path("c.json").write_text(json.dumps(cfg))
+    assert cli_main(["widths", "--config", "c.json"]) == 2
+    assert "unknown config keys ['output_dri']" in capsys.readouterr().err
+    assert os.listdir() == ["c.json"]
+
+
 @pytest.mark.parametrize("radii", [
     [None, 0], [None, -0.5], [True], [None, "0.1"], [float("inf")], [], 0.5,
 ])
