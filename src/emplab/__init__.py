@@ -75,6 +75,7 @@ from .recovery import (
     rate_penalty,
     lasso,
     make_recovery_problem,
+    make_recovery_problems,
 )
 
 __all__ = [
@@ -115,6 +116,7 @@ __all__ = [
     "rate_penalty",
     "lasso",
     "make_recovery_problem",
+    "make_recovery_problems",
     "FixedPointResult",
     "KernelDiameterResult",
     "empirical_process_width",

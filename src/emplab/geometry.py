@@ -212,6 +212,9 @@ def _l1_cap_l2_curve(A: np.ndarray, rho: float):
     rows = np.arange(len(A))
 
     def at(r: float) -> np.ndarray:
+        if r > rho:
+            # rho*B1 lies inside r*B2; the formula below would take inf * 0 at r = inf
+            return rho * A[:, 0]
         count = np.count_nonzero(ratio <= rho / r, axis=1)
         best = np.full(len(A), np.inf)
         for seg in (count - 2, count - 1, count):  # k - 1 for segment k and its neighbours
@@ -486,7 +489,8 @@ def gaussian_mean_widths(
 
     A radius of None is the whole set.  Each block of the sample is
     evaluated at every radius, through one ``support_curve`` when some
-    radius is finite, before the next block is drawn.  On the sample each
+    radius is finite (a None read off it at r = inf, the whole set's exact
+    support), before the next block is drawn.  On the sample each
     row's support is concave in r and 0 at r = 0, so width(r)/r is
     nonincreasing in r.
     """
@@ -499,7 +503,8 @@ def gaussian_mean_widths(
     for G in _gaussian_blocks(spec.dim, draws, seed_path):
         curve = support_curve(spec, G) if localized else None
         for i, r in enumerate(radii):
-            values[i, done:done + len(G)] = support_batch(spec, G) if r is None else curve(r)
+            values[i, done:done + len(G)] = (support_batch(spec, G) if curve is None
+                                             else curve(math.inf if r is None else r))
         done += len(G)
         del G, curve  # freed before the next block is drawn and its curve built
     return [_make_width_estimate(v, spec, r) for v, r in zip(values, radii)]

@@ -61,7 +61,7 @@ from .recovery import (
     bp_recovers,
     rate_penalty,
     lasso,
-    make_recovery_problem,
+    make_recovery_problems,
 )
 from .streams import child_path
 
@@ -167,7 +167,9 @@ def config_hash(config: ExperimentConfig) -> str:
 #                                         on every other key form a group, which
 #                                         runs as one task per trial, and one for
 #                                         its shared work; with () every group
-#                                         is one cell
+#                                         is one cell.  gelfand nests ("m",),
+#                                         recovery ("s", "N", "lam"); the
+#                                         others nest nothing
 #   trial(config, group, ti)           -> one per-trial record per member cell of
 #                                         group, a list of (ci, cell); with the
 #                                         default rows, a record is the list of
@@ -441,6 +443,10 @@ class _RecoveryAdapter(_Adapter):
     group = ["n", "s", "N", "family"]
     values = ["success_rate", "err_l1_med", "err_l2_med"]
 
+    # every (s, N) of an (n, law) is read off one draw per trial: the first N
+    # rows and the first s support entries of the instance at the largest
+    nested = ("s", "N", "lam")
+
     @staticmethod
     def cells(config):
         g = _grids(config, "n", "s", "N", "x_family", "noise_family", "nu", "q0", "c1")
@@ -457,30 +463,34 @@ class _RecoveryAdapter(_Adapter):
                           "lam": rate_penalty(noise, N, n, c1) if noise else 0.0})
         return cells
 
-    @_per_cell
-    def trial(config, cell, ci, ti):
-        prob = make_recovery_problem(cell["x"], cell["N"], cell["s"],
-                                     child_path(config.master_seed, ci, ti),
-                                     noise=cell["noise"], lam=cell["lam"])
-        success, bp = bp_recovers(prob.Gamma, prob.v0)
-        if cell["noise"] is not None:
-            la = lasso(prob)
-        else:
-            # lam is 0, where the KKT certificate only says "interpolates";
-            # the lam -> 0+ limit of the LASSO is the minimum-l1 interpolant,
-            # basis pursuit's, solved on prob (y = Gamma v0) where the
-            # certificate spared the solve
-            if bp is None:
-                bp = basis_pursuit(prob)
-            la = bp
-        return {
-            "bp_success": int(success),
-            # only the solves that ran: a certified trial has none
-            "bp_unconverged": int(bp is not None and not bp.converged),
-            "lasso_unconverged": int(not la.converged),
-            "err_l1": la.errors_lp[1.0],
-            "err_l2": la.errors_lp[2.0],
-        }
+    @staticmethod
+    def trial(config, group, ti):
+        ci, first = group[0]
+        noise = first["noise"]
+        probs = make_recovery_problems(first["x"], [(c["s"], c["N"], c["lam"]) for _, c in group],
+                                       child_path(config.master_seed, ci, ti), noise)
+        records = []
+        for prob in probs:
+            success, bp = bp_recovers(prob.Gamma, prob.v0)
+            if noise is not None:
+                la = lasso(prob)
+            else:
+                # lam is 0, where the KKT certificate only says "interpolates";
+                # the lam -> 0+ limit of the LASSO is the minimum-l1 interpolant,
+                # basis pursuit's, solved on prob (y = Gamma v0) where the
+                # certificate spared the solve
+                if bp is None:
+                    bp = basis_pursuit(prob)
+                la = bp
+            records.append({
+                "bp_success": int(success),
+                # only the solves that ran: a certified trial has none
+                "bp_unconverged": int(bp is not None and not bp.converged),
+                "lasso_unconverged": int(not la.converged),
+                "err_l1": la.errors_lp[1.0],
+                "err_l2": la.errors_lp[2.0],
+            })
+        return records
 
     @staticmethod
     def rows(cell, ci, records, cell_result):

@@ -1,7 +1,11 @@
 """Sparse recovery: basis pursuit, LASSO, and the rate-driven penalty.
 
 The measurement model is y_i = <v0, X_i> - xi_i with an s-sparse ground
-truth v0.  ``lasso`` minimizes
+truth v0.  ``make_recovery_problems`` draws the instances of a whole
+sample group, every (s, N) of one law, from one draw at the largest N and
+s: each member reads the first N rows and the first s support entries, so
+one trial's instances are nested.  ``make_recovery_problem`` is its
+one-member case.  ``lasso`` minimizes
 
     (1/N) sum_i (<v, X_i> - y_i)^2 + lam * ||v||_1
 
@@ -65,6 +69,42 @@ def _lp_errors(v_hat: np.ndarray, v0: np.ndarray) -> dict:
     return {p: float((diff**p).sum() ** (1.0 / p)) for p in ERROR_NORMS}
 
 
+def make_recovery_problems(
+    dist: DistributionSpec,
+    members: list[tuple[int, int, float]],
+    seed_path: int | SeedPath,
+    noise: NoiseSpec | None = None,
+) -> list[RecoveryProblem]:
+    """Every member (s, N, lam) of a sample group, read off one draw.
+
+    The draw on seed_path is one instance at the largest N and s: Gamma
+    from the "X" stream, a uniform support (``choice`` without replacement,
+    whose order is shuffled) and +-1 signs from "ground_truth", the noise
+    xi from "xi".  Member (s, N, lam) takes the first N rows of Gamma and
+    xi and the first s support entries and signs, so its instance has the
+    law of one drawn at (N, s), and a trial's members are nested: adding
+    rows or support entries never redraws the rest.
+    """
+    n = dist.dim
+    if not all(0 <= s <= n for s, _, _ in members):
+        raise ValueError("sparsity s must be in [0, dim]")
+    N_max = max(N for _, N, _ in members)
+    s_max = max(s for s, _, _ in members)
+    path = as_seed_path(seed_path)
+    Gamma = sample_coordinates(dist, (N_max, n), rng_from_path(path, "X"))
+    rng_v = rng_from_path(path, "ground_truth")
+    supp = rng_v.choice(n, size=s_max, replace=False)
+    signs = 2.0 * rng_v.integers(0, 2, size=s_max) - 1.0
+    xi = (sample_noise(noise, N_max, rng_from_path(path, "xi")) if noise is not None
+          else np.zeros(N_max))
+    problems = []
+    for s, N, lam in members:
+        v0 = np.zeros(n)
+        v0[supp[:s]] = signs[:s]
+        problems.append(RecoveryProblem(Gamma[:N], Gamma[:N] @ v0 - xi[:N], v0, s, lam))
+    return problems
+
+
 def make_recovery_problem(
     dist: DistributionSpec,
     N: int,
@@ -73,20 +113,11 @@ def make_recovery_problem(
     noise: NoiseSpec | None = None,
     lam: float = 0.0,
 ) -> RecoveryProblem:
-    """Draw an instance: uniform support, +-1 entries, optional noise."""
-    n = dist.dim
-    if not (0 <= s <= n):
-        raise ValueError("sparsity s must be in [0, dim]")
-    path = as_seed_path(seed_path)
-    Gamma = sample_coordinates(dist, (N, n), rng_from_path(path, "X"))
-    rng_v = rng_from_path(path, "ground_truth")
-    v0 = np.zeros(n)
-    if s > 0:
-        supp = rng_v.choice(n, size=s, replace=False)
-        v0[supp] = 2.0 * rng_v.integers(0, 2, size=s) - 1.0
-    xi = sample_noise(noise, N, rng_from_path(path, "xi")) if noise is not None else np.zeros(N)
-    y = Gamma @ v0 - xi
-    return RecoveryProblem(Gamma=Gamma, y=y, v0=v0, s=s, lam=lam)
+    """Draw an instance: uniform support, +-1 entries, optional noise.
+
+    The one-member case of ``make_recovery_problems``.
+    """
+    return make_recovery_problems(dist, [(s, N, lam)], seed_path, noise)[0]
 
 
 def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
@@ -175,6 +206,10 @@ def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
             active = [j for j, kept in zip(active, keep) if kept]
             A, x = A[keep], x[keep]
             Gamma_A, G, sign_A, d = direction(A)
+        if not d.any():
+            # c_A is exactly 0 (or A is empty): the path is at t = 0 up to
+            # rounding and cannot move; the segment would give no dual bound
+            break
         d_last[:] = 0.0
         d_last[A] = d
         a = Gamma.T @ (Gamma_A @ d)

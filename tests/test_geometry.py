@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,41 @@ def test_l1_curve_evaluation_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("n", [1, 5, 128])
+def test_radius_beyond_rho_is_the_l1_ball_support(n):
+    # rho*B1 lies inside r*B2 for r >= rho: every r > rho, inf included, gives
+    # rho ||z||_inf exactly, and without a warning
+    rng = np.random.default_rng(7060 + n)
+    Z = rng.standard_normal((30, n))
+    Z[::9] = 0.0
+    rho = 0.7
+    whole = rho * np.abs(Z).max(axis=1)
+    curve = support_curve(l1_ball(n, rho), Z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (np.nextafter(rho, math.inf), 2.0 * rho, 100.0, math.inf):
+            assert np.array_equal(curve(r), whole)
+            assert np.array_equal(localized_support_batch(l1_ball(n, rho), Z, r), whole)
+            assert np.array_equal(support_batch(l1_cap_l2(n, rho, r), Z), whole)
+        for spec in all_specs(n, rng):
+            assert np.array_equal(localized_support_batch(spec, Z, math.inf),
+                                  support_batch(spec, Z))
+
+
+def test_unlocalized_width_reads_the_localized_curve():
+    # a None radius among finite ones costs no second curve on the block
+    spec = l1_cap_l2(128, 1.0, 0.4)
+    peaks = []
+    for radii in ([None, 0.1, 0.3, 1.0], [0.1, 0.3, 1.0]):
+        tracemalloc.start()
+        try:
+            gaussian_mean_widths(spec, 20000, radii, (5,))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.1 * peaks[1], peaks
 
 
 # ---------------------------------------------------------------------------

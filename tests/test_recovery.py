@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from emplab.distributions import DistributionSpec, NoiseSpec
+from emplab.distributions import DistributionSpec, NoiseSpec, sample_coordinates, sample_noise
 from emplab.harness import ExperimentConfig, run
-from emplab.streams import child_path
+from emplab.streams import child_path, rng_from_path
 from emplab.recovery import (
     RecoveryProblem,
     basis_pursuit,
@@ -16,6 +16,7 @@ from emplab.recovery import (
     rate_penalty,
     lasso,
     make_recovery_problem,
+    make_recovery_problems,
     recovery_success,
 )
 
@@ -457,9 +458,10 @@ def test_harness_solves_basis_pursuit_only_off_the_certificate(tmp_path, monkeyp
                                   output_dir=str(tmp_path / noise))
         run(config)
         if expected is None:
-            cells = [make_recovery_problem(DistributionSpec("gaussian", 64), N, 3,
-                                           child_path(seed, ci, ti))
-                     for ci, N in enumerate(grids["N"]) for ti in range(trials)]
+            # the three cells form one group, drawn on the path of its first cell
+            cells = [p for ti in range(trials) for p in make_recovery_problems(
+                DistributionSpec("gaussian", 64), [(3, N, 0.0) for N in grids["N"]],
+                child_path(seed, 0, ti))]
             expected = sum(not certifies_recovery(p.Gamma, p.v0) for p in cells)
             assert 0 < expected < 3 * trials
         assert len(calls) == expected
@@ -505,6 +507,125 @@ def test_make_recovery_problem_construction():
     assert np.allclose(clean.y, clean.Gamma @ clean.v0)
 
 
+def _stream_draw(dist, N, s, path, noise):
+    """The instance of a recovery trial, drawn stream by stream: Gamma, support, signs, xi."""
+    Gamma = sample_coordinates(dist, (N, dist.dim), rng_from_path(path, "X"))
+    rng_v = rng_from_path(path, "ground_truth")
+    supp = rng_v.choice(dist.dim, size=s, replace=False)
+    signs = 2.0 * rng_v.integers(0, 2, size=s) - 1.0
+    xi = sample_noise(noise, N, rng_from_path(path, "xi")) if noise is not None else np.zeros(N)
+    return Gamma, supp, signs, xi
+
+
+def _assert_instance(prob, Gamma, supp, signs, xi, s, lam):
+    v0 = np.zeros(Gamma.shape[1])
+    v0[supp[:s]] = signs[:s]
+    N = prob.Gamma.shape[0]
+    assert prob.Gamma.tobytes() == Gamma[:N].tobytes()
+    assert prob.v0.tobytes() == v0.tobytes()
+    assert prob.y.tobytes() == (Gamma[:N] @ v0 - xi[:N]).tobytes()
+    assert (prob.s, prob.lam) == (s, lam)
+
+
+@pytest.mark.parametrize("family, noise", [
+    ("student_t", NoiseSpec("symmetric_pareto", q0=3.0)),
+    ("gaussian", None),
+    ("rademacher", NoiseSpec("gaussian", q0=3.0)),
+])
+@pytest.mark.parametrize("N, s", [(1, 0), (9, 3), (30, 12)])
+def test_make_recovery_problem_is_the_one_member_draw(family, noise, N, s):
+    dist = DistributionSpec(family, 12, tail_param=5.0 if family == "student_t" else None)
+    path = (71, N, s)
+    one = make_recovery_problem(dist, N, s, path, noise=noise, lam=0.25)
+    [member] = make_recovery_problems(dist, [(s, N, 0.25)], path, noise)
+    for field in ("Gamma", "y", "v0"):
+        assert getattr(one, field).tobytes() == getattr(member, field).tobytes()
+    _assert_instance(one, *_stream_draw(dist, N, s, path, noise), s, 0.25)
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec("symmetric_pareto", q0=3.0), None])
+def test_group_members_read_prefixes_of_one_draw(noise):
+    # each member takes the first N rows and the first s support entries of
+    # the instance drawn at the largest N and s
+    dist = DistributionSpec("student_t", 20, tail_param=6.0)
+    members = [(2, 10, 0.5), (0, 25, 0.0), (7, 25, 0.25), (4, 40, 0.125), (7, 1, 1.0)]
+    path = (8080, 3)
+    draw = _stream_draw(dist, 40, 7, path, noise)
+    probs = make_recovery_problems(dist, members, path, noise)
+    assert len(probs) == len(members)
+    for prob, (s, N, lam) in zip(probs, members):
+        assert prob.Gamma.shape == (N, 20)
+        _assert_instance(prob, *draw, s, lam)
+
+
+def test_recovery_draws_once_per_group_and_trial(tmp_path, monkeypatch):
+    import emplab.harness as harness
+
+    calls = []
+
+    def counted(dist, members, seed_path, noise=None):
+        calls.append((dist.dim, dist.family, list(members), seed_path))
+        return make_recovery_problems(dist, members, seed_path, noise)
+
+    monkeypatch.setattr(harness, "make_recovery_problems", counted)
+    grids = {"n": [16, 24], "s": [1, 3], "N": [8, 12], "x_family": ["gaussian", "rademacher"],
+             "noise_family": "none"}
+    trials, seed = 3, 97
+    manifest = run(ExperimentConfig(experiment="recovery", grids=grids, trials=trials,
+                                    master_seed=seed, output_dir=str(tmp_path)))
+    # a group is one (n, law); its four (s, N) cells come in grid order, the
+    # law varying fastest, so the first cell of (n_i, law_j) is 8 i + j
+    groups = [(n, law, 8 * i + j) for i, n in enumerate(grids["n"])
+              for j, law in enumerate(grids["x_family"])]
+    assert len(calls) == len(groups) * trials
+    assert sorted((dim, law, path) for dim, law, _, path in calls) == sorted(
+        (n, law, child_path(seed, first, ti)) for n, law, first in groups for ti in range(trials))
+    for _, _, members, _ in calls:
+        assert [(s, N) for s, N, _ in members] == [(1, 8), (1, 12), (3, 8), (3, 12)]
+    assert manifest.rows == 16 and not manifest.failed
+    # every cell's ledger entry points at its group's first cell
+    first = {8 * i + 2 * k + j: 8 * i + j for i in range(2) for j in range(2) for k in range(4)}
+    assert manifest.seed_ledger == {f"cell{ci}": [seed, first[ci]] for ci in range(16)}
+
+
+def test_bp_success_is_pathwise_monotone_in_N():
+    # v0 feasible for more rows stays the unique minimizer, so on one draw
+    # per trial success can only turn on as N grows; a violation could only
+    # come from an uncertified solve
+    from emplab.distributions import canonical_heavy_tail_spec
+
+    dist = canonical_heavy_tail_spec(128)
+    Ns = range(12, 49, 6)
+    members = [(s, N, 0.0) for s in (2, 4, 8) for N in Ns]
+    pairs = 0
+    for t in range(100):
+        probs = make_recovery_problems(dist, members, (99, t))
+        out = [bp_recovers(p.Gamma, p.v0) for p in probs]
+        for i in range(len(members)):
+            if members[i][1] == Ns[-1]:
+                continue
+            (ok, _), (ok_next, bp_next) = out[i], out[i + 1]
+            pairs += 1
+            if ok and not ok_next:
+                assert bp_next is not None and not bp_next.converged
+    assert pairs == 1800
+
+
+def test_basis_pursuit_stops_where_the_path_reaches_zero():
+    # on this draw the homotopy drops a column exactly at t = 0 up to
+    # rounding, and the next direction is 0; the path must stop there with
+    # its certificate, not divide by the zero slope
+    from emplab.distributions import canonical_heavy_tail_spec
+
+    members = [(s, N, 0.0) for s in (2, 4, 8) for N in range(12, 49, 6)]
+    prob = make_recovery_problems(canonical_heavy_tail_spec(128), members, (99, 90))[1]
+    assert prob.Gamma.shape == (18, 128) and prob.s == 2
+    assert not certifies_recovery(prob.Gamma, prob.v0)
+    success, bp = bp_recovers(prob.Gamma, prob.v0)
+    assert success and bp.converged
+    assert bp.objective == pytest.approx(_lp_optimum(prob.Gamma, prob.Gamma @ prob.v0), rel=1e-10)
+
+
 def test_recovery_zero_sparsity_always_succeeds(tmp_path):
     config = ExperimentConfig(
         experiment="recovery",
@@ -537,10 +658,13 @@ def test_noise_free_lasso_columns_report_basis_pursuit(tmp_path):
     with (tmp_path / "recovery.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert [int(row["N"]) for row in rows] == [6, 10, 16]
+    # the three cells form one group, drawn on the path of its first cell
+    draws = [make_recovery_problems(DistributionSpec("rademacher", 40),
+                                    [(2, N, 0.0) for N in (6, 10, 16)], child_path(4321, 0, ti))
+             for ti in range(15)]
     for row in rows:
-        ci, N = int(row["cell"]), int(row["N"])
-        probs = [make_recovery_problem(DistributionSpec("rademacher", 40), N, 2,
-                                       child_path(4321, ci, ti)) for ti in range(15)]
+        ci = int(row["cell"])
+        probs = [draw[ci] for draw in draws]
         bp = [basis_pursuit(prob) for prob in probs]
         # the reference itself is held to HiGHS's optimum
         for prob, r in zip(probs, bp):
