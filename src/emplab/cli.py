@@ -4,8 +4,7 @@
     lab summarize <dir>
     lab selftest
 
-``--seed`` and ``--out`` override the config's master_seed / output_dir;
-the ``LAB_OUT`` environment variable overrides the output directory only.
+``--seed`` and ``--out`` override the config's master_seed / output_dir.
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
 
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -78,11 +76,8 @@ def _run_experiment(args) -> int:
         return 2
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    out = os.environ.get("LAB_OUT", None)
     if args.out is not None:
-        out = args.out
-    if out is not None:
-        overrides["output_dir"] = out
+        overrides["output_dir"] = args.out
     if overrides:
         d = config.to_dict()
         d.update(overrides)

@@ -12,8 +12,9 @@ Coordinates: ``gaussian``, ``rademacher``, ``student_t`` (df > 2),
 ``symmetric_pareto`` (tail exponent > 2), ``symmetric_weibull`` (shape >=
 0.05).  Noise: ``gaussian``, ``symmetric_pareto``, ``student_t``, ``constant``.
 
-``gaussian`` and ``student_t`` are gaussian scale mixtures (Andrews &
-Mallows 1974): ``sample_block_sums`` draws sums of their rows exactly.
+``sample_block_sums`` draws weighted sums of iid rows of any law, and those of
+the gaussian scale mixtures ``gaussian`` and ``student_t`` (Andrews & Mallows
+1974) exactly without the rows.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ STUDENT_NOISE_DF_MARGIN = 1.0
 # below about 0.0117 Gamma(1 + 2/shape) overflows a float.
 WEIBULL_MIN_SHAPE = 0.05
 
-# Gamma mixing values per row block of sample_block_sums (1 MB of doubles)
+# Values per copy chunk of sample_block_sums (32 MB of doubles); the chunks fix the stream
+_COPY_CHUNK_VALUES = 4_000_000
+# Gamma mixing values per row block of one chunk's draw (1 MB of doubles)
 _MIXING_BLOCK_VALUES = 1 << 17
 
 
@@ -242,23 +245,44 @@ def sample_block_sums(
 ) -> np.ndarray:
     """Independent copies of the block sums sum_i weights[b, i] X_i, exactly in law.
 
-    X_1, ..., X_m are iid rows of ``spec`` coordinates, a gaussian scale
-    mixture (``GAUSSIAN_MIXTURES``), and the k rows of ``weights`` (k x m)
-    have disjoint supports.  Given the mixing variances W, block b is
-    scale * sqrt(sum_i weights[b, i]^2 W_i) times one gaussian, and the k
-    blocks are independent, so this draws one Gamma(df / 2) per (row,
-    coordinate) of the rows in some block, none for gaussian X, then one
-    gaussian per (block, coordinate).  The Gamma values are drawn a few
-    rows at a time, never across blocks, into one buffer of about
-    _MIXING_BLOCK_VALUES values, and added to their block's variances in
-    row order: the same bits as drawing and summing them all at once.
+    X_1, ..., X_m are iid rows of ``spec`` coordinates, and the k rows of
+    ``weights`` (k x m) have disjoint supports.  The copies go in chunks of
+    about _COPY_CHUNK_VALUES values, counting k * dim per copy for gaussian
+    X and m * dim otherwise; the chunks fix the stream.  A gaussian scale
+    mixture draws each chunk exactly (``_mixture_block_sums``); another law
+    draws the chunk's rows and sums each block's weighted rows in row order.
     Returns an array k x copies x dim.
     """
-    c2 = np.square(np.asarray(weights, dtype=np.float64))
-    if c2.ndim != 2 or np.any(np.count_nonzero(c2, axis=0) > 1):
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 2 or np.any(np.count_nonzero(w, axis=0) > 1):
         raise ValueError("weights must be a k x m matrix whose rows have disjoint supports")
-    if spec.family not in GAUSSIAN_MIXTURES:
-        raise ValueError(f"{spec.family} coordinates are not a gaussian scale mixture")
+    per_copy = (len(w) if spec.family == "gaussian" else w.shape[1]) * spec.dim
+    step = max(1, _COPY_CHUNK_VALUES // per_copy)
+    out = np.empty((len(w), copies, spec.dim))
+    for done in range(0, copies, step):
+        take = min(step, copies - done)
+        if spec.family in GAUSSIAN_MIXTURES:
+            out[:, done:done + take] = _mixture_block_sums(spec, w, take, rng)
+        else:
+            X = sample_coordinates(spec, (take, w.shape[1], spec.dim), rng)
+            for b, row in enumerate(w):
+                rows = np.flatnonzero(row)
+                out[b, done:done + take] = (row[rows, None] * X.take(rows, axis=1)).sum(axis=1)
+    return out
+
+
+def _mixture_block_sums(spec: DistributionSpec, w: np.ndarray, copies: int, rng) -> np.ndarray:
+    """One chunk of ``sample_block_sums`` for gaussian or Student-t X.
+
+    Given the mixing variances W, block b is scale * sqrt(sum_i w[b, i]^2
+    W_i) times one gaussian, independent over blocks: one Gamma(df / 2)
+    per (row, coordinate) of the rows in some block, none for gaussian X,
+    then one gaussian per (block, coordinate).  The Gamma values are drawn
+    a few rows at a time, never across blocks, into one buffer of about
+    _MIXING_BLOCK_VALUES values, and added to their block's variances in
+    row order: the same bits as drawing and summing them all at once.
+    """
+    c2 = np.square(w)
     if spec.family == "gaussian":
         var = c2.sum(axis=1)[:, None, None]
     else:  # student_t: W = df/2 / Gamma(df/2), drawn for the rows of each block in turn

@@ -16,8 +16,7 @@ standard errors.
 Every m of a grid is read off one sample.  ``r_G_fixed_points`` bisects
 one gaussian width curve against each threshold gamma*sqrt(m);
 ``r_X_fixed_points`` takes the sums at every m from one nested sample
-(for gaussian or Student-t X, one exact gaussian-mixture block per grid
-increment).
+(one ``sample_block_sums`` block per grid increment).
 
 ``kernel_section_diameters`` draws one m_max x n measurement matrix, and
 each m reads its first m rows: one reduced QR factorization of the
@@ -42,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GAUSSIAN_MIXTURES, DistributionSpec, sample_block_sums
-from .distributions import sample_coordinates
+from .distributions import DistributionSpec, sample_block_sums, sample_coordinates
 from .geometry import IndexSetSpec, WidthEstimate, d2, gauge_batch, localized_support_batch
 from .geometry import _gaussian_blocks, _make_width_estimate, support_curve
 from .streams import SeedPath, as_seed_path, child_path, rng_from_path
@@ -68,39 +66,21 @@ def _normalized_sums(
     """The draws x dim normalized sums m^{-1/2} sum_{i<=m} X_i at every m of ms.
 
     ``ms`` is strictly increasing, and the sums are nested: every m adds
-    the row blocks (m', m] between grid values.  For a gaussian scale
-    mixture (gaussian or Student-t X) ``sample_block_sums`` draws each
-    block exactly, one Gamma mixing value per coordinate of the m_max rows
-    (none for gaussian X) and one gaussian per block and coordinate;
-    otherwise the draws x m_max x dim coordinates are drawn and summed.
-    Either way the draws go in chunks of about 4M values, which fix the
-    stream; for a mixture ``sample_block_sums`` holds only a row block of
-    a chunk's mixing values at a time.  Returns an array len(ms) x draws x dim.
+    the row block (m', m] between grid values.  ``sample_block_sums`` draws
+    the block sums of every increment, exactly in law, and the running sums
+    over them give each m.  Returns an array len(ms) x draws x dim.
     """
     if draws < 2:
         raise ValueError("draws must be >= 2")
     if ms[0] < 1:
         raise ValueError("m must be >= 1")
-    bounds = list(zip([0, *ms], ms))
-    mixture = dist.family in GAUSSIAN_MIXTURES
-    if mixture:
-        increments = np.zeros((len(ms), ms[-1]))
-        for k, (lo, hi) in enumerate(bounds):
-            increments[k, lo:hi] = 1.0
-    sums = np.empty((len(ms), draws, dim))
-    # rows of values per draw: gaussian X draws only its len(ms) block gaussians
-    rows = len(ms) if dist.family == "gaussian" else ms[-1]
-    chunk = max(1, 4_000_000 // (rows * dim))
-    for done in range(0, draws, chunk):
-        take = min(chunk, draws - done)
-        if mixture:
-            blocks = sample_block_sums(dist, increments, take, rng)
-        else:
-            X = sample_coordinates(dist, (take, ms[-1], dim), rng)
-            blocks = [X[:, lo:hi].sum(axis=1) for lo, hi in bounds]
-        for k, (m, block) in enumerate(zip(ms, blocks)):
-            total = block if k == 0 else total + block
-            sums[k, done:done + take] = total * (1.0 / math.sqrt(m))
+    increments = np.zeros((len(ms), ms[-1]))
+    for k, (lo, hi) in enumerate(zip([0, *ms], ms)):
+        increments[k, lo:hi] = 1.0
+    sums = sample_block_sums(dist, increments, draws, rng)
+    for k in range(1, len(ms)):
+        sums[k] += sums[k - 1]
+    sums *= (1.0 / np.sqrt(ms))[:, None, None]
     return sums
 
 

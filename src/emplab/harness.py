@@ -1105,16 +1105,17 @@ def _aggregate(rows: list[dict], group_cols: list[str], value_cols: list[str]) -
         agg = dict(zip(group_cols, key))
         agg["count"] = len(rows_g)
         for col in value_cols:
-            vals = np.array(
-                [r[col] for r in rows_g if isinstance(r.get(col), (int, float))],
-                dtype=np.float64,
-            )
-            if vals.size == 0 or not np.all(np.isfinite(vals)):
-                continue
-            agg[f"{col}_mean"] = float(vals.mean())
-            agg[f"{col}_median"] = float(np.median(vals))
-            if vals.size > 1:
-                agg[f"{col}_stderr"] = float(vals.std(ddof=1) / math.sqrt(vals.size))
+            vals = np.array([r[col] for r in rows_g if isinstance(r.get(col), (int, float))], float)
+            finite = vals[np.isfinite(vals)]
+            if finite.size:
+                agg[f"{col}_mean"] = float(finite.mean())
+                agg[f"{col}_median"] = float(np.median(finite))
+            if finite.size > 1:
+                agg[f"{col}_stderr"] = float(finite.std(ddof=1) / math.sqrt(finite.size))
+            # the values left out of the statistics are counted, never dropped silently
+            for kind, count in (("nan", np.isnan(vals).sum()), ("inf", np.isinf(vals).sum())):
+                if count:
+                    agg[f"{col}_{kind}"] = int(count)
         out.append(agg)
     return out
 

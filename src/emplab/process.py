@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import GAUSSIAN_MIXTURES, DistributionSpec, NoiseSpec, SampleBatch
-from .distributions import _sample_multipliers, sample_batch, sample_block_sums
+from .distributions import DistributionSpec, NoiseSpec, SampleBatch, _sample_multipliers
+from .distributions import sample_block_sums
 from .geometry import IndexSetSpec, support
 from .streams import SeedPath, as_seed_path, rng_from_path
 
@@ -98,13 +98,11 @@ def multiplier_sums(
 ) -> MultiplierSums:
     """One trial's sums; xi and eps are those of ``sample_batch``.
 
-    For gaussian-mixture X the "X" stream draws the block sums S+ and S- of
-    N^{-1/2} xi_i X_i over the rows with eps = +1 and -1
-    (``sample_block_sums``): Z = S+ - S- and centred = S+ + S-.  Other laws
-    take the sums of ``sample_batch``'s X.
+    The "X" stream draws the block sums S+ and S- of N^{-1/2} xi_i X_i
+    over the rows with eps = +1 and -1 (``sample_block_sums``): Z = S+ - S-
+    and centred = S+ + S-.  For a law that is not a gaussian scale mixture
+    these are sums of the X that ``sample_batch`` draws.
     """
-    if x.family not in GAUSSIAN_MIXTURES:
-        return _batch_sums(sample_batch(x, noise, N, seed_path))
     path = as_seed_path(seed_path)
     xi, eps = _sample_multipliers(noise, N, path)
     plus = eps > 0

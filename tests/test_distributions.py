@@ -215,14 +215,32 @@ def test_student_t_block_sums_memory_is_bounded():
     assert peak < 8e6
 
 
-def test_block_sums_reject_overlaps_and_other_laws():
+def test_block_sums_reject_overlaps():
     weights = _three_blocks()
     weights[2, 0] = 1.0
     with pytest.raises(ValueError, match="disjoint"):
         sample_block_sums(DistributionSpec("gaussian", 2), weights, 1, rng_from_path((1,), "X"))
-    with pytest.raises(ValueError, match="not a gaussian scale mixture"):
-        sample_block_sums(DistributionSpec("rademacher", 2), _three_blocks(), 1,
-                          rng_from_path((1,), "X"))
+    with pytest.raises(ValueError, match="disjoint"):
+        sample_block_sums(DistributionSpec("rademacher", 2), weights, 1, rng_from_path((1,), "X"))
+
+
+@pytest.mark.parametrize("family, tail", [("symmetric_pareto", 5.0), ("rademacher", None),
+                                          ("student_t", 6.0)])
+def test_block_sums_are_drawn_in_copy_chunks(monkeypatch, family, tail):
+    # a copy counts m x dim values (12 x 4 here): chunks of 5, 5 and 3 copies, each
+    # chunk drawing its rows with sample_coordinates and summing each block's
+    # weighted rows in row order, bit for bit; Student-t X draws each chunk exactly
+    spec, weights, copies = DistributionSpec(family, 4, tail_param=tail), _three_blocks(), 13
+    monkeypatch.setattr(distributions, "_COPY_CHUNK_VALUES", 5 * 12 * 4 + 1)
+    S = sample_block_sums(spec, weights, copies, rng_from_path((66,), "X"))
+    rng, parts = rng_from_path((66,), "X"), []
+    for take in (5, 5, 3):
+        if family == "student_t":
+            parts.append(student_t_block_sums_one_shot(spec, weights, take, rng))
+            continue
+        X = sample_coordinates(spec, (take, 12, 4), rng)
+        parts.append(np.stack([sum(w[i] * X[:, i] for i in np.flatnonzero(w)) for w in weights]))
+    assert np.array_equal(S, np.concatenate(parts, axis=1))
 
 
 # ---------------------------------------------------------------------------

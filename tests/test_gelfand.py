@@ -225,6 +225,20 @@ def test_nested_sums_are_prefix_sums(family, nu):
         assert np.abs(s - X[:, :m].sum(axis=1) / math.sqrt(m)).max() <= 1e-12
 
 
+def test_nested_sums_of_drawn_rows_are_sums_of_row_slices():
+    # a law that is not a gaussian mixture: each increment is the sum of its
+    # slice of drawn rows, bit for bit, in dimension 1 too (one chunk)
+    for dim in (1, 5):
+        dist, ms, draws = DistributionSpec("symmetric_pareto", dim, tail_param=4.5), [3, 20, 41], 60
+        X = sample_coordinates(dist, (draws, ms[-1], dim), rng_from_path((27, dim), "X"))
+        total, expect = 0.0, []
+        for lo, hi in zip([0, *ms], ms):
+            total = total + X[:, lo:hi].sum(axis=1)
+            expect.append(total * (1.0 / math.sqrt(hi)))
+        sums = _normalized_sums(dist, dim, ms, draws, rng_from_path((27, dim), "X"))
+        assert np.array_equal(sums, np.stack(expect))
+
+
 def test_gaussian_nested_sums_are_one_gaussian_block_per_increment():
     # W = 1 draws no mixing values: each chunk of about 4M values draws one
     # draws x dim gaussian block per grid increment, bit for bit (m 1, 2, 5

@@ -517,6 +517,30 @@ def test_summarize_single_row_mean_is_value(tmp_path):
     assert math.isclose(agg["mean_mean"], float(first["mean"]))
 
 
+def test_summarize_counts_nan_values_and_aggregates_the_rest(tmp_path, capsys):
+    # one of two trials reads nan in "mean": the group's statistics are those of
+    # the other trial, and the count shows as mean_nan in lab summarize
+    run(_widths_config(tmp_path / "out", trials=2))
+    csv_path, manifest_path = tmp_path / "out" / "widths.csv", tmp_path / "out" / "manifest.json"
+    with csv_path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    nan_row, kept_row = (r for r in rows if r["r"] == "0.5")
+    nan_row["mean"], kept = "nan", float(kept_row["mean"])
+    with csv_path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    manifest = json.loads(manifest_path.read_text())
+    manifest["checksums"]["widths.csv"] = harness._sha256_file(csv_path)
+    manifest_path.write_text(json.dumps(manifest))
+    agg = next(a for a in summarize(tmp_path / "out").aggregates if a["r"] == 0.5)
+    assert (agg["count"], agg["mean_nan"]) == (2, 1)
+    assert agg["mean_mean"] == agg["mean_median"] == kept
+    assert "mean_stderr" not in agg and "stderr_nan" not in agg
+    assert cli_main(["summarize", str(tmp_path / "out")]) == 0
+    assert "mean_nan=1" in capsys.readouterr().out
+
+
 def test_summarize_detects_corruption(tmp_path):
     cfg = _widths_config(tmp_path / "out", trials=1)
     run(cfg)
@@ -589,7 +613,6 @@ def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys):
 def test_cli_unknown_top_level_key_exits_2(tmp_path, capsys, monkeypatch):
     # a misspelt output_dir would otherwise send the run to the default results/
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("LAB_OUT", raising=False)
     cfg = _widths_config(tmp_path / "out", trials=1).to_dict()
     cfg["output_dri"] = cfg.pop("output_dir")
     Path("c.json").write_text(json.dumps(cfg))
@@ -931,14 +954,6 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys):
         assert cli_main(["widths", "--config", str(cfg_path), "--workers", workers]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_cli_env_out_override(tmp_path, monkeypatch):
-    cfg_path = tmp_path / "w.json"
-    cfg_path.write_text(json.dumps(_widths_config(tmp_path / "out", trials=1).to_dict()))
-    monkeypatch.setenv("LAB_OUT", str(tmp_path / "env_out"))
-    assert cli_main(["widths", "--config", str(cfg_path)]) == 0
-    assert (tmp_path / "env_out" / "widths.csv").exists()
 
 
 def test_dropped_cells_reported(tmp_path, capsys, monkeypatch):

@@ -103,12 +103,22 @@ def test_multiplier_trial_values_pinned():
 
 
 def test_batch_statistics_are_those_of_its_sums():
-    batch = sample_batch(DistributionSpec("rademacher", 6), NoiseSpec("gaussian"), 10, (72,))
-    st = multiplier_stats(batch, l1_ball(6), NoiseSpec("gaussian"))
-    # a law that is not a gaussian mixture takes the sums of the batch itself
-    sums = multiplier_sums(DistributionSpec("rademacher", 6), NoiseSpec("gaussian"), 10, (72,))
-    assert np.array_equal(sums.Z, st.Z)
-    assert np.array_equal(sums.centred, batch.X.T @ batch.xi / math.sqrt(10))
+    # a law that is not a gaussian mixture sums the X that sample_batch draws on
+    # the same path: S+ and S- over its xi-weighted rows with eps = +1 and -1
+    dist, noise, spec, N = DistributionSpec("rademacher", 6), NoiseSpec("gaussian"), l1_ball(6), 10
+    batch = sample_batch(dist, noise, N, (72,))
+    sums = multiplier_sums(dist, noise, N, (72,))
+    plus, w = batch.eps > 0, batch.xi / math.sqrt(N)
+    s_plus, s_minus = ((w[rows, None] * batch.X[rows]).sum(axis=0) for rows in (plus, ~plus))
+    assert np.array_equal(sums.xi, batch.xi)
+    assert np.array_equal(sums.Z, s_plus - s_minus)
+    assert np.array_equal(sums.centred, s_plus + s_minus)
+    # and its statistics are the batch's own, to rounding
+    st, ref = stats_from_sums(sums, spec, noise), multiplier_stats(batch, spec, noise)
+    assert np.allclose(st.Z, ref.Z, rtol=1e-12, atol=0.0)
+    for field in ("sup_centred", "sup_symmetrized", "envelope_constant"):
+        assert getattr(st, field) == pytest.approx(getattr(ref, field), rel=1e-12)
+    assert st.A_u_holds == ref.A_u_holds
 
 
 def test_z_sorted_is_sorted_rearrangement():
