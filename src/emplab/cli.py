@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -55,6 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_experiment(args) -> int:
     try:
         config = ExperimentConfig.from_json(Path(args.config).read_text())
+        # an override passes the same checks as the file's value
+        if args.seed is not None:
+            config = dataclasses.replace(config, master_seed=args.seed)
+        if args.out is not None:
+            config = dataclasses.replace(config, output_dir=args.out)
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 2
@@ -66,7 +72,6 @@ def _run_experiment(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    overrides = {}
     if config.experiment != args.command:
         print(
             f"config error: config is for {config.experiment!r}, "
@@ -74,18 +79,6 @@ def _run_experiment(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if overrides:
-        d = config.to_dict()
-        d.update(overrides)
-        try:
-            config = ExperimentConfig.from_dict(d)
-        except ConfigurationError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
 
     try:
         manifest = run(config, workers=args.workers)
@@ -204,8 +197,6 @@ def _selftest() -> int:
     check("batch determinism", bool(np.array_equal(b1.X, b2.X) and np.array_equal(b1.xi, b2.xi)))
 
     # config hash stability under key reordering
-    from .harness import ExperimentConfig
-
     c1 = ExperimentConfig.from_json(
         '{"experiment":"widths","grids":{"sets":[{"family":"l1_ball","dim":4}]},'
         '"trials":1,"master_seed":5,"output_dir":"x"}'

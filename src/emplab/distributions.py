@@ -367,6 +367,12 @@ def moment_cap(n_samples: int) -> int:
     return max(1, math.ceil(2.0 * math.log(n_samples)))
 
 
+def _moment_ratios(samples: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """q = 1..min(p, moment_cap(m)) for m samples, and empirical ||.||_{L_q}/sqrt(q) at each."""
+    qs = np.arange(1, min(int(p), moment_cap(samples.size)) + 1)
+    return qs, empirical_lq_norms(samples, qs) / np.sqrt(qs)
+
+
 def empirical_p_norm(samples: np.ndarray, p: int) -> PNormResult:
     """sup over integer q in [1, q_cap] of empirical ||.||_{L_q}/sqrt(q).
 
@@ -378,12 +384,9 @@ def empirical_p_norm(samples: np.ndarray, p: int) -> PNormResult:
         raise ValueError("need at least 2 samples")
     if p < 1:
         raise ValueError("p must be >= 1")
-    q_cap = min(int(p), moment_cap(a.size))
-    qs = np.arange(1, q_cap + 1)
-    norms = empirical_lq_norms(a, qs)
-    ratios = norms / np.sqrt(qs)
+    qs, ratios = _moment_ratios(a, p)
     best = int(np.argmax(ratios))
-    return PNormResult(value=float(ratios[best]), q_star=int(qs[best]), q_cap=q_cap)
+    return PNormResult(value=float(ratios[best]), q_star=int(qs[best]), q_cap=int(qs[-1]))
 
 
 def moment_growth_profile(
@@ -398,8 +401,5 @@ def moment_growth_profile(
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     rng = rng_from_path(seed_path, "X")
-    draws = sample_coordinates(spec, n_samples, rng)
-    q_cap = min(int(p), moment_cap(n_samples))
-    qs = np.arange(1, q_cap + 1)
-    ratios = empirical_lq_norms(draws, qs) / np.sqrt(qs)
+    qs, ratios = _moment_ratios(sample_coordinates(spec, n_samples, rng), p)
     return [(int(q), float(rat)) for q, rat in zip(qs, ratios)]

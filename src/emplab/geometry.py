@@ -87,18 +87,6 @@ class IndexSetSpec:
             if not any(self.w):
                 raise ValueError("permutation_polytope with w = 0 is the set {0}")
 
-    def to_dict(self) -> dict:
-        d = {"family": self.family, "dim": self.dim}
-        if self.family in ("l1_ball", "l1_cap_l2"):
-            d["rho"] = self.rho
-        if self.family in ("l2_ball", "l1_cap_l2"):
-            d["r"] = self.r
-        if self.family == "sparse_cap":
-            d["s"] = self.s
-        if self.family == "permutation_polytope":
-            d["w"] = list(self.w)
-        return d
-
     def label(self) -> str:
         if self.family == "l1_ball":
             return f"l1_ball(rho={self.rho:g})"

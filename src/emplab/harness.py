@@ -84,23 +84,22 @@ class ExperimentConfig:
     output_dir: str
 
     def __post_init__(self):
+        # the checks of from_dict, the constructor and dataclasses.replace alike; no
+        # conversions: 2.7 trials, grids as a list of pairs or a null output_dir is a mistake
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
-        if self.trials < 0:
-            raise ConfigurationError("trials must be >= 0")
-        if not (0 <= self.master_seed < 2**64):
+        _integer(self.trials, "trials", 0)
+        if _integer(self.master_seed, "master_seed", 0) >= 2**64:
             raise ConfigurationError("master_seed must fit in 64 bits")
+        if not isinstance(self.grids, dict):
+            raise ConfigurationError(f"grids must be an object, got {self.grids!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigurationError(f"output_dir must be a string, got {self.output_dir!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "grids": self.grids,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "output_dir": self.output_dir,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -110,28 +109,15 @@ class ExperimentConfig:
         unknown = sorted(set(d) - set(keys))
         if unknown:
             raise ConfigurationError(f"unknown config keys {unknown}; the keys are {keys}")
+        grids = d.get("grids", {})
         try:
-            fields = {
-                "experiment": d["experiment"],
-                "grids": d.get("grids", {}),
-                "trials": d["trials"],
-                "master_seed": d["master_seed"],
-                "output_dir": str(d.get("output_dir", "results")),
-            }
+            return cls(experiment=d["experiment"],
+                       # the config's own copy: a later edit of d does not reach it
+                       grids=dict(grids) if isinstance(grids, dict) else grids,
+                       trials=d["trials"], master_seed=d["master_seed"],
+                       output_dir=d.get("output_dir", "results"))
         except KeyError as exc:
             raise ConfigurationError(f"config missing required key: {exc.args[0]}") from exc
-        # no conversions: 2.7 trials or a list of pairs for grids is a mistake
-        for key in ("trials", "master_seed"):
-            if isinstance(fields[key], bool) or not isinstance(fields[key], int):
-                raise ConfigurationError(
-                    f"malformed config: {key} must be an integer, got {fields[key]!r}"
-                )
-        if not isinstance(fields["grids"], dict):
-            raise ConfigurationError(
-                f"malformed config: grids must be an object, got {fields['grids']!r}"
-            )
-        fields["grids"] = dict(fields["grids"])
-        return cls(**fields)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -173,13 +159,11 @@ def config_hash(config: ExperimentConfig) -> str:
 #   trial(config, group, ti)           -> one per-trial record per member cell of
 #                                         group, a list of (ci, cell); with the
 #                                         default rows, a record is the list of
-#                                         the cell's rows.  @_per_cell lifts a
-#                                         trial(config, cell, ci, ti) of one cell
+#                                         the cell's rows
 #   cell(config, group)                -> optional shared record per member cell,
 #                                         shared by the cell's rows (None: no
 #                                         shared work); with the default rows, a
-#                                         dict of columns.  @_per_cell lifts a
-#                                         cell(config, cell, ci) of one cell
+#                                         dict of columns
 #   rows(cell, ci, records, cell_result)
 #                                      -> list of CSV row dicts; the default
 #                                         puts cell, trial and the cell's columns
@@ -240,18 +224,6 @@ def _x_spec(family, n: int, nu) -> DistributionSpec:
     return DistributionSpec(family, n, tail_param=nu)
 
 
-def _per_cell(fn):
-    """An adapter's trial or cell function of one cell, run on its group.
-
-    With ``nested = ()`` a group is one cell: the function gets that cell
-    and its index, and its record is the group's one record.
-    """
-    def on_group(config, group, *ti):
-        [(ci, cell)] = group
-        return [fn(config, cell, ci, *ti)]
-    return staticmethod(on_group)
-
-
 class _Adapter:
     nested = ()
     cell = None
@@ -292,12 +264,13 @@ class _WidthsAdapter(_Adapter):
         return [{"set": index_set_from_dict(s), "radii": tuple(radii), "draws": draws}
                 for s in _axis(g, "sets")]
 
-    @_per_cell
-    def trial(config, cell, ci, ti):
+    @staticmethod
+    def trial(config, group, ti):
+        [(ci, cell)] = group
         spec = cell["set"]
         ests = gaussian_mean_widths(spec, cell["draws"], cell["radii"],
                                     child_path(config.master_seed, ci, ti))
-        return [{
+        return [[{
             "family": spec.label(),
             "n": spec.dim,
             "r": r,
@@ -306,7 +279,7 @@ class _WidthsAdapter(_Adapter):
             "draws": est.draws,
             "d2": est.d2,
             "D": est.complexity_ratio,
-        } for r, est in zip(cell["radii"], ests)]
+        } for r, est in zip(cell["radii"], ests)]]
 
     @staticmethod
     def criteria(rows: list[dict]) -> list[dict]:
@@ -374,26 +347,28 @@ class _MultiplierAdapter(_Adapter):
                 for n, N, xf, noise in product(_axis(g, "n", 1), _axis(g, "N", 1),
                                                _axis(g, "x_family"), noises)]
 
-    @_per_cell
-    def trial(config, cell, ci, ti):
+    @staticmethod
+    def trial(config, group, ti):
+        [(ci, cell)] = group
         sums = multiplier_sums(cell["x"], cell["noise"], cell["N"],
                                child_path(config.master_seed, ci, ti))
         stats = stats_from_sums(sums, cell["set"], cell["noise"], u_grid=cell["u_grid"])
-        return {
+        return [{
             "A_u": "|".join(str(int(stats.A_u_holds[u])) for u in cell["u_grid"]),
             "sup_centred": stats.sup_centred,
             "sup_symmetrized": stats.sup_symmetrized,
             "C_hat": stats.envelope_constant,
-        }
+        }]
 
-    @_per_cell
-    def cell(config, cell, ci):
+    @staticmethod
+    def cell(config, group):
+        [(ci, cell)] = group
         # l*(V): exact for the two balls, else a Monte-Carlo estimate
         width = gaussian_width(cell["set"])
         if width is None:
             path = child_path(config.master_seed, ci, 1_000_000)
             width = gaussian_mean_width(cell["set"], cell["width_draws"], seed_path=path).mean
-        return width
+        return [width]
 
     @staticmethod
     def rows(cell, ci, records, width):
@@ -677,18 +652,19 @@ class _MomentsAdapter(_Adapter):
                           "p": p, "n_samples": n_samples})
         return cells
 
-    @_per_cell
-    def trial(config, cell, ci, ti):
+    @staticmethod
+    def trial(config, group, ti):
+        [(ci, cell)] = group
         dist = cell["x"]
         profile = moment_growth_profile(dist, cell["p"], cell["n_samples"],
                                         child_path(config.master_seed, ci, ti))
-        return [{
+        return [[{
             "family": dist.family,
             "tail_param": dist.tail_param,
             "n_samples": cell["n_samples"],
             "q": q,
             "ratio": ratio,
-        } for q, ratio in profile]
+        } for q, ratio in profile]]
 
     @staticmethod
     def criteria(rows: list[dict]) -> list[dict]:
@@ -1139,9 +1115,11 @@ def summarize(results_dir: str | Path) -> SummaryReport:
         raise IntegrityError(f"manifest.json names no known experiment: {experiment!r}")
     if not (isinstance(manifest.get("checksums"), dict)
             and f"{experiment}.csv" in manifest["checksums"]
-            and isinstance(manifest.get("failed"), list)):
+            and isinstance(manifest.get("failed"), list)
+            and all(isinstance(f, dict) and type(f.get("cell")) is int
+                    for f in manifest["failed"])):
         raise IntegrityError(f"manifest.json lacks the checksum of {experiment}.csv "
-                             "or the list of failed tasks")
+                             "or the list of failed tasks, each with its cell")
     for name, digest in manifest["checksums"].items():
         path = out_dir / name
         if not path.exists():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -200,6 +201,33 @@ def test_config_validation():
             ExperimentConfig.from_dict({**good, **bad})
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_json(json.dumps([good]))
+
+
+@pytest.mark.parametrize("bad", [
+    {"trials": 2.7}, {"trials": True}, {"trials": -1}, {"master_seed": 1.5},
+    {"master_seed": False}, {"master_seed": -1}, {"master_seed": 2**64},
+    {"grids": None}, {"grids": [["sets", []]]}, {"output_dir": None},
+    {"output_dir": ["x"]}, {"output_dir": Path("x")},
+], ids=repr)
+def test_every_way_of_building_a_config_checks_its_fields(bad):
+    # one check in __post_init__: the constructor, replace() and from_dict agree
+    good = {"experiment": "widths", "grids": {}, "trials": 1, "master_seed": 0, "output_dir": "o"}
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(**{**good, **bad})
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(ExperimentConfig(**good), **bad)
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.from_dict({**good, **bad})
+
+
+def test_from_dict_defaults_and_copies_grids():
+    grids = {"sets": [{"family": "l1_ball", "dim": 4}]}
+    cfg = ExperimentConfig.from_dict({"experiment": "widths", "grids": grids, "trials": 1,
+                                      "master_seed": 0})
+    grids["draws"] = 3
+    assert cfg.output_dir == "results" and cfg.grids == {"sets": [{"family": "l1_ball", "dim": 4}]}
+    assert ExperimentConfig.from_dict({"experiment": "widths", "trials": 1,
+                                       "master_seed": 0}).grids == {}
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +589,9 @@ def test_summarize_missing_manifest(tmp_path):
     b"{not json", b"\xff\xfe{}", b"[]", b'{"experiment": "nope", "checksums": {}}',
     b'{"experiment": "widths"}', b'{"experiment": "widths", "checksums": {}, "failed": []}',
     b'{"experiment": "widths", "checksums": {"widths.csv": "0"}, "failed": {}}',
+    b'{"experiment": "widths", "checksums": {"widths.csv": "0"}, "failed": [1]}',
+    b'{"experiment": "widths", "checksums": {"widths.csv": "0"}, "failed": [{"trial": 0}]}',
+    b'{"experiment": "widths", "checksums": {"widths.csv": "0"}, "failed": [{"cell": "0"}]}',
 ])
 def test_summarize_bad_manifest_is_an_integrity_error(tmp_path, capsys, manifest):
     run(_widths_config(tmp_path / "out", trials=1))
@@ -945,6 +976,26 @@ def test_cli_seed_and_out_overrides(tmp_path):
                      "--seed", "999", "--out", str(tmp_path / "other")]) == 0
     manifest = json.loads((tmp_path / "other" / "manifest.json").read_text())
     assert manifest["seed_ledger"]["cell0/trial0"][0] == 999
+
+
+@pytest.mark.parametrize("output_dir", [None, ["x"], 3])
+def test_cli_non_string_output_dir_exits_2(tmp_path, capsys, monkeypatch, output_dir):
+    # a str() conversion would run null into a directory named None
+    monkeypatch.chdir(tmp_path)
+    cfg = {**_widths_config("unused", trials=1).to_dict(), "output_dir": output_dir}
+    Path("c.json").write_text(json.dumps(cfg))
+    assert cli_main(["widths", "--config", "c.json"]) == 2
+    assert "output_dir must be a string" in capsys.readouterr().err
+    assert os.listdir() == ["c.json"]
+
+
+def test_cli_bad_seed_override_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "w.json"
+    cfg_path.write_text(json.dumps(_widths_config(tmp_path / "out", trials=1).to_dict()))
+    for seed in ("-1", str(2**64)):
+        assert cli_main(["widths", "--config", str(cfg_path), "--seed", seed]) == 2
+        assert "config error: master_seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_workers_below_one(tmp_path, capsys):
