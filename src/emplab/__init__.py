@@ -56,7 +56,6 @@ from .geometry import (
     permutation_polytope,
     sparse_cap,
     support,
-    unconditionality_check,
 )
 from .harness import ExperimentConfig, ExperimentManifest, run, summarize
 from .process import (
@@ -102,7 +101,6 @@ __all__ = [
     "permutation_polytope",
     "sparse_cap",
     "support",
-    "unconditionality_check",
     "ProcessStats",
     "check_A_u",
     "multiplier_stats",

@@ -38,8 +38,9 @@ FAMILIES = ("l1_ball", "l2_ball", "sparse_cap", "l1_cap_l2", "permutation_polyto
 # without a closed form).
 _LOCALIZED_SCAN_TOL = 1e-12
 
-# Values per block of the gaussian stream (_gaussian_blocks)
-_GAUSSIAN_BLOCK_VALUES = 1_000_000
+# Values per block of the gaussian stream (_gaussian_blocks): 2^18, 2 MB, so a
+# block and its support curve, not the whole sample, set a widths run's memory
+_GAUSSIAN_BLOCK_VALUES = 262_144
 
 # Gauss-Legendre panels of the l1-ball width integral over [0, _L1_UPPER];
 # beyond the upper end erfc(t/sqrt 2) underflows to 0
@@ -507,67 +508,3 @@ def gaussian_mean_width(
     """Monte-Carlo E sup_{v in V cap rB2} |<G, v>| over standard gaussians."""
     return gaussian_mean_widths(spec, draws, [localized_radius], seed_path)[0]
 
-
-# ---------------------------------------------------------------------------
-# unconditionality diagnostics
-
-UNCONDITIONALITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class UnconditionalityReport:
-    """Max violations of the three symmetry clauses over random trials.
-
-    Violations are relative to max(1, |h|).  Any figure above
-    ``UNCONDITIONALITY_TOL`` signals an implementation bug in the support
-    function, not bad data.
-    """
-
-    trials: int
-    max_permutation_violation: float
-    max_sign_violation: float
-    max_majorization_violation: float
-
-    @property
-    def passed(self) -> bool:
-        worst = max(
-            self.max_permutation_violation,
-            self.max_sign_violation,
-            self.max_majorization_violation,
-        )
-        return worst <= UNCONDITIONALITY_TOL
-
-
-def unconditionality_check(
-    spec: IndexSetSpec, trials: int, seed_path: int | SeedPath = (0,)
-) -> UnconditionalityReport:
-    """Test invariance under permutations/sign flips and majorization monotonicity."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = rng_from_path(seed_path, "directions")
-    n = spec.dim
-    perm_err = 0.0
-    sign_err = 0.0
-    major_err = 0.0
-    for _ in range(trials):
-        z = rng.standard_normal(n) * math.exp(rng.uniform(-2.0, 2.0))
-        h = support(spec, z)
-        scale = max(1.0, abs(h))
-
-        perm = rng.permutation(n)
-        perm_err = max(perm_err, abs(support(spec, z[perm]) - h) / scale)
-
-        signs = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        sign_err = max(sign_err, abs(support(spec, signs * z) - h) / scale)
-
-        # x with sorted |x| dominated pointwise by sorted |z|
-        mult = rng.uniform(0.0, 1.0, size=n)
-        x = rng.permutation(np.abs(z)) * mult * (2.0 * rng.integers(0, 2, size=n) - 1.0)
-        hx = support(spec, x)
-        major_err = max(major_err, max(0.0, hx - h) / scale)
-    return UnconditionalityReport(
-        trials=trials,
-        max_permutation_violation=perm_err,
-        max_sign_violation=sign_err,
-        max_majorization_violation=major_err,
-    )

@@ -57,7 +57,7 @@ from .geometry import (
 from .process import DEFAULT_U_GRID, multiplier_sums, ratio_statistic, stats_from_sums
 from .recovery import (
     DEFAULT_LASSO_C1,
-    basis_pursuit,
+    basis_pursuit,  # noqa: F401  unused here; perfbench/smoke.py checks its span wraps this name
     bp_recovers,
     rate_penalty,
     lasso,
@@ -447,23 +447,17 @@ class _RecoveryAdapter(_Adapter):
         records = []
         for prob in probs:
             success, bp = bp_recovers(prob.Gamma, prob.v0)
-            if noise is not None:
-                la = lasso(prob)
-            else:
-                # lam is 0, where the KKT certificate only says "interpolates";
-                # the lam -> 0+ limit of the LASSO is the minimum-l1 interpolant,
-                # basis pursuit's, solved on prob (y = Gamma v0) where the
-                # certificate spared the solve
-                if bp is None:
-                    bp = basis_pursuit(prob)
-                la = bp
+            # without noise lam is 0, and the lam -> 0+ limit of the LASSO is the
+            # minimum-l1 interpolant, basis pursuit's; where the certificate proved
+            # v0 the unique one (bp is None), its errors are exactly 0, with no solve
+            la = lasso(prob) if noise is not None else bp
             records.append({
                 "bp_success": int(success),
                 # only the solves that ran: a certified trial has none
                 "bp_unconverged": int(bp is not None and not bp.converged),
-                "lasso_unconverged": int(not la.converged),
-                "err_l1": la.errors_lp[1.0],
-                "err_l2": la.errors_lp[2.0],
+                "lasso_unconverged": int(la is not None and not la.converged),
+                "err_l1": la.errors_lp[1.0] if la is not None else 0.0,
+                "err_l2": la.errors_lp[2.0] if la is not None else 0.0,
             })
         return records
 
@@ -492,10 +486,14 @@ class _RecoveryAdapter(_Adapter):
     def criteria(rows: list[dict]) -> list[dict]:
         crits = []
         # rate: slope of log median l2 error vs log N, per (n, s, family)
+        # a noise-free row (lambda 0) reports basis pursuit's errors, not the LASSO's
         series: dict[tuple, list[tuple[float, float]]] = {}
+        noise_free = False
         for r in rows:
             key = (r["n"], r["s"], r["family"])
-            if isinstance(r.get("err_l2_med"), (int, float)) and r["err_l2_med"] > 0:
+            if r.get("lambda") == 0:
+                noise_free = True
+            elif isinstance(r.get("err_l2_med"), (int, float)) and r["err_l2_med"] > 0:
                 series.setdefault(key, []).append((r["N"], r["err_l2_med"]))
         rated = False
         for key, pts in series.items():
@@ -514,7 +512,8 @@ class _RecoveryAdapter(_Adapter):
             crits.append({
                 "name": "lasso_error_rate",
                 "status": "insufficient-data",
-                "detail": "need >= 3 N values for a fixed (n, s, family)",
+                "detail": ("a noise-free run: lambda is 0, so no LASSO rate applies" if noise_free
+                           else "need >= 3 N values for a fixed (n, s, family)"),
             })
         # monotone success in N
         mono_checked = False
@@ -1120,10 +1119,12 @@ def summarize(results_dir: str | Path) -> SummaryReport:
                     for f in manifest["failed"])):
         raise IntegrityError(f"manifest.json lacks the checksum of {experiment}.csv "
                              "or the list of failed tasks, each with its cell")
+    root = out_dir.resolve()
     for name, digest in manifest["checksums"].items():
         path = out_dir / name
-        if not path.exists():
-            raise IntegrityError(f"missing result file {name}")
+        if not (path.is_file() and path.resolve().is_relative_to(root)):
+            raise IntegrityError(f"result file {name!r} is missing, not a regular file "
+                                 f"or outside {out_dir}")
         if _sha256_file(path) != digest:
             raise IntegrityError(f"checksum mismatch for {name}")
 

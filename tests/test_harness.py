@@ -602,6 +602,36 @@ def test_summarize_bad_manifest_is_an_integrity_error(tmp_path, capsys, manifest
     assert "integrity error: manifest.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", [".", "../outside.csv"])
+def test_summarize_checksum_of_no_regular_file_inside_is_an_integrity_error(tmp_path, capsys, name):
+    # a directory, and a file that matches its checksum but lies outside the results directory
+    run(_widths_config(tmp_path / "out", trials=1))
+    outside = tmp_path / "outside.csv"
+    outside.write_text("n\n1\n")
+    manifest_path = tmp_path / "out" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["checksums"][name] = harness._sha256_file(outside)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(IntegrityError, match="not a regular file or outside"):
+        summarize(tmp_path / "out")
+    assert cli_main(["summarize", str(tmp_path / "out")]) == 1
+    assert f"integrity error: result file {name!r}" in capsys.readouterr().err
+
+
+def test_summarize_noise_free_recovery_names_why_no_lasso_rate_applies(tmp_path, capsys):
+    # lambda is 0 on every row: no slope is fitted, and one line says why
+    cfg = _recovery_config(tmp_path / "out", trials=3)
+    cfg = dataclasses.replace(cfg, grids={**cfg.grids, "N": [4, 8, 16, 32], "noise_family": "none"})
+    run(cfg)
+    rates = [c for c in summarize(tmp_path / "out").criteria
+             if c["name"].startswith("lasso_error_rate")]
+    assert rates == [{"name": "lasso_error_rate", "status": "insufficient-data",
+                      "detail": "a noise-free run: lambda is 0, so no LASSO rate applies"}]
+    assert cli_main(["summarize", str(tmp_path / "out")]) == 0
+    assert ("[insufficient-data] lasso_error_rate: a noise-free run: lambda is 0"
+            in capsys.readouterr().out)
+
+
 def test_loglog_slope_hand_computed():
     # points (1, 1), (e, e), (e^2, e): logs x = (0,1,2), y = (0,1,1)
     xs = [1.0, math.e, math.e**2]

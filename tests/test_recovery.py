@@ -436,8 +436,8 @@ def test_certificate_rejects_degenerate_supports(case):
 
 
 def test_harness_solves_basis_pursuit_only_off_the_certificate(tmp_path, monkeypatch):
-    # a noisy trial skips basis pursuit where the certificate holds; a noise-free
-    # one still solves it, since its LASSO columns report basis pursuit
+    # noisy or not, a trial runs basis pursuit only where the certificate
+    # fails; a certified noise-free member reports errors of exactly 0
     import emplab.harness as harness
     import emplab.recovery as recovery
 
@@ -447,26 +447,35 @@ def test_harness_solves_basis_pursuit_only_off_the_certificate(tmp_path, monkeyp
         calls.append(problem)
         return basis_pursuit(problem)
 
-    monkeypatch.setattr(harness, "basis_pursuit", counted)
     monkeypatch.setattr(recovery, "basis_pursuit", counted)
     grids = {"n": [64], "s": [3], "N": [10, 20, 30], "x_family": ["gaussian"]}
     trials, seed = 6, 515
-    for noise, expected in (("symmetric_pareto", None), ("none", 3 * trials)):
+    # the three cells form one group, drawn on the path of its first cell
+    problems = [make_recovery_problems(DistributionSpec("gaussian", 64),
+                                       [(3, N, 0.0) for N in grids["N"]], child_path(seed, 0, ti))
+                for ti in range(trials)]
+    certified = [[certifies_recovery(p.Gamma, p.v0) for p in probs] for probs in problems]
+    expected = sum(not c for row in certified for c in row)
+    assert 0 < expected < 3 * trials
+    for noise in ("symmetric_pareto", "none"):
         calls.clear()
         config = ExperimentConfig(experiment="recovery", grids={**grids, "noise_family": noise},
                                   trials=trials, master_seed=seed,
                                   output_dir=str(tmp_path / noise))
         run(config)
-        if expected is None:
-            # the three cells form one group, drawn on the path of its first cell
-            cells = [p for ti in range(trials) for p in make_recovery_problems(
-                DistributionSpec("gaussian", 64), [(3, N, 0.0) for N in grids["N"]],
-                child_path(seed, 0, ti))]
-            expected = sum(not certifies_recovery(p.Gamma, p.v0) for p in cells)
-            assert 0 < expected < 3 * trials
         assert len(calls) == expected
         with (tmp_path / noise / "recovery.csv").open() as fh:
             assert [row["bp_unconverged"] for row in csv.DictReader(fh)] == ["0"] * 3
+
+    group = list(enumerate(harness._RecoveryAdapter.cells(config)))
+    for ti, probs in enumerate(problems):
+        records = harness._RecoveryAdapter.trial(config, group, ti)
+        for prob, ok, rec in zip(probs, certified[ti], records, strict=True):
+            bp = bp_recovers(prob.Gamma, prob.v0)[1]
+            assert (bp is None) == ok
+            errors = (0.0, 0.0) if ok else (bp.errors_lp[1.0], bp.errors_lp[2.0])
+            assert (rec["err_l1"], rec["err_l2"]) == errors
+            assert rec["lasso_unconverged"] == rec["bp_unconverged"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +679,11 @@ def test_noise_free_lasso_columns_report_basis_pursuit(tmp_path):
         for prob, r in zip(probs, bp):
             assert r.converged
             assert r.objective == pytest.approx(_lp_optimum(prob.Gamma, prob.y), rel=1e-10)
-        assert float(row["err_l1_med"]) == float(np.median([r.errors_lp[1.0] for r in bp]))
-        assert float(row["err_l2_med"]) == float(np.median([r.errors_lp[2.0] for r in bp]))
+        # where the certificate makes v0 the unique minimizer, the errors are 0 with no solve
+        certified = [certifies_recovery(prob.Gamma, prob.v0) for prob in probs]
+        for col, p in (("err_l1_med", 1.0), ("err_l2_med", 2.0)):
+            errors = [0.0 if c else r.errors_lp[p] for c, r in zip(certified, bp)]
+            assert float(row[col]) == float(np.median(errors))
         assert row["lasso_unconverged"] == row["bp_unconverged"]
 
 
