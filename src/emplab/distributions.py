@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -337,12 +336,6 @@ def sample_batch(
     return SampleBatch(X=X, xi=xi, eps=eps, seed_path=path)
 
 
-class PNormResult(NamedTuple):
-    value: float
-    q_star: int
-    q_cap: int
-
-
 def empirical_lq_norms(samples: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """Empirical L_q norms (mean |s|^q)^(1/q), stable against overflow.
 
@@ -371,22 +364,6 @@ def _moment_ratios(samples: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]
     """q = 1..min(p, moment_cap(m)) for m samples, and empirical ||.||_{L_q}/sqrt(q) at each."""
     qs = np.arange(1, min(int(p), moment_cap(samples.size)) + 1)
     return qs, empirical_lq_norms(samples, qs) / np.sqrt(qs)
-
-
-def empirical_p_norm(samples: np.ndarray, p: int) -> PNormResult:
-    """sup over integer q in [1, q_cap] of empirical ||.||_{L_q}/sqrt(q).
-
-    q_cap = min(p, ceil(2 ln m)) for m samples; the cap is returned so
-    callers can see when the requested p was truncated.
-    """
-    a = np.asarray(samples, dtype=np.float64).ravel()
-    if a.size < 2:
-        raise ValueError("need at least 2 samples")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    qs, ratios = _moment_ratios(a, p)
-    best = int(np.argmax(ratios))
-    return PNormResult(value=float(ratios[best]), q_star=int(qs[best]), q_cap=int(qs[-1]))
 
 
 def moment_growth_profile(

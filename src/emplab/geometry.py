@@ -239,11 +239,6 @@ def support_batch(spec: IndexSetSpec, Z: np.ndarray) -> np.ndarray:
     return _sorted_abs_desc(Z) @ w_star
 
 
-def support(spec: IndexSetSpec, z: np.ndarray) -> float:
-    """sup_{v in V} |<v, z>|; exact closed form per family."""
-    return float(support_batch(spec, np.asarray(z, dtype=np.float64)[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
 # localized supports: V cap (radius * B_2^n)
 

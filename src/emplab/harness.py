@@ -497,7 +497,7 @@ class _RecoveryAdapter(_Adapter):
                 series.setdefault(key, []).append((r["N"], r["err_l2_med"]))
         rated = False
         for key, pts in series.items():
-            if len(pts) < 3:
+            if len({N for N, _ in pts}) < 3:
                 continue
             rated = True
             pts.sort()
@@ -513,7 +513,7 @@ class _RecoveryAdapter(_Adapter):
                 "name": "lasso_error_rate",
                 "status": "insufficient-data",
                 "detail": ("a noise-free run: lambda is 0, so no LASSO rate applies" if noise_free
-                           else "need >= 3 N values for a fixed (n, s, family)"),
+                           else "need >= 3 distinct N values for a fixed (n, s, family)"),
             })
         # monotone success in N
         mono_checked = False
@@ -1020,6 +1020,8 @@ def loglog_slope(xs, ys) -> tuple[float, float, float]:
     ly = np.log(np.asarray(ys, dtype=np.float64))
     if lx.size < 2:
         raise ValueError("need at least two points")
+    if np.all(lx == lx[0]):
+        raise ValueError("need at least two distinct x values")
     mx, my = lx.mean(), ly.mean()
     sxx = float(((lx - mx) ** 2).sum())
     slope = float(((lx - mx) * (ly - my)).sum() / sxx)

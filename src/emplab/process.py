@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, NoiseSpec, SampleBatch, _sample_multipliers
 from .distributions import sample_block_sums
-from .geometry import IndexSetSpec, support
+from .geometry import IndexSetSpec, support_batch
 from .streams import SeedPath, as_seed_path, rng_from_path
 
 DEFAULT_U_GRID = (2.0, 4.0, 8.0)
@@ -55,11 +55,6 @@ class MultiplierSums(NamedTuple):
     xi: np.ndarray
 
 
-class EnvelopeResult(NamedTuple):
-    C_hat: float
-    profile: np.ndarray
-
-
 def check_A_u(xi: np.ndarray, q0: float, lq_norm: float, u: float) -> bool:
     """True iff the rearranged |xi| stays below u*lq_norm*(eN/i)^(1/q0)."""
     if u < 2.0:
@@ -75,7 +70,7 @@ def check_A_u(xi: np.ndarray, q0: float, lq_norm: float, u: float) -> bool:
     return bool(np.all(xs <= bound))
 
 
-def order_stat_envelope(Z_sorted: np.ndarray) -> EnvelopeResult:
+def order_stat_envelope(Z_sorted: np.ndarray) -> float:
     """Smallest C with Z*_j <= C * sqrt(log(en/j)) for this realization, n = Z_sorted.size."""
     Zs = np.asarray(Z_sorted, dtype=np.float64)
     n = Zs.size
@@ -83,8 +78,7 @@ def order_stat_envelope(Z_sorted: np.ndarray) -> EnvelopeResult:
         raise ValueError("Z_sorted must be non-increasing")
     j = np.arange(1, n + 1, dtype=np.float64)
     denom = np.sqrt(np.log(math.e * n / j))
-    profile = Zs / denom
-    return EnvelopeResult(C_hat=float(profile.max()), profile=profile)
+    return float((Zs / denom).max())
 
 
 def _batch_sums(batch: SampleBatch) -> MultiplierSums:
@@ -128,13 +122,14 @@ def stats_from_sums(
         raise ValueError(f"index set dim {spec.dim} != sums dim {n}")
     a_u = {float(u): check_A_u(sums.xi, noise.q0, noise.lq_norm, float(u)) for u in u_grid}
     Z_sorted = np.sort(np.abs(sums.Z))[::-1]
+    sup_centred, sup_symmetrized = support_batch(spec, np.stack([sums.centred, sums.Z]))
     return ProcessStats(
-        sup_centred=float(support(spec, sums.centred)),
-        sup_symmetrized=float(support(spec, sums.Z)),
+        sup_centred=float(sup_centred),
+        sup_symmetrized=float(sup_symmetrized),
         Z=sums.Z,
         Z_sorted=Z_sorted,
         A_u_holds=a_u,
-        envelope_constant=order_stat_envelope(Z_sorted).C_hat,
+        envelope_constant=order_stat_envelope(Z_sorted),
     )
 
 

@@ -13,7 +13,7 @@ from emplab.distributions import (
     DistributionSpec,
     NoiseSpec,
     canonical_heavy_tail_spec,
-    empirical_p_norm,
+    empirical_lq_norms,
     moment_cap,
     moment_growth_profile,
     sample_batch,
@@ -246,49 +246,49 @@ def test_block_sums_are_drawn_in_copy_chunks(monkeypatch, family, tail):
 # ---------------------------------------------------------------------------
 # moment-growth norm
 
+QS = np.arange(1, 11)
+
+
 def test_p_norm_constant_samples():
-    res = empirical_p_norm(np.full(100, 2.5), p=4)
-    assert res.value == pytest.approx(2.5)
-    assert res.q_star == 1
+    assert np.allclose(empirical_lq_norms(np.full(100, 2.5), QS), 2.5, rtol=1e-12, atol=0.0)
 
 
 def test_p_norm_balanced_signs():
     samples = np.array([-1.0, 1.0] * 50)
-    res = empirical_p_norm(samples, p=9)
-    assert res.value == pytest.approx(1.0)
-    assert res.q_star == 1
+    assert np.allclose(empirical_lq_norms(samples, QS), 1.0, rtol=1e-12, atol=0.0)
 
 
 def test_p_norm_gaussian_against_quadrature():
     rng = np.random.default_rng(2024)
     samples = rng.standard_normal(1_000_000)
-    res = empirical_p_norm(samples, p=10)
-    oracle = max(
-        gaussian_abs_moment_quad(q) ** (1.0 / q) / math.sqrt(q) for q in range(1, 11)
-    )
-    assert res.q_cap == 10
-    assert res.value == pytest.approx(oracle, rel=0.05)
+    got = empirical_lq_norms(samples, QS)
+    for q, norm in zip(QS, got):
+        assert norm == pytest.approx(gaussian_abs_moment_quad(q) ** (1.0 / q), rel=0.05), q
 
 
 def test_p_norm_cap_is_surfaced():
-    samples = np.random.default_rng(1).standard_normal(100)
-    res = empirical_p_norm(samples, p=50)
-    assert res.q_cap == moment_cap(100) == math.ceil(2 * math.log(100))
+    spec = DistributionSpec("gaussian", 1)
+    prof = moment_growth_profile(spec, p=50, n_samples=100, seed_path=(1,))
+    assert [q for q, _ in prof] == list(range(1, moment_cap(100) + 1))
+    assert moment_cap(100) == math.ceil(2 * math.log(100))
 
 
 def test_p_norm_usage_errors():
-    with pytest.raises(ValueError):
-        empirical_p_norm(np.array([]), p=4)
-    with pytest.raises(ValueError):
-        empirical_p_norm(np.array([1.0]), p=4)
+    with pytest.raises(ValueError, match="empty"):
+        empirical_lq_norms(np.array([]), QS)
+    spec = DistributionSpec("gaussian", 1)
+    with pytest.raises(ValueError, match="2 samples"):
+        moment_growth_profile(spec, p=4, n_samples=1, seed_path=(1,))
+    with pytest.raises(ValueError, match="p must be"):
+        moment_growth_profile(spec, p=1, n_samples=100, seed_path=(1,))
 
 
 def test_p_norm_scale_equivariance_power_of_two_exact():
     rng = np.random.default_rng(8)
     samples = rng.standard_normal(512)
-    base = empirical_p_norm(samples, p=6).value
-    assert empirical_p_norm(4.0 * samples, p=6).value == 4.0 * base
-    assert empirical_p_norm(-0.5 * samples, p=6).value == 0.5 * base
+    base = empirical_lq_norms(samples, QS)
+    assert np.array_equal(empirical_lq_norms(4.0 * samples, QS), 4.0 * base)
+    assert np.array_equal(empirical_lq_norms(-0.5 * samples, QS), 0.5 * base)
 
 
 @settings(max_examples=50, deadline=None)
@@ -296,9 +296,9 @@ def test_p_norm_scale_equivariance_power_of_two_exact():
 def test_p_norm_scale_equivariance_general(c):
     rng = np.random.default_rng(5)
     samples = rng.standard_normal(128)
-    a = empirical_p_norm(c * samples, p=8).value
-    b = c * empirical_p_norm(samples, p=8).value
-    assert a == pytest.approx(b, rel=1e-12)
+    a = empirical_lq_norms(c * samples, QS)
+    b = c * empirical_lq_norms(samples, QS)
+    assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

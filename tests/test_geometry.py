@@ -22,7 +22,6 @@ from emplab.geometry import (
     localized_support_batch,
     permutation_polytope,
     sparse_cap,
-    support,
     support_batch,
     support_curve,
 )
@@ -55,15 +54,15 @@ def test_l1_ball_vertex_examples():
     rng = np.random.default_rng(7041)
     spec = l1_ball(4, 1.0)
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    assert support(spec, e1) == 1.0
+    assert support_batch(spec, e1)[0] == 1.0
     z = rng.standard_normal(4)
-    assert support(spec, z) == pytest.approx(support_l1_vertices(z, 1.0))
+    assert support_batch(spec, z)[0] == pytest.approx(support_l1_vertices(z, 1.0))
 
 
 def test_sparse_cap_345():
     spec = sparse_cap(6, 2)
     z = np.array([3.0, 4.0, 0.0, 0.0, 0.0, 0.0])
-    assert support(spec, z) == 5.0
+    assert support_batch(spec, z)[0] == 5.0
 
 
 def test_sparse_cap_enumeration():
@@ -71,7 +70,7 @@ def test_sparse_cap_enumeration():
     for _ in range(50):
         z = rng.standard_normal(7)
         s = int(rng.integers(1, 7))
-        assert support(sparse_cap(7, s), z) == pytest.approx(
+        assert support_batch(sparse_cap(7, s), z)[0] == pytest.approx(
             support_sparse_cap_enum(z, s), rel=1e-12
         )
 
@@ -82,7 +81,7 @@ def test_permutation_polytope_enumeration():
         n = int(rng.integers(2, 7))
         w = rng.standard_normal(n)
         z = rng.standard_normal(n)
-        assert support(permutation_polytope(w), z) == pytest.approx(
+        assert support_batch(permutation_polytope(w), z)[0] == pytest.approx(
             support_permutation_polytope_enum(z, w), rel=1e-12
         )
 
@@ -98,14 +97,14 @@ def test_l1_cap_l2_l2_constraint_binds_alone():
     z = rng.standard_normal(8)
     r = 0.9 * np.linalg.norm(z) / np.abs(z).sum()  # r <= ||z||_2 * rho/||z||_1
     spec = l1_cap_l2(8, 1.0, r)
-    assert support(spec, z) == pytest.approx(r * np.linalg.norm(z), rel=1e-12)
+    assert support_batch(spec, z)[0] == pytest.approx(r * np.linalg.norm(z), rel=1e-12)
 
 
 def test_l1_cap_l2_spec_example_vs_sandwich():
     z = np.array([1.0, 0.8, 0.1])
     spec = l1_cap_l2(3, 1.0, 0.5)
     [lower], [upper] = support_l1_cap_l2_sandwich(z[None, :], 1.0, 0.5)
-    got = support(spec, z)
+    got = support_batch(spec, z)[0]
     assert max(upper - got, got - lower) <= 1e-14 * upper
 
 
@@ -209,9 +208,9 @@ def test_homogeneity_power_of_two_exact(n):
     rng = np.random.default_rng(7046)
     for spec in all_specs(n, rng):
         z = rng.standard_normal(n)
-        h = support(spec, z)
-        assert support(spec, 2.0 * z) == 2.0 * h
-        assert support(spec, -4.0 * z) == 4.0 * h
+        h = support_batch(spec, z)[0]
+        assert support_batch(spec, 2.0 * z)[0] == 2.0 * h
+        assert support_batch(spec, -4.0 * z)[0] == 4.0 * h
 
 
 @settings(max_examples=30, deadline=None)
@@ -220,7 +219,8 @@ def test_homogeneity_general(c):
     rng = np.random.default_rng(3)
     z = rng.standard_normal(5)
     for spec in all_specs(5, rng):
-        assert support(spec, c * z) == pytest.approx(c * support(spec, z), rel=1e-11)
+        assert support_batch(spec, c * z)[0] == pytest.approx(
+            c * support_batch(spec, z)[0], rel=1e-11)
 
 
 @pytest.mark.parametrize("n", [4, 10])
@@ -250,7 +250,7 @@ def test_localized_upper_bounds_and_monotonicity():
     for spec in all_specs(n, rng):
         for _ in range(20):
             z = rng.standard_normal(n)
-            h_full = support(spec, z)
+            h_full = support_batch(spec, z)[0]
             values = [localized_support_batch(spec, z[None, :], r)[0] for r in radii]
             for r, hv in zip(radii, values):
                 assert hv <= min(h_full, r * np.linalg.norm(z)) + 1e-9
@@ -357,13 +357,14 @@ def test_localized_permutation_polytope_scan_is_short(monkeypatch):
     monkeypatch.setattr(geometry, "_prox_owl", lambda *a: calls.append(1) or prox(*a))
     spec = permutation_polytope(np.linspace(1.0, -0.4, 32))
     z = np.random.default_rng(7033).standard_normal(32)
-    assert 0.0 < localized_support_batch(spec, z[None, :], 0.3 * d2(spec))[0] < support(spec, z)
+    localized = localized_support_batch(spec, z[None, :], 0.3 * d2(spec))[0]
+    assert 0.0 < localized < support_batch(spec, z)[0]
     assert 0 < len(calls) <= 40
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        support(l1_ball(4), np.zeros(5))
+        support_batch(l1_ball(4), np.zeros(5))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +435,7 @@ def test_gauge_known_values():
 
 
 def test_gauge_consistency_with_support():
-    # duality spot check: <v, z> <= gauge(v) * support(z) for all pairs
+    # duality spot check: <v, z> <= gauge(v) * h(z) for all pairs
     rng = np.random.default_rng(7055)
     n = 7
     for spec in all_specs(n, rng):
@@ -446,7 +447,7 @@ def test_gauge_consistency_with_support():
                 v[: spec.s] = rng.standard_normal(spec.s)
             gv = gauge(spec, v)
             if math.isfinite(gv):
-                assert abs(v @ z) <= gv * support(spec, z) + 1e-9
+                assert abs(v @ z) <= gv * support_batch(spec, z)[0] + 1e-9
 
 
 # ---------------------------------------------------------------------------

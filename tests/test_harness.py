@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -12,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emplab.distributions import ConfigurationError
+from emplab.distributions import ConfigurationError, NoiseSpec
 import emplab
-from emplab import harness
+from emplab import harness, recovery
+from emplab.geometry import gaussian_width, l1_ball
 from emplab.harness import (
     _ADAPTERS,
     _GelfandAdapter,
@@ -363,8 +365,8 @@ def test_fresh_interpreter_loads_only_the_adapter_scipy_modules(tmp_path, make_c
     expected = json.loads(_fresh_python(_IMPORT_SCRIPT, *adapter.scipy_modules(adapter.cells(config))))
     after_import, after_w2, after_w1 = json.loads(
         _fresh_python(_RUN_SCRIPT, json.dumps(config.to_dict()), str(tmp_path)))
-    # import emplab is numpy-only; run loads the adapter's subpackages before
-    # it forks, and the tasks load nothing beyond them
+    # importing emplab.cli (and so every module) loads no scipy; run loads the
+    # adapter's subpackages before it forks, and the tasks load nothing beyond them
     assert after_import == []
     assert after_w2 == after_w1 == expected
     # only widths with a localized permutation polytope needs scipy
@@ -424,6 +426,21 @@ def test_seed_ledger_covers_rows(tmp_path):
             assert manifest.seed_ledger[key][0] == cfg.master_seed
 
 
+def test_benchmark_layer_names_resolve(monkeypatch):
+    # perfbench's tracer looks up each LAYERS name in its emplab module, and
+    # its smoke run checks the harness's binding of basis_pursuit
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclass looks itself up
+    spec.loader.exec_module(spans)
+    assert spans.LAYERS
+    for module, name, _ in spans.LAYERS:
+        fn = getattr(importlib.import_module(f"emplab.{module}"), name, None)
+        assert callable(fn), f"emplab.{module}.{name}"
+    assert harness.basis_pursuit is recovery.basis_pursuit
+
+
 def test_multiplier_ball_width_draws_no_gaussian_sample(tmp_path, monkeypatch):
     # l*(V) of an l1 or l2 ball is exact; only the other sets sample it
     def no_sample(*args, **kwargs):
@@ -432,10 +449,10 @@ def test_multiplier_ball_width_draws_no_gaussian_sample(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "gaussian_mean_width", no_sample)
     cfg = _multiplier_config(tmp_path / "l1")
     assert run(cfg).failed == []
-    noise = emplab.NoiseSpec("symmetric_pareto", q0=3.0)
+    noise = NoiseSpec("symmetric_pareto", q0=3.0)
     with (tmp_path / "l1" / "multiplier.csv").open() as fh:
         for row in csv.DictReader(fh):
-            width = emplab.gaussian_width(emplab.l1_ball(int(row["n"])))
+            width = gaussian_width(l1_ball(int(row["n"])))
             assert float(row["ratio"]) == float(row["sup_centred"]) / (noise.lq_norm * width)
     cfg = _multiplier_config(tmp_path / "sparse")
     cfg.grids["set"] = {"family": "sparse_cap", "s": 2}
@@ -630,6 +647,26 @@ def test_summarize_noise_free_recovery_names_why_no_lasso_rate_applies(tmp_path,
     assert cli_main(["summarize", str(tmp_path / "out")]) == 0
     assert ("[insufficient-data] lasso_error_rate: a noise-free run: lambda is 0"
             in capsys.readouterr().out)
+
+
+def test_summarize_recovery_with_a_repeated_N_rates_no_series(tmp_path, capsys):
+    # three cells at one N are three points but one distinct N: no slope to fit
+    cfg = _recovery_config(tmp_path / "out", trials=2)
+    cfg = dataclasses.replace(cfg, grids={**cfg.grids, "s": [1], "N": [32, 32, 32]})
+    assert run(cfg).failed == []
+    rates = [c for c in summarize(tmp_path / "out").criteria
+             if c["name"].startswith("lasso_error_rate")]
+    assert rates == [{"name": "lasso_error_rate", "status": "insufficient-data",
+                      "detail": "need >= 3 distinct N values for a fixed (n, s, family)"}]
+    assert cli_main(["summarize", str(tmp_path / "out")]) == 0
+    assert "[insufficient-data] lasso_error_rate: need >= 3 distinct N" in capsys.readouterr().out
+
+
+def test_loglog_slope_rejects_equal_xs():
+    with pytest.raises(ValueError, match="two distinct x"):
+        loglog_slope([32.0, 32.0, 32.0], [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="two points"):
+        loglog_slope([32.0], [0.1])
 
 
 def test_loglog_slope_hand_computed():
