@@ -9,10 +9,11 @@ flips (so the associated sup-norm is 1-unconditional):
 - ``l1_cap_l2``: rho * B_1^n  intersected with  r * B_2^n
 - ``permutation_polytope``: convex hull of all signed permutations of w
 
-Support values sup_{v in V} |<v, z>| are evaluated exactly (closed forms;
-the l1/l2 intersection by one count per row that finds the segment of
-sorted |z| holding its dual minimizer, then a closed-form minimum).  The
-gaussian mean widths of the two balls are exact (``gaussian_width``).
+Support values sup_{v in V cap rB2} |<v, z>| are exact at every r: closed
+forms, and for the l1 families and the permutation polytope a dual path
+built once per row, on which one count finds the segment holding the dual
+minimizer and a closed form gives its minimum.  The gaussian mean widths
+of the two balls are exact (``gaussian_width``).
 Monte-Carlo gaussian mean widths carry standard errors; every Monte-Carlo
 reduction is a numpy pairwise-summation mean, reproducible for a fixed
 seed path to the last bit and order-independent to ~1e-12 relative.
@@ -23,6 +24,7 @@ radii (``gaussian_mean_widths``) share one sample.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -32,11 +34,6 @@ from .distributions import ConfigurationError
 from .streams import SeedPath, rng_from_path
 
 FAMILIES = ("l1_ball", "l2_ball", "sparse_cap", "l1_cap_l2", "permutation_polytope")
-
-# Convergence tolerance, relative to ||z||, of the 1-D bounded minimization
-# used for the localized permutation-polytope support (the one family
-# without a closed form).
-_LOCALIZED_SCAN_TOL = 1e-12
 
 # Values per block of the gaussian stream (_gaussian_blocks): 2^18, 2 MB, so a
 # block and its support curve, not the whole sample, set a widths run's memory
@@ -242,67 +239,101 @@ def support_batch(spec: IndexSetSpec, Z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # localized supports: V cap (radius * B_2^n)
 
-def _prox_owl(z: np.ndarray, lam_w: np.ndarray, isotonic_regression) -> np.ndarray:
-    """prox of the ordered-weighted-l1 penalty sum_j lam_w[j] * |x|_(j).
+def _permpoly_path(a: list, c: list) -> list:
+    """The events of one row's sorted-L1 prox path, in order of lam.
 
-    Sorted soft-shrink followed by an isotonic (nonincreasing) projection
-    and clipping at zero; exact for nonincreasing nonnegative weights.
-    ``isotonic_regression`` is scipy.optimize's, imported by the caller.
+    a is the row's positive |z| sorted descending, c the sorted |w|.  For
+    lam > 0 the prox u = (iso_dec(a - lam c))_+ pools a - lam c in blocks
+    that only merge as lam grows, two neighbours at lam = (a1 - a2)/(c1 - c2)
+    in their means.  The clipped tail u = 0 is a block of infinite size and
+    means 0, so the last block clips at lam = a/c by the same rule: at most
+    len(a) events, walked by a heap with a version per block.  An event
+    (lam, dS, dQ, dP) raises S, the sum of squares of a about its block
+    means and over the tail, and lowers Q and P, the sums of n c^2 and n a c
+    over the blocks, each by a nonnegative step.
     """
-    sign = np.sign(z)
-    a = np.abs(z)
-    order = np.argsort(-a, kind="stable")
-    shrunk = a[order] - lam_w
-    iso = isotonic_regression(shrunk, increasing=False).x
-    x_sorted = np.maximum(iso, 0.0)
-    out = np.empty_like(a)
-    out[order] = x_sorted
-    return sign * out
+    k = len(a)
+    size, sum_a, sum_c = [1.0] * k + [math.inf], a + [0.0], c[:k] + [0.0]
+    mean_a, mean_c = list(sum_a), list(sum_c)
+    nxt, prv, ver = list(range(1, k + 2)), list(range(-1, k + 1)), [0] * (k + 1)
+    heap = [((a[i] - sum_a[i + 1]) / (c[i] - sum_c[i + 1]), i, 0, i + 1, 0)
+            for i in range(k) if c[i] > sum_c[i + 1]]
+    heapq.heapify(heap)
+    events, push, pop = [], heapq.heappush, heapq.heappop
+    while heap:
+        t, i, vi, j, vj = pop(heap)  # blocks i and j = nxt[i] merge into i
+        if ver[i] != vi or ver[j] != vj:
+            continue
+        da, dc = max(mean_a[i] - mean_a[j], 0.0), mean_c[i] - mean_c[j]
+        h = 1.0 / (1.0 / size[i] + 1.0 / size[j])
+        events.append((t, h * da * da, h * dc * dc, h * da * dc))
+        size[i], sum_a[i], sum_c[i] = size[i] + size[j], sum_a[i] + sum_a[j], sum_c[i] + sum_c[j]
+        mean_a[i], mean_c[i] = sum_a[i] / size[i], sum_c[i] / size[i]
+        ver[i], ver[j] = vi + 1, -1
+        p, q = prv[i], nxt[j]
+        nxt[i], prv[q] = q, i  # prv[k + 1] stands for no block
+        for left, right in ((p, i), (i, q)):  # the new block's neighbours meet it later
+            if left >= 0 and right <= k and mean_c[left] > mean_c[right]:
+                meet = (mean_a[left] - mean_a[right]) / (mean_c[left] - mean_c[right])
+                push(heap, (max(meet, t), left, ver[left], right, ver[right]))
+    return events
 
 
-def _owl_value(x: np.ndarray, w_star: np.ndarray) -> float:
-    return float(np.sort(np.abs(x))[::-1] @ w_star)
+def _permpoly_curve(A: np.ndarray, w_star: np.ndarray):
+    """r -> exact sup over the permutation polytope of w cap r*B2, for r < ||w||_2.
 
-
-def _permpoly_localized_support_one(
-    z: np.ndarray, w_star: np.ndarray, radius: float, isotonic_regression, minimize_scalar
-) -> float:
-    """sup over (perm polytope of w) cap radius*B2 of <v, z>.
-
-    Computed as the infimal convolution  min_u OWL_w(u) + radius*||z - u||_2
-    via scipy's bounded Brent minimization over the scalar t in
-
-        F(t) = min_u OWL_w(u) + (radius/2) (||z - u||^2 / t + t),
-
-    which is convex in t; the inner minimum is the exact OWL prox.  Every
-    evaluation is an upper bound on the true support, and the returned
-    minimum is the best value evaluated, so the result (together with the
-    endpoint candidates u = z and u = 0) converges to the exact value from
-    above.  ``isotonic_regression`` and ``minimize_scalar`` are
-    scipy.optimize's, imported by the caller.
+    A holds rows sorted as |z| descending, w_star = |w| sorted descending.
+    The value is the convex dual min_{lam>=0} g(lam); between two events of
+    ``_permpoly_path``, g(lam) = S/(2 lam) + P + lam (r^2 - Q)/2, and the
+    maximizer v = (a - u)/lam over the polytope has ||v||^2 = S/lam^2 + Q,
+    nonincreasing in lam.  Each row's path is built once, as at most n + 1
+    segments: S a forward, Q and P reverse cumulative sums of nonnegative
+    steps, so Q and P end at exactly 0.  At each radius the count of
+    segment starts with ||v|| > r names the segment holding the minimizer;
+    as in ``_l1_cap_l2_curve``, g's closed-form minimum on it and on each
+    neighbour is an upper bound, and the least of the three is exact.
     """
-    znorm = float(np.linalg.norm(z))
-    if znorm == 0.0:
-        return 0.0
-    best = min(_owl_value(z, w_star), radius * znorm)  # u = z and u = 0
+    (rows, n), c = A.shape, w_star.tolist()
+    lam = np.full((rows, n + 2), np.inf)  # segment k spans [lam_k, lam_k+1]; inf: no event
+    lam[:, 0] = 0.0
+    dS, dQ_dP = np.zeros((rows, n + 1)), np.zeros((2, rows, n + 1))
+    last = np.zeros(rows, dtype=np.intp)  # each row's last segment: its event count
+    for i, (row, k) in enumerate(zip(A, np.count_nonzero(A > 0, axis=1))):
+        events = np.transpose(_permpoly_path(row[:k].tolist(), c)).reshape(4, -1)
+        last[i] = e = events.shape[1]
+        lam[i, 1:e + 1], dS[i, 1:e + 1], dQ_dP[:, i, :e] = events[0], events[1], events[2:]
+    starts, S = lam[:, :-1], np.cumsum(dS, axis=1)
+    Q, P = np.cumsum(dQ_dP[:, :, ::-1], axis=2)[:, :, ::-1]
+    v2 = np.divide(S, starts, out=np.zeros_like(S), where=starts > 0)
+    norm = np.sqrt(Q + np.divide(v2, starts, out=v2, where=starts > 0))
+    table, ix = np.stack([starts, lam[:, 1:], S, np.sqrt(S), np.sqrt(Q), P]), np.arange(rows)
 
-    def f_of_t(t: float) -> float:
-        u = _prox_owl(z, (t / radius) * w_star, isotonic_regression)
-        return _owl_value(u, w_star) + (radius / (2.0 * t)) * float(
-            np.sum((z - u) ** 2)
-        ) + 0.5 * radius * t
+    def at(r: float) -> np.ndarray:
+        count = np.count_nonzero(norm > r, axis=1)
+        best = np.full(rows, np.inf)
+        for k in (count - 2, count - 1, count):  # the named segment and its neighbours
+            lo, hi, s, root_s, root_q, p = table[:, ix, np.clip(k, 0, last)]
+            # r^2 - Q as (r - sqrt Q)(r + sqrt Q), which does not underflow at tiny r
+            gap, room = r - root_q, r + root_q
+            root_D = np.sqrt(np.maximum(gap, 0.0)) * np.sqrt(room)
+            # g is least at lam = sqrt(S/(r^2 - Q)), and nonincreasing where r^2 <= Q
+            stat = np.divide(root_s, root_D, out=np.full(rows, np.inf), where=root_D > 0)
+            x = np.clip(stat, lo, hi)
+            inside = x == stat
+            x[inside] = 0.0  # g at the clipped lam is read only where stat lies outside
+            end = p + np.divide(s, 2.0 * x, out=np.zeros(rows), where=x > 0) + 0.5 * x * gap * room
+            best = np.minimum(best, np.where(inside, p + root_s * root_D, end))
+        return best
 
-    res = minimize_scalar(f_of_t, bounds=(1e-9 * znorm, znorm), method="bounded",
-                          options={"xatol": _LOCALIZED_SCAN_TOL * znorm})
-    return min(best, float(res.fun))
+    return at
 
 
 def support_curve(spec: IndexSetSpec, Z: np.ndarray):
     """r -> localized_support_batch(spec, Z, r), for many radii on one Z.
 
-    The work that does not depend on r (sorting |z| and the breakpoint
-    ratios of the l1 families, the norms of l2_ball and sparse_cap) is done
-    once; the permutation polytope evaluates each radius on its own.
+    The work that does not depend on r (sorting |z|, the breakpoint ratios
+    of the l1 families and the prox path of the permutation polytope, the
+    norms of l2_ball and sparse_cap) is done once.
     """
     Z = _as_batch(Z, spec.dim)
     fam = spec.family
@@ -318,7 +349,9 @@ def support_curve(spec: IndexSetSpec, Z: np.ndarray):
         l1_l2 = _l1_cap_l2_curve(_sorted_abs_desc(Z), spec.rho)
         at = lambda r: l1_l2(min(spec.r, r))
     else:
-        at = lambda r: _permpoly_localized_support(spec, Z, r)
+        A, w_star = _sorted_abs_desc(Z), np.sort(np.abs(np.asarray(spec.w)))[::-1]
+        below = _permpoly_curve(A, w_star)  # from r = ||w||_2 on, support_batch's value
+        at = lambda r: A @ w_star if r >= d2(spec) else below(r)
 
     def curve(radius: float) -> np.ndarray:
         if radius <= 0:
@@ -326,19 +359,6 @@ def support_curve(spec: IndexSetSpec, Z: np.ndarray):
         return at(radius)
 
     return curve
-
-
-def _permpoly_localized_support(spec: IndexSetSpec, Z: np.ndarray, radius: float) -> np.ndarray:
-    # no closed form for the intersection
-    if radius >= d2(spec):
-        return support_batch(spec, Z)
-    from scipy.optimize import isotonic_regression, minimize_scalar
-
-    w_star = np.sort(np.abs(np.asarray(spec.w)))[::-1]
-    return np.array([
-        _permpoly_localized_support_one(z, w_star, radius, isotonic_regression, minimize_scalar)
-        for z in Z
-    ])
 
 
 def localized_support_batch(

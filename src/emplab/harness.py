@@ -24,7 +24,6 @@ import csv
 import ctypes
 import dataclasses
 import hashlib
-import importlib
 import json
 import math
 import multiprocessing
@@ -173,8 +172,6 @@ def config_hash(config: ExperimentConfig) -> str:
 #                                         column the rows are per cell
 #   group, values                      -> summary aggregation: the columns to
 #                                         group rows by and the ones to summarize
-#   scipy_modules(cells)               -> the scipy subpackages its tasks import,
-#                                         loaded by run() before it forks workers
 
 def _grids(config, *keys: str) -> dict:
     """config.grids, if it has no key outside keys; else ConfigurationError.
@@ -229,10 +226,6 @@ class _Adapter:
     cell = None
 
     @staticmethod
-    def scipy_modules(cells) -> tuple[str, ...]:
-        return ()
-
-    @staticmethod
     def rows(cell, ci, records, cell_result):
         shared = cell_result or {}
         return [{"cell": ci, "trial": ti, **shared, **row} for ti, rows in records for row in rows]
@@ -242,14 +235,6 @@ class _WidthsAdapter(_Adapter):
     columns = ["cell", "trial", "family", "n", "r", "mean", "stderr", "draws", "d2", "D"]
     group = ["family", "n", "r"]
     values = ["mean", "stderr", "D"]
-
-    @staticmethod
-    def scipy_modules(cells):
-        # only the localized permutation-polytope support imports scipy
-        if any(cell["set"].family == "permutation_polytope"
-               and any(r is not None for r in cell["radii"]) for cell in cells):
-            return ("scipy.optimize",)
-        return ()
 
     @staticmethod
     def cells(config):
@@ -924,9 +909,6 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     at most workers - 1 forked children, none idle (see ``_run_tasks``).
     There is one task per (sample group, trial), and the groups' shared
     work (``adapter.cell``) is queued ahead of the trials, in group order.
-    The experiment's scipy subpackages are imported first, so forked
-    workers inherit them instead of each importing them again, and the
-    BLAS pin also covers scipy.linalg's.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -940,8 +922,6 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     shared = adapter.cell is not None and config.trials > 0
     tasks = ([(config, group, None) for group in groups] if shared else []) + [
         (config, group, ti) for group in groups for ti in range(config.trials)]
-    for module in adapter.scipy_modules(cells):
-        importlib.import_module(module)
     with _one_blas_thread() as blas_threads:
         outcomes = _run_tasks(tasks, workers)
 

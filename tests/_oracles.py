@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 from scipy import integrate, stats
+from scipy.optimize import isotonic_regression, minimize_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,39 @@ def support_permutation_polytope_enum(z: np.ndarray, w: np.ndarray) -> float:
     for perm in permutations(np.abs(w)):
         best = max(best, float(np.dot(perm, az)))
     return best
+
+
+def support_permutation_polytope_localized_brent(z: np.ndarray, w: np.ndarray, r: float) -> float:
+    """sup over conv(signed permutations of w) cap r*B2 of <v, z>, by a bounded Brent search.
+
+    The support is the infimal convolution min_u OWL_w(u) + r ||z - u||_2,
+    with OWL_w(u) = <|u| sorted descending, |w| sorted descending>.  It is
+    the minimum over t > 0 of the convex function
+
+        F(t) = min_u OWL_w(u) + (r/2) (||z - u||^2 / t + t),
+
+    whose inner minimum is the sorted-L1 prox (sorted soft shrinkage, then
+    an isotonic projection clipped at 0).  Every value of F, and each of
+    the endpoint candidates u = z and u = 0, is an upper bound; the least
+    one converges to the support from above.
+    """
+    w_star = np.sort(np.abs(w))[::-1]
+    owl = lambda x: float(np.sort(np.abs(x))[::-1] @ w_star)
+    znorm = float(np.linalg.norm(z))
+    if znorm == 0.0:
+        return 0.0
+    order = np.argsort(-np.abs(z), kind="stable")
+
+    def f_of_t(t: float) -> float:
+        shrunk = np.abs(z)[order] - (t / r) * w_star
+        u = np.empty_like(z)
+        u[order] = np.maximum(isotonic_regression(shrunk, increasing=False).x, 0.0)
+        u *= np.sign(z)
+        return owl(u) + (r / (2.0 * t)) * float(np.sum((z - u) ** 2)) + 0.5 * r * t
+
+    res = minimize_scalar(f_of_t, bounds=(1e-9 * znorm, znorm), method="bounded",
+                          options={"xatol": 1e-12 * znorm})
+    return min(owl(z), r * znorm, float(res.fun))
 
 
 def support_l1_cap_l2_sandwich(Z: np.ndarray, rho: float, r: float) -> tuple[np.ndarray, np.ndarray]:

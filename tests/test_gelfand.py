@@ -140,9 +140,8 @@ def test_fixed_points_bisect_the_public_width_on_one_sample():
     permutation_polytope(np.linspace(1.0, 0.1, 16)),
 ], ids=lambda spec: spec.family)
 def test_phi_nonincreasing_on_one_sample(spec):
-    draws = 40 if spec.family == "permutation_polytope" else 500
     radii = [float(r) for r in np.linspace(0.02, 1.2 * d2(spec), 25)]
-    phi = [est.mean / r for r, est in zip(radii, gaussian_mean_widths(spec, draws, radii, (20,)))]
+    phi = [est.mean / r for r, est in zip(radii, gaussian_mean_widths(spec, 500, radii, (20,)))]
     assert all(b <= a + 1e-12 * a for a, b in zip(phi, phi[1:]))
 
 

@@ -33,6 +33,7 @@ from _oracles import (
     support_l1_cap_l2_sandwich,
     support_l1_vertices,
     support_permutation_polytope_enum,
+    support_permutation_polytope_localized_brent,
     support_sparse_cap_enum,
 )
 
@@ -271,8 +272,6 @@ def test_support_curve_matches_localized_support_batch(spec):
     Z[::7] = 0.0  # zero rows
     Z[3, :6] = -Z[3, 6:]  # tied |z| within a row
     Z[4] = np.round(Z[4])  # more ties, and zero entries
-    if spec.family == "permutation_polytope":
-        Z = Z[:10]  # the one family without a closed form
     radii = [1e-300, 1e-12, 0.03, 0.4, *np.abs(Z[1, :3]), *np.abs(Z[3, :2]),
              d2(spec), 2.0 * d2(spec), 100.0]
     curve = support_curve(spec, Z)
@@ -299,18 +298,18 @@ def test_localized_l1_equality_when_l2_binds():
 
 
 def test_localized_permutation_polytope_cross_forms():
-    # w = e1 makes the polytope an l1 ball: must match the breakpoint scan
+    # w = rho e1 makes the polytope an l1 ball: must match the breakpoint scan
     rng = np.random.default_rng(7051)
     n = 8
     w = np.zeros(n)
-    w[0] = 1.0
+    w[0] = 1.3
     pp = permutation_polytope(w)
-    ball = l1_ball(n, 1.0)
+    ball = l1_ball(n, 1.3)
     for _ in range(40):
         z = rng.standard_normal(n) * math.exp(rng.uniform(-1, 1))
         r = rng.uniform(0.05, 2.0)
         assert localized_support_batch(pp, z[None, :], r)[0] == pytest.approx(
-            localized_support_batch(ball, z[None, :], r)[0], rel=1e-9
+            localized_support_batch(ball, z[None, :], r)[0], rel=1e-12, abs=0.0
         )
 
 
@@ -346,20 +345,57 @@ def test_localized_permutation_polytope_cube_oracle():
         z = rng.standard_normal(n) * math.exp(rng.uniform(-1, 1))
         r = rng.uniform(0.05, 3.0)
         assert localized_support_batch(cube, z[None, :], r)[0] == pytest.approx(
-            oracle(z, r), rel=1e-9
+            oracle(z, r), rel=1e-12, abs=0.0
         )
 
 
+def test_localized_permutation_polytope_matches_brent_oracle():
+    # random generators with ties and zero entries, n = 1, zero rows, tied
+    # rows, and radii from 1e-12 d2 to d2; the oracle is an upper bound
+    rng = np.random.default_rng(7053)
+    for trial in range(36):
+        n = (1, 2, 3, 5, 8, 13)[trial % 6]
+        w = rng.standard_normal(n)
+        if trial % 3 == 1:
+            w = np.round(2.0 * w) / 2.0  # ties, and zeros
+        elif trial % 3 == 2:
+            w[rng.random(n) < 0.5] = 0.0
+        w[0] = w[0] or 1.0
+        Z = rng.standard_normal((5, n)) * np.exp(rng.uniform(-2.0, 2.0, (5, 1)))
+        Z[0] = 0.0
+        Z[1, : n // 2] = -Z[1, n - n // 2:][: n // 2]  # tied |z|
+        Z[2] = np.round(Z[2])  # ties, and zeros
+        spec = permutation_polytope(w)
+        curve = support_curve(spec, Z)
+        for r in d2(spec) * np.array([1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.7, 0.99, 1.0]):
+            for z, got in zip(Z, curve(r)):
+                ref = support_permutation_polytope_localized_brent(z, w, r)
+                assert abs(got - ref) <= 1e-12 * ref
+                assert got <= ref + 1e-13 * r * np.linalg.norm(z)
+
+
 def test_localized_permutation_polytope_scan_is_short(monkeypatch):
-    # each evaluation of the scalar scan is one OWL prox
-    calls = []
-    prox = geometry._prox_owl
-    monkeypatch.setattr(geometry, "_prox_owl", lambda *a: calls.append(1) or prox(*a))
-    spec = permutation_polytope(np.linspace(1.0, -0.4, 32))
-    z = np.random.default_rng(7033).standard_normal(32)
-    localized = localized_support_batch(spec, z[None, :], 0.3 * d2(spec))[0]
-    assert 0.0 < localized < support_batch(spec, z)[0]
-    assert 0 < len(calls) <= 40
+    # support_curve walks each row's prox path once, whatever the number of
+    # radii.  Each event merges two blocks or clips the last one, so a row
+    # with k nonzero |z| has at most k events; with |w| > 0 every block
+    # clips in the end, and a row of n nonzero entries has exactly n.
+    n = 32
+    lengths = []
+    walk = geometry._permpoly_path
+
+    def counted(a, c):
+        events = walk(a, c)
+        lengths.append(len(events))
+        return events
+
+    monkeypatch.setattr(geometry, "_permpoly_path", counted)
+    spec = permutation_polytope(np.linspace(1.0, -0.4, n))
+    Z = np.random.default_rng(7033).standard_normal((7, n))
+    curve = support_curve(spec, Z)
+    for f in np.linspace(0.05, 0.95, 11):
+        localized = curve(f * d2(spec))
+        assert (0.0 < localized).all() and (localized < support_batch(spec, Z)).all()
+    assert lengths == [n] * len(Z)
 
 
 def test_dimension_mismatch_raises():

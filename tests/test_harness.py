@@ -136,6 +136,24 @@ def _permutation_widths_config(out):
     )
 
 
+def _permutation_gelfand_config(out):
+    # the fixed points and the kernel probes of a permutation polytope
+    return ExperimentConfig(
+        experiment="gelfand",
+        grids={
+            "sets": [{"family": "permutation_polytope", "dim": 8,
+                      "w": [1.0, 1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0]}],
+            "m": [4, 6],
+            "x_family": ["gaussian"],
+            "width_draws": 50,
+            "probes": 10,
+        },
+        trials=2,
+        master_seed=63,
+        output_dir=str(out),
+    )
+
+
 def _weibull_moments_config(out):
     # the symmetric_weibull scale goes through math.lgamma
     return ExperimentConfig(
@@ -319,58 +337,39 @@ def _fresh_python(script: str, *args: str) -> str:
     return done.stdout
 
 
-# the scipy subpackages a fresh process holds after importing emplab
-_PRELUDE = """
-import importlib, json, sys
-import emplab, emplab.cli
-
-def loaded():
-    return sorted(m for m in sys.modules if m.startswith("scipy.") and m.count(".") == 1)
-"""
-
-# ... and then the modules named on the command line
-_IMPORT_SCRIPT = _PRELUDE + """
-for name in sys.argv[1:]:
-    importlib.import_module(name)
-print(json.dumps(loaded()))
-"""
-
-# ... and after a run at two workers (whose tasks run in this process and a
-# forked child), then after one at one worker
-_RUN_SCRIPT = _PRELUDE + """
+# in a fresh interpreter (pytest's own has scipy loaded) where any scipy
+# import raises: import every module, then a run at two workers (whose tasks
+# run in this process and a forked child), then one at one worker; each
+# run's failed tasks and rows
+_NO_SCIPY_RUN_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None
+import emplab.cli
 from emplab.harness import ExperimentConfig, run
-seen = [loaded()]
 config = json.loads(sys.argv[1])
+seen = []
 for workers in (2, 1):
     out = f"{sys.argv[2]}/w{workers}"
-    run(ExperimentConfig.from_dict({**config, "output_dir": out}), workers=workers)
-    seen.append(loaded())
+    manifest = run(ExperimentConfig.from_dict({**config, "output_dir": out}), workers=workers)
+    seen.append([manifest.failed, manifest.rows])
 print(json.dumps(seen))
 """
 
 
-# pytest's own process has scipy loaded already, so these run in a fresh one
 @pytest.mark.parametrize("make_config", [
     _multiplier_config,
     _weibull_moments_config,
     _recovery_config,
     _gelfand_config,
+    _permutation_gelfand_config,
     _widths_config,
     _permutation_widths_config,
-], ids=["multiplier", "moments-weibull", "recovery", "gelfand", "widths",
-        "widths-permutation"])
-def test_fresh_interpreter_loads_only_the_adapter_scipy_modules(tmp_path, make_config):
+], ids=["multiplier", "moments-weibull", "recovery", "gelfand", "gelfand-permutation",
+        "widths", "widths-permutation"])
+def test_fresh_interpreter_runs_every_experiment_without_scipy(tmp_path, make_config):
     config = make_config(tmp_path)
-    adapter = _ADAPTERS[config.experiment]
-    expected = json.loads(_fresh_python(_IMPORT_SCRIPT, *adapter.scipy_modules(adapter.cells(config))))
-    after_import, after_w2, after_w1 = json.loads(
-        _fresh_python(_RUN_SCRIPT, json.dumps(config.to_dict()), str(tmp_path)))
-    # importing emplab.cli (and so every module) loads no scipy; run loads the
-    # adapter's subpackages before it forks, and the tasks load nothing beyond them
-    assert after_import == []
-    assert after_w2 == after_w1 == expected
-    # only widths with a localized permutation polytope needs scipy
-    assert bool(expected) == (make_config is _permutation_widths_config)
+    runs = json.loads(_fresh_python(_NO_SCIPY_RUN_SCRIPT, json.dumps(config.to_dict()), str(tmp_path)))
+    assert runs[0] == runs[1] and runs[0][0] == [] and runs[0][1] > 0
     csv_name = f"{config.experiment}.csv"
     assert (tmp_path / "w2" / csv_name).read_bytes() == (tmp_path / "w1" / csv_name).read_bytes()
 
