@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streams import SeedPath, as_seed_path, rng_from_path
+from .streams import SeedPath, rng_from_path
 
 X_FAMILIES = ("gaussian", "rademacher", "student_t", "symmetric_pareto", "symmetric_weibull")
 GAUSSIAN_MIXTURES = ("gaussian", "student_t")
@@ -201,7 +201,6 @@ class SampleBatch:
     X: np.ndarray       # N x n
     xi: np.ndarray      # N
     eps: np.ndarray     # N, entries exactly +-1
-    seed_path: SeedPath
 
     @property
     def N(self) -> int:
@@ -323,17 +322,16 @@ def sample_batch(
     spec: DistributionSpec,
     noise: NoiseSpec,
     N: int,
-    seed_path: int | SeedPath,
+    seed_path: SeedPath,
 ) -> SampleBatch:
     """Draw one batch; a pure function of (spec, noise, N, seed_path).
 
     X, xi and eps come from the independent substreams tagged "X", "xi"
     and "eps" of ``seed_path``.
     """
-    path = as_seed_path(seed_path)
-    xi, eps = _sample_multipliers(noise, N, path)
-    X = sample_coordinates(spec, (N, spec.dim), rng_from_path(path, "X"))
-    return SampleBatch(X=X, xi=xi, eps=eps, seed_path=path)
+    xi, eps = _sample_multipliers(noise, N, seed_path)
+    X = sample_coordinates(spec, (N, spec.dim), rng_from_path(seed_path, "X"))
+    return SampleBatch(X=X, xi=xi, eps=eps)
 
 
 def empirical_lq_norms(samples: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -360,23 +358,18 @@ def moment_cap(n_samples: int) -> int:
     return max(1, math.ceil(2.0 * math.log(n_samples)))
 
 
-def _moment_ratios(samples: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """q = 1..min(p, moment_cap(m)) for m samples, and empirical ||.||_{L_q}/sqrt(q) at each."""
-    qs = np.arange(1, min(int(p), moment_cap(samples.size)) + 1)
-    return qs, empirical_lq_norms(samples, qs) / np.sqrt(qs)
-
-
 def moment_growth_profile(
     spec: DistributionSpec,
     p: int,
     n_samples: int,
-    seed_path: int | SeedPath,
+    seed_path: SeedPath,
 ) -> list[tuple[int, float]]:
     """Per-q empirical ratios ||x_1||_{L_q}/sqrt(q) for q = 1..min(p, cap)."""
     if p < 2:
         raise ValueError("p must be >= 2")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    rng = rng_from_path(seed_path, "X")
-    qs, ratios = _moment_ratios(sample_coordinates(spec, n_samples, rng), p)
+    samples = sample_coordinates(spec, n_samples, rng_from_path(seed_path, "X"))
+    qs = np.arange(1, min(int(p), moment_cap(n_samples)) + 1)
+    ratios = empirical_lq_norms(samples, qs) / np.sqrt(qs)
     return [(int(q), float(rat)) for q, rat in zip(qs, ratios)]

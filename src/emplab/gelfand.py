@@ -44,7 +44,7 @@ import numpy as np
 from .distributions import DistributionSpec, sample_block_sums, sample_coordinates
 from .geometry import IndexSetSpec, WidthEstimate, d2, gauge_batch, localized_support_batch
 from .geometry import _gaussian_blocks, _make_width_estimate, support_curve
-from .streams import SeedPath, as_seed_path, child_path, rng_from_path
+from .streams import SeedPath, rng_from_path
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,8 @@ def empirical_process_width(
     m: int,
     draws: int,
     localized_radius: float | None = None,
-    seed_path: int | SeedPath = (0,),
+    *,
+    seed_path: SeedPath,
 ) -> WidthEstimate:
     """Monte-Carlo E sup_{v in V cap rB2} |<m^{-1/2} sum_i X_i, v>|.
 
@@ -184,7 +185,7 @@ def r_G_fixed_points(
     ms,
     tol: float,
     draws: int,
-    seed_path: int | SeedPath = (0,),
+    seed_path: SeedPath,
 ) -> list[FixedPointResult]:
     """``r_G_fixed_point`` at every m of ms, in order, all on one gaussian sample.
 
@@ -202,13 +203,13 @@ def r_G_fixed_point(
     m: int,
     tol: float,
     draws: int,
-    seed_path: int | SeedPath = (0,),
+    seed_path: SeedPath,
 ) -> FixedPointResult:
     """Smallest r (within tol) with gaussian width of V cap rB2 <= gamma r sqrt(m).
 
     Every radius is evaluated on the one gaussian sample that
-    ``gaussian_mean_width(spec, draws, r, seed_path)`` draws, its blocks
-    from ``geometry._gaussian_blocks`` joined into one array.
+    ``gaussian_mean_width(spec, draws, r, seed_path=seed_path)`` draws,
+    its blocks from ``geometry._gaussian_blocks`` joined into one array.
     """
     return r_G_fixed_points(spec, gamma, [m], tol, draws, seed_path)[0]
 
@@ -220,7 +221,7 @@ def r_X_fixed_points(
     ms,
     tol: float,
     draws: int,
-    seed_path: int | SeedPath = (0,),
+    seed_path: SeedPath,
 ) -> list[FixedPointResult]:
     """``r_X_fixed_point`` at every m of ms, in order, on one nested sample.
 
@@ -242,12 +243,13 @@ def r_X_fixed_point(
     m: int,
     tol: float,
     draws: int,
-    seed_path: int | SeedPath = (0,),
+    seed_path: SeedPath,
 ) -> FixedPointResult:
     """Same fixed point with the empirical-process width of the X ensemble.
 
     Every radius is evaluated on the one sample of normalized sums that
-    ``empirical_process_width(dist, spec, m, draws, r, seed_path)`` draws.
+    ``empirical_process_width(dist, spec, m, draws, r, seed_path=seed_path)``
+    draws.
     """
     return r_X_fixed_points(dist, spec, gamma, [m], tol, draws, seed_path)[0]
 
@@ -306,8 +308,8 @@ def kernel_section_diameters(
     dist: DistributionSpec,
     spec: IndexSetSpec,
     ms,
-    probes: int = 1000,
-    seed_path: int | SeedPath = (0,),
+    probes: int,
+    seed_path: SeedPath,
 ) -> list[KernelDiameterResult]:
     """``kernel_section_diameter`` at every m of ms, in order, on one draw.
 
@@ -326,11 +328,10 @@ def kernel_section_diameters(
         raise ValueError("m must be in [0, dim) so the kernel is nontrivial")
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    path = as_seed_path(seed_path)
 
-    Gamma = (sample_coordinates(dist, (grid[-1], n), rng_from_path(path, "X"))
+    Gamma = (sample_coordinates(dist, (grid[-1], n), rng_from_path(seed_path, "X"))
              if grid[-1] > 0 else np.empty((0, n)))
-    rng = rng_from_path(path, "probe")
+    rng = rng_from_path(seed_path, "probe")
     g = rng.standard_normal((n, probes))
     pairs = rng.integers(0, n, size=(probes, 2))
     signs = 2.0 * rng.integers(0, 2, size=probes) - 1.0
@@ -362,8 +363,8 @@ def kernel_section_diameter(
     dist: DistributionSpec,
     spec: IndexSetSpec,
     m: int,
-    probes: int = 1000,
-    seed_path: int | SeedPath = (0,),
+    probes: int,
+    seed_path: SeedPath,
 ) -> KernelDiameterResult:
     """Lower-bound diam(ker(Gamma) cap V) over probe directions.
 
@@ -382,7 +383,7 @@ def calibrate_kernel_constant(
     spec: IndexSetSpec,
     m: int,
     calibration_draws: int,
-    seed_path: int | SeedPath,
+    seed_path: SeedPath,
     probes: int = 1000,
     width_draws: int = 2000,
     margin: float = 1.05,
@@ -397,12 +398,9 @@ def calibrate_kernel_constant(
     r_G >= rho exactly when gamma * sqrt(m) <= phi(rho): the constant is
     phi(rho) / sqrt(m), read off the sample with no search over gamma.
     """
-    path = as_seed_path(seed_path)
-    lbs = [
-        kernel_section_diameter(dist, spec, m, probes, child_path(path, i)).lower_bound
-        for i in range(calibration_draws)
-    ]
+    lbs = [kernel_section_diameter(dist, spec, m, probes, (*seed_path, i)).lower_bound
+           for i in range(calibration_draws)]
     rho = min(margin * float(np.max(lbs)) / 2.0, d2(spec))
-    blocks = _gaussian_blocks(spec.dim, width_draws, child_path(path, 10_000))
+    blocks = _gaussian_blocks(spec.dim, width_draws, (*seed_path, 10_000))
     width = _width_curve(spec, np.concatenate(list(blocks)))
     return width(rho).mean / (rho * math.sqrt(m))

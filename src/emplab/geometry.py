@@ -33,7 +33,10 @@ import numpy as np
 from .distributions import ConfigurationError
 from .streams import SeedPath, rng_from_path
 
-FAMILIES = ("l1_ball", "l2_ball", "sparse_cap", "l1_cap_l2", "permutation_polytope")
+# each family's parameters (fields of IndexSetSpec)
+_PARAMETERS = {"l1_ball": ("rho",), "l2_ball": ("r",), "sparse_cap": ("s",),
+               "l1_cap_l2": ("rho", "r"), "permutation_polytope": ("w",)}
+FAMILIES = tuple(_PARAMETERS)
 
 # Values per block of the gaussian stream (_gaussian_blocks): 2^18, 2 MB, so a
 # block and its support curve, not the whole sample, set a widths run's memory
@@ -119,17 +122,25 @@ def permutation_polytope(w) -> IndexSetSpec:
 
 
 def index_set_from_dict(d: dict) -> IndexSetSpec:
-    """The index set a config dict describes; ConfigurationError if none."""
+    """The index set a config dict describes; ConfigurationError if none.
+
+    Besides ``family`` and ``dim`` it holds its family's parameters only,
+    ``rho``, ``r`` and each entry of ``w`` as finite numbers (no bools).
+    """
     try:
         kwargs = dict(d)
-        family = kwargs.pop("family")
-        dim = kwargs.pop("dim")
+        family, dim = kwargs.pop("family"), kwargs.pop("dim")
+        foreign = sorted(set(kwargs) - set(_PARAMETERS.get(family, ())))
+        if foreign and family in _PARAMETERS:  # an unknown family is IndexSetSpec's error
+            raise ValueError(f"{family} takes no {foreign}")
         if any(type(v) is not int or v < 1 for v in (dim, kwargs.get("s", 1))):
             raise ValueError("dim and s must be integers >= 1")
-        if "w" in kwargs and kwargs["w"] is not None:
-            kwargs["w"] = tuple(kwargs["w"])
+        numbers = [kwargs.get("rho", 1.0), kwargs.get("r", 1.0), *kwargs.get("w", ())]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                   for v in numbers):
+            raise ValueError("rho, r and each entry of w must be finite numbers")
         return IndexSetSpec(family, dim, **kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad index set {d!r}: {exc!r}") from exc
 
 
@@ -474,7 +485,7 @@ def _make_width_estimate(values: np.ndarray, spec, localized_radius) -> WidthEst
     )
 
 
-def _gaussian_blocks(dim: int, draws: int, seed_path: int | SeedPath):
+def _gaussian_blocks(dim: int, draws: int, seed_path: SeedPath):
     """The draws x dim standard gaussians of the "gaussian" stream on seed_path.
 
     Yields row blocks of _GAUSSIAN_BLOCK_VALUES // dim rows (at least one);
@@ -486,9 +497,8 @@ def _gaussian_blocks(dim: int, draws: int, seed_path: int | SeedPath):
         yield rng.standard_normal((min(chunk, draws - done), dim))
 
 
-def gaussian_mean_widths(
-    spec: IndexSetSpec, draws: int, radii, seed_path: int | SeedPath = (0,)
-) -> list[WidthEstimate]:
+def gaussian_mean_widths(spec: IndexSetSpec, draws: int, radii,
+                         seed_path: SeedPath) -> list[WidthEstimate]:
     """``gaussian_mean_width`` at every radius in ``radii``, all on one sample.
 
     A radius of None is the whole set.  Each block of the sample is
@@ -518,7 +528,8 @@ def gaussian_mean_width(
     spec: IndexSetSpec,
     draws: int,
     localized_radius: float | None = None,
-    seed_path: int | SeedPath = (0,),
+    *,
+    seed_path: SeedPath,
 ) -> WidthEstimate:
     """Monte-Carlo E sup_{v in V cap rB2} |<G, v>| over standard gaussians."""
     return gaussian_mean_widths(spec, draws, [localized_radius], seed_path)[0]

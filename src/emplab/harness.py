@@ -62,7 +62,6 @@ from .recovery import (
     lasso,
     make_recovery_problems,
 )
-from .streams import child_path
 
 
 class IntegrityError(RuntimeError):
@@ -254,7 +253,7 @@ class _WidthsAdapter(_Adapter):
         [(ci, cell)] = group
         spec = cell["set"]
         ests = gaussian_mean_widths(spec, cell["draws"], cell["radii"],
-                                    child_path(config.master_seed, ci, ti))
+                                    (config.master_seed, ci, ti))
         return [[{
             "family": spec.label(),
             "n": spec.dim,
@@ -335,8 +334,7 @@ class _MultiplierAdapter(_Adapter):
     @staticmethod
     def trial(config, group, ti):
         [(ci, cell)] = group
-        sums = multiplier_sums(cell["x"], cell["noise"], cell["N"],
-                               child_path(config.master_seed, ci, ti))
+        sums = multiplier_sums(cell["x"], cell["noise"], cell["N"], (config.master_seed, ci, ti))
         stats = stats_from_sums(sums, cell["set"], cell["noise"], u_grid=cell["u_grid"])
         return [{
             "A_u": "|".join(str(int(stats.A_u_holds[u])) for u in cell["u_grid"]),
@@ -351,7 +349,7 @@ class _MultiplierAdapter(_Adapter):
         # l*(V): exact for the two balls, else a Monte-Carlo estimate
         width = gaussian_width(cell["set"])
         if width is None:
-            path = child_path(config.master_seed, ci, 1_000_000)
+            path = (config.master_seed, ci, 1_000_000)
             width = gaussian_mean_width(cell["set"], cell["width_draws"], seed_path=path).mean
         return [width]
 
@@ -428,7 +426,7 @@ class _RecoveryAdapter(_Adapter):
         ci, first = group[0]
         noise = first["noise"]
         probs = make_recovery_problems(first["x"], [(c["s"], c["N"], c["lam"]) for _, c in group],
-                                       child_path(config.master_seed, ci, ti), noise)
+                                       (config.master_seed, ci, ti), noise)
         records = []
         for prob in probs:
             success, bp = bp_recovers(prob.Gamma, prob.v0)
@@ -568,7 +566,7 @@ class _GelfandAdapter(_Adapter):
         (ci, first), ms = group[0], [cell["m"] for _, cell in group]
         spec, dist = first["set"], first["x"]
         results = kernel_section_diameters(dist, spec, ms, first["probes"],
-                                           child_path(config.master_seed, ci, ti))
+                                           (config.master_seed, ci, ti))
         return [[{
             "n": spec.dim,
             "m": res.m,
@@ -582,9 +580,9 @@ class _GelfandAdapter(_Adapter):
         (ci, first), ms = group[0], [cell["m"] for _, cell in group]
         bisection = (first["gamma"], ms, first["fp_tol"], first["width_draws"])
         rgs = r_G_fixed_points(first["set"], *bisection,
-                               child_path(config.master_seed, first["r_G_cell"], 1_000_000, 0))
+                               (config.master_seed, first["r_G_cell"], 1_000_000, 0))
         rxs = r_X_fixed_points(first["x"], first["set"], *bisection,
-                               child_path(config.master_seed, ci, 1_000_000, 1))
+                               (config.master_seed, ci, 1_000_000, 1))
         return [{
             "r_G": rg.r_star,
             "r_G_confident": int(rg.confident),
@@ -641,7 +639,7 @@ class _MomentsAdapter(_Adapter):
         [(ci, cell)] = group
         dist = cell["x"]
         profile = moment_growth_profile(dist, cell["p"], cell["n_samples"],
-                                        child_path(config.master_seed, ci, ti))
+                                        (config.master_seed, ci, ti))
         return [[{
             "family": dist.family,
             "tail_param": dist.tail_param,

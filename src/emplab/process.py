@@ -30,7 +30,7 @@ import numpy as np
 from .distributions import DistributionSpec, NoiseSpec, SampleBatch, _sample_multipliers
 from .distributions import sample_block_sums
 from .geometry import IndexSetSpec, support_batch
-from .streams import SeedPath, as_seed_path, rng_from_path
+from .streams import SeedPath, rng_from_path
 
 DEFAULT_U_GRID = (2.0, 4.0, 8.0)
 
@@ -81,14 +81,8 @@ def order_stat_envelope(Z_sorted: np.ndarray) -> float:
     return float((Zs / denom).max())
 
 
-def _batch_sums(batch: SampleBatch) -> MultiplierSums:
-    sqrt_n_obs = math.sqrt(batch.N)
-    return MultiplierSums(Z=batch.X.T @ (batch.eps * batch.xi) / sqrt_n_obs,
-                          centred=batch.X.T @ batch.xi / sqrt_n_obs, xi=batch.xi)
-
-
 def multiplier_sums(
-    x: DistributionSpec, noise: NoiseSpec, N: int, seed_path: int | SeedPath
+    x: DistributionSpec, noise: NoiseSpec, N: int, seed_path: SeedPath
 ) -> MultiplierSums:
     """One trial's sums; xi and eps are those of ``sample_batch``.
 
@@ -97,11 +91,10 @@ def multiplier_sums(
     and centred = S+ + S-.  For a law that is not a gaussian scale mixture
     these are sums of the X that ``sample_batch`` draws.
     """
-    path = as_seed_path(seed_path)
-    xi, eps = _sample_multipliers(noise, N, path)
+    xi, eps = _sample_multipliers(noise, N, seed_path)
     plus = eps > 0
     weights = np.stack([np.where(plus, xi, 0.0), np.where(plus, 0.0, xi)]) / math.sqrt(N)
-    s_plus, s_minus = sample_block_sums(x, weights, 1, rng_from_path(path, "X"))[:, 0]
+    s_plus, s_minus = sample_block_sums(x, weights, 1, rng_from_path(seed_path, "X"))[:, 0]
     return MultiplierSums(Z=s_plus - s_minus, centred=s_plus + s_minus, xi=xi)
 
 
@@ -140,7 +133,10 @@ def multiplier_stats(
     u_grid=DEFAULT_U_GRID,
 ) -> ProcessStats:
     """The per-trial process statistics of one batch, from its own sums."""
-    return stats_from_sums(_batch_sums(batch), spec, noise, u_grid)
+    sqrt_n_obs = math.sqrt(batch.N)
+    sums = MultiplierSums(Z=batch.X.T @ (batch.eps * batch.xi) / sqrt_n_obs,
+                          centred=batch.X.T @ batch.xi / sqrt_n_obs, xi=batch.xi)
+    return stats_from_sums(sums, spec, noise, u_grid)
 
 
 def ratio_statistic(sup_centred: float, width: float, noise: NoiseSpec) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DistributionSpec, NoiseSpec, sample_coordinates, sample_noise
-from .streams import SeedPath, as_seed_path, rng_from_path
+from .streams import SeedPath, rng_from_path
 
 ERROR_NORMS = (1.0, 1.5, 2.0)
 EXACT_RECOVERY_RTOL = 1e-6
@@ -72,7 +72,7 @@ def _lp_errors(v_hat: np.ndarray, v0: np.ndarray) -> dict:
 def make_recovery_problems(
     dist: DistributionSpec,
     members: list[tuple[int, int, float]],
-    seed_path: int | SeedPath,
+    seed_path: SeedPath,
     noise: NoiseSpec | None = None,
 ) -> list[RecoveryProblem]:
     """Every member (s, N, lam) of a sample group, read off one draw.
@@ -90,12 +90,11 @@ def make_recovery_problems(
         raise ValueError("sparsity s must be in [0, dim]")
     N_max = max(N for _, N, _ in members)
     s_max = max(s for s, _, _ in members)
-    path = as_seed_path(seed_path)
-    Gamma = sample_coordinates(dist, (N_max, n), rng_from_path(path, "X"))
-    rng_v = rng_from_path(path, "ground_truth")
+    Gamma = sample_coordinates(dist, (N_max, n), rng_from_path(seed_path, "X"))
+    rng_v = rng_from_path(seed_path, "ground_truth")
     supp = rng_v.choice(n, size=s_max, replace=False)
     signs = 2.0 * rng_v.integers(0, 2, size=s_max) - 1.0
-    xi = (sample_noise(noise, N_max, rng_from_path(path, "xi")) if noise is not None
+    xi = (sample_noise(noise, N_max, rng_from_path(seed_path, "xi")) if noise is not None
           else np.zeros(N_max))
     problems = []
     for s, N, lam in members:
@@ -109,7 +108,7 @@ def make_recovery_problem(
     dist: DistributionSpec,
     N: int,
     s: int,
-    seed_path: int | SeedPath,
+    seed_path: SeedPath,
     noise: NoiseSpec | None = None,
     lam: float = 0.0,
 ) -> RecoveryProblem:

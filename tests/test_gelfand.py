@@ -34,7 +34,7 @@ from emplab.geometry import (
     permutation_polytope,
     sparse_cap,
 )
-from emplab.streams import child_path, rng_from_path
+from emplab.streams import rng_from_path
 
 from _oracles import gaussian_l2_norm_mean, kernel_projector_svd
 
@@ -182,8 +182,8 @@ def test_one_m_functions_are_the_sample_drawn_for_that_m():
     sums = _sums_for_one_m(dist, 64, m, draws, path)
     assert np.array_equal(_normalized_sums(dist, 64, [m], draws, rng_from_path(path, "X"))[0],
                           sums)
-    assert empirical_process_width(dist, spec, m, draws, 0.3, path) == _make_width_estimate(
-        localized_support_batch(spec, sums, 0.3), spec, 0.3)
+    assert empirical_process_width(dist, spec, m, draws, 0.3, seed_path=path) == (
+        _make_width_estimate(localized_support_batch(spec, sums, 0.3), spec, 0.3))
     rx = r_X_fixed_point(dist, spec, 0.3, m, 1e-3, draws, path)
     assert rx == _fixed_point(_width_curve(spec, sums), spec, 0.3, m, 1e-3)
     # and a grid of one distinct m is the same sample
@@ -421,10 +421,10 @@ def test_calibrated_gamma_is_the_largest_reaching_the_target():
     spec, dist = l1_ball(n), DistributionSpec("gaussian", n)
     gamma = calibrate_kernel_constant(dist, spec, m, calibration_draws=10, seed_path=path,
                                       probes=200, width_draws=500)
-    lbs = [kernel_section_diameter(dist, spec, m, 200, child_path(path, i)).lower_bound
+    lbs = [kernel_section_diameter(dist, spec, m, 200, (*path, i)).lower_bound
            for i in range(10)]
     rho = min(1.05 * max(lbs) / 2.0, d2(spec))
-    sample = np.concatenate(list(geometry._gaussian_blocks(n, 500, child_path(path, 10_000))))
+    sample = np.concatenate(list(geometry._gaussian_blocks(n, 500, (*path, 10_000))))
     width, tol = _width_curve(spec, sample), 1e-9 * d2(spec)
     assert _fixed_point(width, spec, gamma * (1 - 1e-9), m, tol).r_star >= rho
     assert _fixed_point(width, spec, gamma * (1 + 1e-9), m, tol).r_star < rho

@@ -586,7 +586,7 @@ def test_gaussian_mean_widths_match_one_radius_calls(spec, monkeypatch):
     assert [len(b) for b in blocks] == [8, 8, 8, 6]
     assert np.array_equal(G, np.concatenate(blocks))
     for r, est in zip(radii, many):
-        assert est == gaussian_mean_width(spec, draws, r, path)
+        assert est == gaussian_mean_width(spec, draws, r, seed_path=path)
         # the sample drawn at once, evaluated at once
         assert est == geometry._make_width_estimate(localized_support_batch(spec, G, r), spec, r)
 

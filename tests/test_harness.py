@@ -767,8 +767,15 @@ def _assert_config_error(tmp_path, capsys, cfg):
     {"sets": [{"family": "sparse_cap", "dim": 16, "s": True}]},
     {"sets": [{"family": "sparse_cap", "dim": 16, "s": 2.5}]},
     {"radius": [0.5]},
+    {"sets": [{"family": "l1_ball", "dim": 16, "r": 0.01, "s": 3}]},
+    {"sets": [{"family": "l2_ball", "dim": 16, "rho": -1}]},
+    {"sets": [{"family": "l1_ball", "dim": 16, "rho": True}]},
+    {"sets": [{"family": "l1_ball", "dim": 16, "rho": math.inf}]},
+    {"sets": [{"family": "permutation_polytope", "dim": 2, "w": [math.nan, 1.0]}]},
+    {"sets": [{"family": "l1_ball", "dim": 16, "rho": 10**400}]},
 ], ids=["unknown-family", "no-dim", "unknown-key", "draws-1", "draws-float", "dim-float",
-        "dim-bool", "s-bool", "s-float", "misspelt-grid-key"])
+        "dim-bool", "s-bool", "s-float", "misspelt-grid-key", "another-familys-keys",
+        "l2-ball-rho", "rho-bool", "rho-inf", "w-nan", "rho-beyond-float"])
 def test_cli_widths_config_errors_exit_2(tmp_path, capsys, change):
     # checked in cells(), before any task runs, rather than failing every trial
     cfg = _widths_config(tmp_path / "out", trials=1)

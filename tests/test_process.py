@@ -32,7 +32,6 @@ def _manual_batch(X, xi, eps):
         X=np.asarray(X, float),
         xi=np.asarray(xi, float),
         eps=np.asarray(eps, float),
-        seed_path=(0,),
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from emplab.distributions import DistributionSpec, NoiseSpec, sample_coordinates, sample_noise
 from emplab.harness import ExperimentConfig, run
-from emplab.streams import child_path, rng_from_path
+from emplab.streams import rng_from_path
 from emplab.recovery import (
     RecoveryProblem,
     basis_pursuit,
@@ -452,7 +452,7 @@ def test_harness_solves_basis_pursuit_only_off_the_certificate(tmp_path, monkeyp
     trials, seed = 6, 515
     # the three cells form one group, drawn on the path of its first cell
     problems = [make_recovery_problems(DistributionSpec("gaussian", 64),
-                                       [(3, N, 0.0) for N in grids["N"]], child_path(seed, 0, ti))
+                                       [(3, N, 0.0) for N in grids["N"]], (seed, 0, ti))
                 for ti in range(trials)]
     certified = [[certifies_recovery(p.Gamma, p.v0) for p in probs] for probs in problems]
     expected = sum(not c for row in certified for c in row)
@@ -588,7 +588,7 @@ def test_recovery_draws_once_per_group_and_trial(tmp_path, monkeypatch):
               for j, law in enumerate(grids["x_family"])]
     assert len(calls) == len(groups) * trials
     assert sorted((dim, law, path) for dim, law, _, path in calls) == sorted(
-        (n, law, child_path(seed, first, ti)) for n, law, first in groups for ti in range(trials))
+        (n, law, (seed, first, ti)) for n, law, first in groups for ti in range(trials))
     for _, _, members, _ in calls:
         assert [(s, N) for s, N, _ in members] == [(1, 8), (1, 12), (3, 8), (3, 12)]
     assert manifest.rows == 16 and not manifest.failed
@@ -669,7 +669,7 @@ def test_noise_free_lasso_columns_report_basis_pursuit(tmp_path):
     assert [int(row["N"]) for row in rows] == [6, 10, 16]
     # the three cells form one group, drawn on the path of its first cell
     draws = [make_recovery_problems(DistributionSpec("rademacher", 40),
-                                    [(2, N, 0.0) for N in (6, 10, 16)], child_path(4321, 0, ti))
+                                    [(2, N, 0.0) for N in (6, 10, 16)], (4321, 0, ti))
              for ti in range(15)]
     for row in rows:
         ci = int(row["cell"])
