@@ -53,6 +53,14 @@ _L2_SERIES = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432)
 _L2_SERIES_FROM = 40
 
 
+def _finite(x) -> bool:
+    """Whether x is a number other than a bool, and finite as a float.
+
+    A string raises TypeError and an int too large for a float OverflowError.
+    """
+    return not isinstance(x, (bool, np.bool_)) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class IndexSetSpec:
     """One of the built-in index-set families on R^dim.
@@ -75,15 +83,20 @@ class IndexSetSpec:
             raise ValueError(f"unknown index-set family {self.family!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.family in ("l1_ball", "l1_cap_l2") and self.rho <= 0:
-            raise ValueError("l1 radius rho must be > 0")
-        if self.family in ("l2_ball", "l1_cap_l2") and self.r <= 0:
-            raise ValueError("l2 radius r must be > 0")
+        if self.family in ("l1_ball", "l1_cap_l2") and not (_finite(self.rho) and self.rho > 0):
+            raise ValueError("l1 radius rho must be a finite number > 0")
+        if self.family in ("l2_ball", "l1_cap_l2"):
+            # an l1_cap_l2 of r = inf is its l1 ball
+            r = 1.0 if self.family == "l1_cap_l2" and self.r == math.inf else self.r
+            if not (_finite(r) and r > 0):
+                raise ValueError("l2 radius r must be a finite number > 0 (l1_cap_l2: or inf)")
         if self.family == "sparse_cap" and not (1 <= self.s):
             raise ValueError("sparsity s must be >= 1")
         if self.family == "permutation_polytope":
             if self.w is None or len(self.w) != self.dim:
                 raise ValueError("permutation_polytope needs w with len(w) == dim")
+            if not all(_finite(v) for v in self.w):
+                raise ValueError("each entry of w must be a finite number")
             object.__setattr__(self, "w", tuple(float(v) for v in self.w))
             if not any(self.w):
                 raise ValueError("permutation_polytope with w = 0 is the set {0}")
@@ -117,15 +130,15 @@ def l1_cap_l2(dim: int, rho: float = 1.0, r: float = 1.0) -> IndexSetSpec:
 
 
 def permutation_polytope(w) -> IndexSetSpec:
-    w = tuple(float(v) for v in w)
+    w = tuple(w)
     return IndexSetSpec("permutation_polytope", len(w), w=w)
 
 
 def index_set_from_dict(d: dict) -> IndexSetSpec:
     """The index set a config dict describes; ConfigurationError if none.
 
-    Besides ``family`` and ``dim`` it holds its family's parameters only,
-    ``rho``, ``r`` and each entry of ``w`` as finite numbers (no bools).
+    Besides ``family`` and ``dim`` it holds its family's parameters only;
+    ``IndexSetSpec`` checks their values, and a config's ``r`` is finite.
     """
     try:
         kwargs = dict(d)
@@ -135,10 +148,8 @@ def index_set_from_dict(d: dict) -> IndexSetSpec:
             raise ValueError(f"{family} takes no {foreign}")
         if any(type(v) is not int or v < 1 for v in (dim, kwargs.get("s", 1))):
             raise ValueError("dim and s must be integers >= 1")
-        numbers = [kwargs.get("rho", 1.0), kwargs.get("r", 1.0), *kwargs.get("w", ())]
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                   for v in numbers):
-            raise ValueError("rho, r and each entry of w must be finite numbers")
+        if kwargs.get("r") == math.inf:
+            raise ValueError("r must be a finite number")
         return IndexSetSpec(family, dim, **kwargs)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad index set {d!r}: {exc!r}") from exc

@@ -319,6 +319,8 @@ class _MultiplierAdapter(_Adapter):
         set_dict = g.get("set", {"family": "l1_ball", "rho": 1.0})
         if not isinstance(set_dict, dict):
             raise ConfigurationError(f"multiplier set must be an object, got {set_dict!r}")
+        if "dim" in set_dict:
+            raise ConfigurationError(f"multiplier set takes its dim from n, got {set_dict!r}")
         u_grid = g.get("u_grid", list(DEFAULT_U_GRID))
         if not isinstance(u_grid, list) or not all(_number(u, "u") >= 2 for u in u_grid):
             raise ConfigurationError(f"multiplier u_grid must be a list of u >= 2, got {u_grid!r}")
@@ -427,21 +429,28 @@ class _RecoveryAdapter(_Adapter):
         noise = first["noise"]
         probs = make_recovery_problems(first["x"], [(c["s"], c["N"], c["lam"]) for _, c in group],
                                        (config.master_seed, ci, ti), noise)
-        records = []
-        for prob in probs:
-            success, bp = bp_recovers(prob.Gamma, prob.v0)
+        # rows added to Gamma only shrink {v : Gamma v = Gamma v0}, which keeps v0, so
+        # a recovery at (s, N) is one at every larger N of this trial and s: visited
+        # by (s, N), every member past its s's first success is decided with no solve
+        records = [None] * len(probs)
+        recovered = set()
+        for i in sorted(range(len(group)), key=lambda i: (group[i][1]["s"], group[i][1]["N"])):
+            prob = probs[i]
+            success, bp = (True, None) if prob.s in recovered else bp_recovers(prob.Gamma, prob.v0)
+            if success:
+                recovered.add(prob.s)
             # without noise lam is 0, and the lam -> 0+ limit of the LASSO is the
-            # minimum-l1 interpolant, basis pursuit's; where the certificate proved
-            # v0 the unique one (bp is None), its errors are exactly 0, with no solve
+            # minimum-l1 interpolant, basis pursuit's; where v0 is proved a minimizer
+            # with no solve (bp is None), its errors are exactly 0
             la = lasso(prob) if noise is not None else bp
-            records.append({
+            records[i] = {
                 "bp_success": int(success),
-                # only the solves that ran: a certified trial has none
+                # only the solves that ran
                 "bp_unconverged": int(bp is not None and not bp.converged),
                 "lasso_unconverged": int(la is not None and not la.converged),
                 "err_l1": la.errors_lp[1.0] if la is not None else 0.0,
                 "err_l2": la.errors_lp[2.0] if la is not None else 0.0,
-            })
+            }
         return records
 
     @staticmethod

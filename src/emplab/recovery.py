@@ -10,15 +10,20 @@ one-member case.  ``lasso`` minimizes
     (1/N) sum_i (<v, X_i> - y_i)^2 + lam * ||v||_1
 
 exactly, by the homotopy (LARS-lasso) path in the threshold t = N*lam/2 on
-the raw inner products <col_j, residual>; its ``converged`` flag is the KKT
-certificate of the returned v, checked from scratch.
+the raw inner products <col_j, residual>; the path keeps the inverse Gram
+matrix of its active columns by bordering on each join and a rank-one
+downdate on each drop, so no step solves a linear system.  Its
+``converged`` flag is the KKT certificate of the returned v, checked from
+scratch.
 ``basis_pursuit`` solves min ||v||_1 s.t. Gamma v = y exactly, on the same
 path run to t = 0, and certifies the result by primal feasibility and the
 path's dual point.
 ``bp_recovers`` is the one exact-recovery rule: whether basis pursuit
 recovers v0 from y = Gamma v0.  ``certifies_recovery``, the minimum-norm
 dual certificate, decides it in closed form where it holds, and
-``basis_pursuit`` runs only where it fails.
+``basis_pursuit`` runs only where it fails.  On nested instances a success
+at N is one at every larger N, so the harness calls ``bp_recovers`` on a
+trial's members only up to the first success of each s.
 The module needs numpy only.
 """
 
@@ -119,6 +124,9 @@ def make_recovery_problem(
     return make_recovery_problems(dist, [(s, N, lam)], seed_path, noise)[0]
 
 
+# once per path, not per step: the step lengths divide by zero and by 0/0 where
+# no event can happen, and np.where replaces those quotients by inf
+@np.errstate(divide="ignore", invalid="ignore")
 def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
                 t_end: float) -> tuple[np.ndarray, int, float, float]:
     """The LARS-lasso path of Osborne, Presnell & Turlach (2000) and Efron
@@ -135,6 +143,18 @@ def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
     the span of the active columns does not join, so the active system
     stays nonsingular without a ridge term.  The path depends on (Gamma, y)
     only through Gamma^T Gamma and Gamma^T y, up to rounding.
+
+    No step solves a linear system.  G^-1 = (Gamma_A^T Gamma_A)^-1 is kept
+    across steps and d = G^-1 sign(c_A).  A joining column col is tested,
+    and G^-1 bordered, with h = Gamma_A^T col, u = G^-1 h and the Schur
+    complement s = ||col||^2 - h^T u, the squared norm of col off the span
+    of Gamma_A: the column joins only if |A| < N and s > 1e-10 ||col||^2, a
+    floor above the rounding of the subtraction, and then G^-1 gains the
+    row and column (-u^T / s, 1 / s) and its old block becomes
+    G^-1 + u u^T / s.  A drop at position k downdates G^-1 to
+    G^-1 - g g^T / g_k, with g its k-th column, and deletes row and column
+    k.  A refused join restores the inverse from before it, and G^-1 is
+    recomputed from scratch only after the NNLS inner loop below changes A.
 
     Several columns can reach the boundary at once: +-1 designs with
     y = Gamma v0 tie many.  They join one at a time, in steps of length 0,
@@ -163,31 +183,40 @@ def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
     bound = 0.0
     active: list[int] = []
     join = int(np.argmax(np.abs(b))) if t > t_end else -1
+    G_inv = np.zeros((0, 0))
+    # the joining column's bordering terms: u = G^-1 Gamma_A^T col and its
+    # Schur complement ||col||^2 - (Gamma_A^T col)^T u (A is empty at first)
+    u, schur = np.zeros(0), 0.0
+    if join >= 0:
+        schur = float(Gamma[:, join] @ Gamma[:, join])
     dropped = -1
     refused: list[int] = []
     d_last = np.zeros(n)
     steps = 0
 
-    def direction(A):
-        Gamma_A = Gamma[:, A]
-        G = Gamma_A.T @ Gamma_A
-        sign_A = np.sign(c[A])
-        return Gamma_A, G, sign_A, np.linalg.solve(G, sign_A)
-
     # a guard against cycling on degenerate designs: a path this long is
     # returned where it stopped, and the caller's certificate rejects it
     while t > t_end and steps < 4 * (n + N):
+        G_inv_before = G_inv
         if join >= 0:
             active.append(join)
+            # G^-1 bordered by the joining column: (G, h; h^T, ||col||^2)^-1
+            m = len(u)
+            w = u / schur
+            G_inv = np.empty((m + 1, m + 1))
+            G_inv[:m, :m] = G_inv_before + u[:, None] * w
+            G_inv[:m, m] = G_inv[m, :m] = -w
+            G_inv[m, m] = 1.0 / schur
         steps += 1
         A = np.array(active)
-        Gamma_A, G, sign_A, d = direction(A)
+        sign_A = np.sign(c[A])
+        d = G_inv @ sign_A
         if join >= 0 and sign_A[-1] * d[-1] <= 0.0:
             # its crossing of the boundary was rounding: it may not join
             # before the path moves
             refused.append(active.pop())
-            A = A[:-1]
-            Gamma_A, G, sign_A, d = direction(A)
+            A, sign_A, G_inv = A[:-1], sign_A[:-1], G_inv_before
+            d = G_inv @ sign_A
         # Lawson-Hanson's inner loop: from the last direction, feasible for
         # every coordinate still at 0, towards d, dropping each such
         # coordinate whose d has the wrong sign where it reaches 0
@@ -198,29 +227,31 @@ def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
                 break
             ratio = np.full(len(A), np.inf)
             ratio[bad] = x[bad] / (x[bad] - d[bad])
-            k = int(np.argmin(ratio))
+            k = int(ratio.argmin())
             x += ratio[k] * (d - x)
             keep = ~bad | (sign_A * x > 0.0)
             keep[k] = False
             active = [j for j, kept in zip(active, keep) if kept]
-            A, x = A[keep], x[keep]
-            Gamma_A, G, sign_A, d = direction(A)
+            A, x, sign_A = A[keep], x[keep], sign_A[keep]
+            Gamma_A = Gamma[:, A]
+            G_inv = np.linalg.inv(Gamma_A.T @ Gamma_A)
+            d = G_inv @ sign_A
         if not d.any():
             # c_A is exactly 0 (or A is empty): the path is at t = 0 up to
             # rounding and cannot move; the segment would give no dual bound
             break
         d_last[:] = 0.0
         d_last[A] = d
+        Gamma_A = Gamma[:, A]
         a = Gamma.T @ (Gamma_A @ d)
         bound = max(bound, float(b[A] @ d) / float(np.abs(a).max()))
 
         # the step at which c_j - gamma a_j reaches t - gamma (up) or
         # -(t - gamma) (down); a column already on the boundary and moving
         # out joins at once
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = np.where(a < 1.0, np.maximum(t - c, 0.0) / (1.0 - a), np.inf)
-            down = np.where(a > -1.0, np.maximum(t + c, 0.0) / (1.0 + a), np.inf)
-            to_drop = np.where(-v[A] * d > 0.0, -v[A] / d, np.inf)
+        up = np.where(a < 1.0, np.maximum(t - c, 0.0) / (1.0 - a), np.inf)
+        down = np.where(a > -1.0, np.maximum(t + c, 0.0) / (1.0 + a), np.inf)
+        to_drop = np.where(-v[A] * d > 0.0, -v[A] / d, np.inf)
         if dropped >= 0:
             # it left the boundary it sits on, so it cannot reach it again
             # on this segment; only rounding could say otherwise
@@ -230,19 +261,26 @@ def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
         to_join[refused] = np.inf
         # a join within 1e-12 t_max of the end is skipped: it would move c by
         # less than the certificate's tolerance, and joins that close to
-        # t = 0 would only chase rounding noise in c
+        # t = 0 would only chase rounding noise in c.  A column joins only
+        # off the span of the active ones: with |A| = N none is, and
+        # otherwise its Schur complement, the squared norm of its part off
+        # that span, is computed by a subtraction whose rounding the
+        # 1e-10 ||col||^2 floor sits above
         gamma, join, drop = t - t_end, -1, -1
-        while True:
-            k = int(np.argmin(to_join))
+        while len(A) < N:
+            k = int(to_join.argmin())
             if not to_join[k] < gamma - 1e-12 * t_max:
                 break
             col = Gamma[:, k]
-            off_span = col - Gamma_A @ np.linalg.solve(G, Gamma_A.T @ col)
-            if off_span @ off_span > 1e-16 * (col @ col):
+            h = Gamma_A.T @ col
+            norm2 = float(col @ col)
+            u = G_inv @ h
+            schur = norm2 - float(h @ u)
+            if schur > 1e-10 * norm2:
                 gamma, join = float(to_join[k]), k
                 break
             to_join[k] = np.inf
-        k = int(np.argmin(to_drop))
+        k = int(to_drop.argmin())
         if to_drop[k] < gamma:
             gamma, join, drop = float(to_drop[k]), -1, k
 
@@ -255,6 +293,11 @@ def _lasso_path(Gamma: np.ndarray, y: np.ndarray,
         if drop >= 0:
             dropped = active.pop(drop)
             v[dropped] = 0.0
+            # G^-1 of A without its drop-th column: the Schur complement
+            # of that pivot, with its row and column deleted
+            col = G_inv[:, drop]
+            rest = np.arange(len(col)) != drop
+            G_inv = (G_inv - col[:, None] * (col / col[drop]))[np.ix_(rest, rest)]
         if join < 0 and drop < 0:
             break
     return v, steps, t_max, bound

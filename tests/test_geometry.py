@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emplab import geometry
+from emplab.distributions import ConfigurationError
 from emplab.geometry import (
     IndexSetSpec,
     d2,
@@ -16,6 +17,7 @@ from emplab.geometry import (
     gaussian_mean_width,
     gaussian_mean_widths,
     gaussian_width,
+    index_set_from_dict,
     l1_ball,
     l1_cap_l2,
     l2_ball,
@@ -603,3 +605,35 @@ def test_spec_validation():
         IndexSetSpec("permutation_polytope", 4, w=(1.0, 2.0))
     with pytest.raises(ValueError):
         IndexSetSpec("mystery", 4)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_spec_rejects_non_finite_parameters(value):
+    # the spec built in Python is held to the rule a config dict is
+    for build, param in ((lambda: l1_ball(4, value), "rho"), (lambda: l2_ball(4, value), "r"),
+                         (lambda: l1_cap_l2(4, value, 1.0), "rho"),
+                         (lambda: permutation_polytope([1.0, value, 0.5]), "w"),
+                         (lambda: IndexSetSpec("permutation_polytope", 3,
+                                               w=np.array([1.0, value, 0.5])), "w")):
+        with pytest.raises(ValueError, match=param):
+            build()
+    # but an l1_cap_l2 of r = inf is its l1 ball (a config's r is finite)
+    if value == math.inf:
+        assert d2(l1_cap_l2(4, 0.5, value)) == 0.5
+        with pytest.raises(ConfigurationError, match="finite"):
+            index_set_from_dict({"family": "l1_cap_l2", "dim": 4, "r": value})
+    else:
+        with pytest.raises(ValueError, match="r"):
+            l1_cap_l2(4, 1.0, value)
+    # the parameters another family takes are not read
+    assert IndexSetSpec("l2_ball", 4, rho=value).r == 1.0
+
+
+def test_spec_rejects_bool_and_string_parameters():
+    for build in (lambda: l1_ball(4, True), lambda: l2_ball(4, np.True_),
+                  lambda: permutation_polytope([True, 0.5])):
+        with pytest.raises(ValueError, match="finite number"):
+            build()
+    for build in (lambda: l1_ball(4, "1"), lambda: permutation_polytope(["1", 0.5])):
+        with pytest.raises(TypeError):
+            build()

@@ -825,9 +825,11 @@ def test_cli_gelfand_m_at_dim_exits_2(tmp_path, capsys):
     {"nu": 2.0},
     {"n": [2]},
     {"width_draw": 50},
+    # the set takes each cell's n as its dim; a dim of its own would be overridden
+    {"set": {"family": "l1_ball", "dim": 3, "rho": 1.0}},
 ], ids=["unknown-set-family", "unknown-law", "unknown-noise", "q0-2", "width-draws-1",
         "u-below-2", "n-not-a-list", "N-not-a-list", "N-0", "heavy-law", "default-df-below-2",
-        "misspelt-grid-key"])
+        "misspelt-grid-key", "set-dim"])
 def test_cli_multiplier_config_errors_exit_2(tmp_path, capsys, change):
     cfg = _multiplier_config(tmp_path / "out", trials=1)
     cfg.grids.update(change)

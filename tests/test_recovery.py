@@ -358,6 +358,64 @@ def test_bp_certifies_the_optimum_on_tied_designs(n, N, s, trials):
         assert res.objective == pytest.approx(_lp_optimum(prob.Gamma, prob.y), rel=1e-10), t
 
 
+def _path_events(fn, *args):
+    """fn(*args), with the count of the drops, refused joins and NNLS
+    recomputes that every ``_lasso_path`` run inside it made, read off the
+    lines that make them by a line tracer."""
+    import inspect
+    import sys
+
+    import emplab.recovery as recovery
+
+    marks = {"drop": "dropped = active.pop(drop)", "refused": "refused.append(active.pop())",
+             "nnls": "G_inv = np.linalg.inv("}
+    lines, first = inspect.getsourcelines(recovery._lasso_path)
+    where = {first + i: key for i, text in enumerate(lines)
+             for key, mark in marks.items() if mark in text}
+    assert sorted(where.values()) == sorted(marks)
+    counts = dict.fromkeys(marks, 0)
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in where:
+            counts[where[frame.f_lineno]] += 1
+        return local
+
+    code = inspect.unwrap(recovery._lasso_path).__code__
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        return fn(*args), counts
+    finally:
+        sys.settrace(None)
+
+
+@pytest.mark.parametrize("family, shapes", [
+    ("gaussian", [(64, 24, 8, 6)]),
+    ("rademacher", [(40, 10, 2, 10), (32, 12, 3, 12)]),
+])
+def test_updated_active_inverse_keeps_the_exact_optimum(family, shapes):
+    # G^-1 is bordered on each join, downdated on each drop, restored on a
+    # refused join and recomputed after the NNLS inner loop; through all of
+    # them basis pursuit stays at HiGHS's optimum and the LASSO certifies
+    events = dict.fromkeys(("drop", "refused", "nnls"), 0)
+    for n, N, s, trials in shapes:
+        for t in range(trials):
+            prob = make_recovery_problem(DistributionSpec(family, n), N, s, (424242, n, N, s, t))
+            res, counts = _path_events(basis_pursuit, prob)
+            assert res.converged, (n, N, s, t)
+            assert res.objective == pytest.approx(_lp_optimum(prob.Gamma, prob.y), rel=1e-10)
+            for frac in (0.3, 0.03, 0.003):
+                t_max = float(np.abs(prob.Gamma.T @ prob.y).max())
+                lam = 2.0 * frac * t_max / N
+                fit, more = _path_events(lasso, RecoveryProblem(prob.Gamma, prob.y, prob.v0, s, lam))
+                assert fit.converged, (n, N, s, t, frac)
+                counts = {k: counts[k] + more[k] for k in counts}
+            events = {k: events[k] + counts[k] for k in events}
+    assert events["drop"] >= 3
+    if family == "rademacher":
+        # rounding makes joins refused, and zero coordinates leave, only on tied designs
+        assert events["refused"] >= 1 and events["nnls"] >= 1
+
+
 # ---------------------------------------------------------------------------
 # the dual certificate
 
@@ -435,47 +493,111 @@ def test_certificate_rejects_degenerate_supports(case):
     assert bp is not None and success == recovery_success(bp, v0)
 
 
-def test_harness_solves_basis_pursuit_only_off_the_certificate(tmp_path, monkeypatch):
-    # noisy or not, a trial runs basis pursuit only where the certificate
-    # fails; a certified noise-free member reports errors of exactly 0
-    import emplab.harness as harness
+def _solved_by_the_rule(members, outcomes):
+    """The members a harness trial solves, given each member's ``bp_recovers``
+    outcome: the uncertified ones with no success at a smaller N of their s."""
+    return {i for i, ((s, N, _), (_, bp)) in enumerate(zip(members, outcomes))
+            if bp is not None and not any(ok for (s2, N2, _), (ok, _) in zip(members, outcomes)
+                                          if s2 == s and N2 < N)}
+
+
+def _counted_solves(monkeypatch):
+    """Patch the basis_pursuit that bp_recovers calls; each solve is logged as
+    ((s, N), result)."""
     import emplab.recovery as recovery
 
-    calls = []
+    solves = []
 
     def counted(problem):
-        calls.append(problem)
-        return basis_pursuit(problem)
+        result = basis_pursuit(problem)
+        solves.append(((problem.s, problem.Gamma.shape[0]), result))
+        return result
 
     monkeypatch.setattr(recovery, "basis_pursuit", counted)
+    return solves
+
+
+def test_harness_solves_basis_pursuit_only_off_the_certificate(tmp_path, monkeypatch):
+    # noisy or not, a trial runs basis pursuit only on the uncertified members
+    # up to its first success; every other noise-free member reports errors
+    # of exactly 0
+    import emplab.harness as harness
+
     grids = {"n": [64], "s": [3], "N": [10, 20, 30], "x_family": ["gaussian"]}
+    members = [(3, N, 0.0) for N in grids["N"]]
     trials, seed = 6, 515
     # the three cells form one group, drawn on the path of its first cell
-    problems = [make_recovery_problems(DistributionSpec("gaussian", 64),
-                                       [(3, N, 0.0) for N in grids["N"]], (seed, 0, ti))
+    problems = [make_recovery_problems(DistributionSpec("gaussian", 64), members, (seed, 0, ti))
                 for ti in range(trials)]
-    certified = [[certifies_recovery(p.Gamma, p.v0) for p in probs] for probs in problems]
-    expected = sum(not c for row in certified for c in row)
-    assert 0 < expected < 3 * trials
+    outcomes = [[bp_recovers(p.Gamma, p.v0) for p in probs] for probs in problems]
+    solved = [_solved_by_the_rule(members, row) for row in outcomes]
+    expected = sum(map(len, solved))
+    uncertified = sum(bp is not None for row in outcomes for _, bp in row)
+    assert 0 < expected < uncertified
+    solves = _counted_solves(monkeypatch)
     for noise in ("symmetric_pareto", "none"):
-        calls.clear()
+        solves.clear()
         config = ExperimentConfig(experiment="recovery", grids={**grids, "noise_family": noise},
                                   trials=trials, master_seed=seed,
                                   output_dir=str(tmp_path / noise))
         run(config)
-        assert len(calls) == expected
+        assert len(solves) == expected
         with (tmp_path / noise / "recovery.csv").open() as fh:
             assert [row["bp_unconverged"] for row in csv.DictReader(fh)] == ["0"] * 3
 
     group = list(enumerate(harness._RecoveryAdapter.cells(config)))
-    for ti, probs in enumerate(problems):
+    for ti, row in enumerate(outcomes):
         records = harness._RecoveryAdapter.trial(config, group, ti)
-        for prob, ok, rec in zip(probs, certified[ti], records, strict=True):
-            bp = bp_recovers(prob.Gamma, prob.v0)[1]
-            assert (bp is None) == ok
-            errors = (0.0, 0.0) if ok else (bp.errors_lp[1.0], bp.errors_lp[2.0])
+        for i, ((_, bp), rec) in enumerate(zip(row, records, strict=True)):
+            errors = (bp.errors_lp[1.0], bp.errors_lp[2.0]) if i in solved[ti] else (0.0, 0.0)
             assert (rec["err_l1"], rec["err_l2"]) == errors
             assert rec["lasso_unconverged"] == rec["bp_unconverged"] == 0
+
+
+@pytest.mark.parametrize("law, n, N_grid, trials", [
+    # the grid of test_bp_success_is_pathwise_monotone_in_N
+    ("student_t", 128, list(range(12, 49, 6)), 30),
+    # out of grid order: a trial visits its members by (s, N)
+    ("gaussian", 64, [32, 8, 24, 16, 40], 30),
+])
+def test_harness_trial_decides_as_bp_recovers(law, n, N_grid, trials, tmp_path, monkeypatch):
+    # a success at (s, N) decides every larger N of its trial and s; the
+    # decisions are bp_recovers' member by member, and basis pursuit runs on
+    # exactly the uncertified members at or below each (trial, s)'s first success
+    import emplab.harness as harness
+
+    seed = 99
+    configs = [ExperimentConfig(experiment="recovery",
+                                grids={"n": [n], "s": [2, 4, 8], "N": N_grid, "x_family": [law],
+                                       "noise_family": noise},
+                                trials=trials, master_seed=seed, output_dir=str(tmp_path))
+               for noise in ("none", "symmetric_pareto")]
+    group = list(enumerate(harness._RecoveryAdapter.cells(configs[0])))
+    members = [(cell["s"], cell["N"], 0.0) for _, cell in group]
+    outcomes = [[bp_recovers(p.Gamma, p.v0)
+                 for p in make_recovery_problems(group[0][1]["x"], members, (seed, 0, ti))]
+                for ti in range(trials)]
+    solves = _counted_solves(monkeypatch)
+    for config in configs:
+        noise_free = config.grids["noise_family"] == "none"
+        skipped = failed = 0
+        for ti, row in enumerate(outcomes):
+            solves.clear()
+            records = harness._RecoveryAdapter.trial(config, group, ti)
+            assert [rec["bp_success"] for rec in records] == [int(ok) for ok, _ in row]
+            solved = _solved_by_the_rule(members, row)
+            assert sorted(key for key, _ in solves) == sorted(members[i][:2] for i in solved)
+            ran = dict(solves)
+            for (s, N, _), rec in zip(members, records, strict=True):
+                bp = ran.get((s, N))
+                assert rec["bp_unconverged"] == int(bp is not None and not bp.converged)
+                if noise_free:
+                    errors = (bp.errors_lp[1.0], bp.errors_lp[2.0]) if bp else (0.0, 0.0)
+                    assert (rec["err_l1"], rec["err_l2"]) == errors
+            skipped += sum(bp is not None for _, bp in row) - len(solved)
+            failed += sum(not ok for ok, _ in row)
+        # the rule saved solves, and some members failed
+        assert skipped > 0 and failed > 0
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +790,12 @@ def test_noise_free_lasso_columns_report_basis_pursuit(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [int(row["N"]) for row in rows] == [6, 10, 16]
     # the three cells form one group, drawn on the path of its first cell
-    draws = [make_recovery_problems(DistributionSpec("rademacher", 40),
-                                    [(2, N, 0.0) for N in (6, 10, 16)], (4321, 0, ti))
+    members = [(2, N, 0.0) for N in (6, 10, 16)]
+    draws = [make_recovery_problems(DistributionSpec("rademacher", 40), members, (4321, 0, ti))
              for ti in range(15)]
+    solved = [_solved_by_the_rule(members, [bp_recovers(p.Gamma, p.v0) for p in probs])
+              for probs in draws]
+    assert 0 < sum(map(len, solved)) < 15 * 3
     for row in rows:
         ci = int(row["cell"])
         probs = [draw[ci] for draw in draws]
@@ -679,10 +804,10 @@ def test_noise_free_lasso_columns_report_basis_pursuit(tmp_path):
         for prob, r in zip(probs, bp):
             assert r.converged
             assert r.objective == pytest.approx(_lp_optimum(prob.Gamma, prob.y), rel=1e-10)
-        # where the certificate makes v0 the unique minimizer, the errors are 0 with no solve
-        certified = [certifies_recovery(prob.Gamma, prob.v0) for prob in probs]
+        # where v0 is proved a minimizer with no solve, by the certificate or by
+        # a success at a smaller N, the errors are 0
         for col, p in (("err_l1_med", 1.0), ("err_l2_med", 2.0)):
-            errors = [0.0 if c else r.errors_lp[p] for c, r in zip(certified, bp)]
+            errors = [r.errors_lp[p] if ci in done else 0.0 for done, r in zip(solved, bp)]
             assert float(row[col]) == float(np.median(errors))
         assert row["lasso_unconverged"] == row["bp_unconverged"]
 
