@@ -11,7 +11,8 @@ m^{-1/2} sum_i X_i that ``empirical_process_width`` draws.  On a fixed
 sample phi(r) = width(r)/r is nonincreasing, because each sample's support
 is concave in r and 0 at r = 0, so the bisection is exact on the sample;
 ``confident`` says whether the bracket also holds within 3 Monte-Carlo
-standard errors.
+standard errors; a bisection that finds no failing radius collapses toward
+0 and is not confident.
 
 Every m of a grid is read off one sample.  ``r_G_fixed_points`` bisects
 one gaussian width curve against each threshold gamma*sqrt(m);
@@ -61,7 +62,7 @@ class FixedPointResult:
 
 
 def _normalized_sums(
-    dist: DistributionSpec, dim: int, ms: list[int], draws: int, rng: np.random.Generator
+    dist: DistributionSpec, ms: list[int], draws: int, rng: np.random.Generator
 ) -> np.ndarray:
     """The draws x dim normalized sums m^{-1/2} sum_{i<=m} X_i at every m of ms.
 
@@ -98,7 +99,7 @@ def empirical_process_width(
     The inner normalized sum is a single vector per draw, so each support
     value is exact.
     """
-    sums = _normalized_sums(dist, spec.dim, [m], draws, rng_from_path(seed_path, "X"))[0]
+    sums = _normalized_sums(dist, [m], draws, rng_from_path(seed_path, "X"))[0]
     return _make_width_estimate(
         localized_support_batch(spec, sums, localized_radius), spec, localized_radius
     )
@@ -160,9 +161,11 @@ def _fixed_point(width_fn, spec, gamma, m, tol) -> FixedPointResult:
         else:
             r_lo, est_lo = mid, est
 
-    confident = est_hi.mean + 3.0 * est_hi.std_error <= threshold * r_hi
-    if est_lo is not None:
-        confident = confident and (est_lo.mean - 3.0 * est_lo.std_error >= threshold * r_lo)
+    # with no failing radius found (est_lo None) the bisection collapsed toward 0, and
+    # r_star = d2 / 2^k is set by tol, not by the sample
+    confident = (est_lo is not None
+                 and est_hi.mean + 3.0 * est_hi.std_error <= threshold * r_hi
+                 and est_lo.mean - 3.0 * est_lo.std_error >= threshold * r_lo)
     return FixedPointResult(
         r_star=r_hi,
         gamma=gamma,
@@ -231,7 +234,7 @@ def r_X_fixed_points(
     if dist.dim != spec.dim:
         raise ValueError("distribution and index set dimension mismatch")
     grid = _grid(ms)
-    sums = _normalized_sums(dist, spec.dim, grid, draws, rng_from_path(seed_path, "X"))
+    sums = _normalized_sums(dist, grid, draws, rng_from_path(seed_path, "X"))
     at = {m: _fixed_point(_width_curve(spec, s), spec, gamma, m, tol) for m, s in zip(grid, sums)}
     return [at[m] for m in ms]
 
@@ -265,16 +268,6 @@ class KernelDiameterResult:
     kernel_dim: int
     rank_deficient: bool
     m: int
-
-
-def _extreme_direction(spec: IndexSetSpec) -> np.ndarray:
-    """A direction along which V attains its Euclidean radius."""
-    n = spec.dim
-    if spec.family == "permutation_polytope":
-        return np.array(spec.w, dtype=np.float64)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    return e1
 
 
 def _kernel_projectors(Gamma: np.ndarray, ms: list[int]) -> list[tuple[np.ndarray, int]]:
@@ -314,11 +307,11 @@ def kernel_section_diameters(
     """``kernel_section_diameter`` at every m of ms, in order, on one draw.
 
     One m_max x n measurement matrix is drawn, and m reads its first m
-    rows; one probe set is drawn and projected onto every kernel.  For
-    m < m' the kernel of the first m' rows lies in that of the first m, so
-    every certificate at m' is one at m: the bound at m is the largest over
-    m' >= m, nonincreasing in m.  With one m this is
-    ``kernel_section_diameter``.
+    rows; one probe set (listed at ``kernel_section_diameter``) is drawn
+    and projected onto every kernel.  For m < m' the kernel of the first m'
+    rows lies in that of the first m, so every certificate at m' is one at
+    m: the bound at m is the largest over m' >= m, nonincreasing in m.
+    With one m this is ``kernel_section_diameter``.
     """
     n = spec.dim
     if dist.dim != n:
@@ -335,15 +328,16 @@ def kernel_section_diameters(
     g = rng.standard_normal((n, probes))
     pairs = rng.integers(0, n, size=(probes, 2))
     signs = 2.0 * rng.integers(0, 2, size=probes) - 1.0
-    extreme = _extreme_direction(spec)
 
     bounds, ranks = [], []
     for P, rank in _kernel_projectors(Gamma, grid):
-        two_sparse = P[:, pairs[:, 0]] + signs * P[:, pairs[:, 1]]
+        kernel_probes = [P @ g, P, P[:, pairs[:, 0]] + signs * P[:, pairs[:, 1]]]
+        if spec.family == "permutation_polytope":
+            # V attains its Euclidean radius at w; the other families attain theirs
+            # at a basis vector, whose probe is a column of P
+            kernel_probes.append((P @ np.array(spec.w, dtype=np.float64))[:, None])
         # one probe per row, C-ordered so that each row reduces as gauge(spec, row) does
-        C = np.ascontiguousarray(np.concatenate(
-            [P @ g, P, two_sparse, (P @ extreme)[:, None]], axis=1
-        ).T)
+        C = np.ascontiguousarray(np.concatenate(kernel_probes, axis=1).T)
         norms = np.linalg.norm(C, axis=1)
         gauges = gauge_batch(spec, C)
         ok = (norms > 1e-14) & np.isfinite(gauges) & (gauges > 0)
@@ -371,9 +365,11 @@ def kernel_section_diameter(
     Probes, all projected onto the kernel by P: gaussian vectors (with the
     law of a gaussian in the kernel), every 1-sparse vector (the columns of
     P), sampled 2-sparse sign vectors (the classical extremizers for the l1
-    ball), and a d2-attaining direction.  Each probe is rescaled to the
-    boundary of V with the exact gauge; the bound is 2 * max ||probe||
-    after rescaling.
+    ball) and, for the permutation polytope, w, along which it attains its
+    Euclidean radius (the other families attain theirs at a basis vector,
+    whose probe is a column of P).  Each probe is rescaled to the boundary
+    of V with the exact gauge; the bound is 2 * max ||probe|| after
+    rescaling.
     """
     return kernel_section_diameters(dist, spec, [m], probes, seed_path)[0]
 

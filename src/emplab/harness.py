@@ -52,6 +52,8 @@ from .geometry import (
     gaussian_mean_widths,
     gaussian_width,
     index_set_from_dict,
+    l1_ball,
+    l2_ball,
 )
 from .process import DEFAULT_U_GRID, multiplier_sums, ratio_statistic, stats_from_sums
 from .recovery import (
@@ -267,41 +269,33 @@ class _WidthsAdapter(_Adapter):
 
     @staticmethod
     def criteria(rows: list[dict]) -> list[dict]:
-        crits = []
-        # phi(r) = mean/r nonincreasing in r for each set (cell), within 3 se bands
+        # a ball's width at a null radius is known exactly (geometry.gaussian_width):
+        # the mean over trials lies within 4 pooled standard errors of it
+        balls = {"l1_ball": l1_ball, "l2_ball": l2_ball}
         by_cell: dict[int, list[dict]] = {}
         for r in rows:
-            if isinstance(r.get("r"), (int, float)):
+            if not isinstance(r["r"], (int, float)):
                 by_cell.setdefault(r["cell"], []).append(r)
-        checked = False
+        crits = []
         for ci, rs in sorted(by_cell.items()):
-            label = f"cell{ci} {rs[0]['family']} n={rs[0]['n']}"
-            radii = sorted({r["r"] for r in rs})
-            if len(radii) < 2:
+            family, n = rs[0]["family"], rs[0]["n"]
+            ball = balls.get(family.split("(")[0])
+            if ball is None:
                 continue
-            checked = True
-            ok = True
-            stats = []
-            for rad in radii:
-                vals = np.array([r["mean"] for r in rs if r["r"] == rad])
-                ses = np.array([r["stderr"] for r in rs if r["r"] == rad])
-                se = float(np.sqrt((ses**2).sum()) / len(ses))
-                stats.append((rad, float(vals.mean()) / rad, se / rad))
-            for (r1, p1, s1), (r2, p2, s2) in zip(stats, stats[1:]):
-                if p2 > p1 + 3.0 * (s1 + s2) + 1e-12:
-                    ok = False
+            exact = gaussian_width(ball(n, rs[0]["d2"]))
+            mean = float(np.mean([r["mean"] for r in rs]))
+            se = math.sqrt(sum(r["stderr"] ** 2 for r in rs)) / len(rs)
             crits.append({
-                "name": f"localized_width_ratio_monotone {label}",
-                "status": "pass" if ok else "fail",
-                "detail": "mean/r nonincreasing in r within 3 se",
+                "name": f"ball_width_exact cell{ci} {family} n={n}",
+                "status": "pass" if abs(mean - exact) <= 4.0 * se else "fail",
+                "detail": f"mean {mean:.5f}, exact {exact:.5f}: {(mean - exact) / se:+.2f} se "
+                          "(allowed 4)",
             })
-        if not checked:
-            crits.append({
-                "name": "localized_width_ratio_monotone",
-                "status": "insufficient-data",
-                "detail": "need >= 2 radii for one set",
-            })
-        return crits
+        return crits or [{
+            "name": "ball_width_exact",
+            "status": "insufficient-data",
+            "detail": "need an l1_ball or l2_ball at a null radius",
+        }]
 
 
 class _MultiplierAdapter(_Adapter):
@@ -431,7 +425,9 @@ class _RecoveryAdapter(_Adapter):
                                        (config.master_seed, ci, ti), noise)
         # rows added to Gamma only shrink {v : Gamma v = Gamma v0}, which keeps v0, so
         # a recovery at (s, N) is one at every larger N of this trial and s: visited
-        # by (s, N), every member past its s's first success is decided with no solve
+        # by (s, N), every member past its s's first success is decided with no solve.
+        # Each trial's success is thus nondecreasing in N by construction, so no
+        # summary criterion checks it
         records = [None] * len(probs)
         recovered = set()
         for i in sorted(range(len(group)), key=lambda i: (group[i][1]["s"], group[i][1]["N"])):
@@ -477,8 +473,9 @@ class _RecoveryAdapter(_Adapter):
     @staticmethod
     def criteria(rows: list[dict]) -> list[dict]:
         crits = []
-        # rate: slope of log median l2 error vs log N, per (n, s, family)
-        # a noise-free row (lambda 0) reports basis pursuit's errors, not the LASSO's
+        # the one criterion, the LASSO rate: slope of log median l2 error vs log N, per
+        # (n, s, family); a noise-free row (lambda 0) reports basis pursuit's errors,
+        # not the LASSO's, and is rated by no criterion
         series: dict[tuple, list[tuple[float, float]]] = {}
         noise_free = False
         for r in rows:
@@ -487,11 +484,9 @@ class _RecoveryAdapter(_Adapter):
                 noise_free = True
             elif isinstance(r.get("err_l2_med"), (int, float)) and r["err_l2_med"] > 0:
                 series.setdefault(key, []).append((r["N"], r["err_l2_med"]))
-        rated = False
         for key, pts in series.items():
             if len({N for N, _ in pts}) < 3:
                 continue
-            rated = True
             pts.sort()
             slope, _, se = loglog_slope([p[0] for p in pts], [p[1] for p in pts])
             ok = abs(slope + 0.5) <= 0.15
@@ -500,40 +495,12 @@ class _RecoveryAdapter(_Adapter):
                 "status": "pass" if ok else "fail",
                 "detail": f"log-log slope {slope:.3f} (se {se:.3f}), target -0.5 +/- 0.15",
             })
-        if not rated:
+        if not crits:
             crits.append({
                 "name": "lasso_error_rate",
                 "status": "insufficient-data",
                 "detail": ("a noise-free run: lambda is 0, so no LASSO rate applies" if noise_free
                            else "need >= 3 distinct N values for a fixed (n, s, family)"),
-            })
-        # monotone success in N
-        mono_checked = False
-        by_ns: dict[tuple, list[dict]] = {}
-        for r in rows:
-            by_ns.setdefault((r["n"], r["s"], r["family"]), []).append(r)
-        for key, rs in by_ns.items():
-            if len(rs) < 2:
-                continue
-            mono_checked = True
-            rs.sort(key=lambda r: r["N"])
-            ok = True
-            for a, b in zip(rs, rs[1:]):
-                pa, pb = a["success_rate"], b["success_rate"]
-                ta, tb = a["trials"], b["trials"]
-                se = math.sqrt(pa * (1 - pa) / max(ta, 1) + pb * (1 - pb) / max(tb, 1))
-                if pb < pa - 3.0 * se - 1e-12:
-                    ok = False
-            crits.append({
-                "name": f"bp_success_monotone n={key[0]} s={key[1]} {key[2]}",
-                "status": "pass" if ok else "fail",
-                "detail": "success rate nondecreasing in N within 3 se",
-            })
-        if not mono_checked:
-            crits.append({
-                "name": "bp_success_monotone",
-                "status": "insufficient-data",
-                "detail": "need >= 2 N values for a fixed (n, s, family)",
             })
         return crits
 

@@ -61,6 +61,23 @@ def test_l2_ball_constant_phi_collapses_or_flags():
     assert res.r_star == d2(spec)
 
 
+def test_collapsed_fixed_point_is_not_confident():
+    # at gamma 2 this permutation polytope meets the width condition at every
+    # radius tried: the bisection finds no failing radius and halves d2 down to
+    # tol, so r_star is set by tol, not by the sample, and is no confident point
+    spec = permutation_polytope([1.0, 1.0, 0.5, 0.5] + [0.0] * 28)
+    dist = DistributionSpec("gaussian", 32)
+    tol, ms = 1e-2, [20, 28]
+    for gamma, collapsed in ((2.0, True), (1.0, False)):
+        results = (r_G_fixed_points(spec, gamma, ms, tol, 50, (7, 1))
+                   + r_X_fixed_points(dist, spec, gamma, ms, tol, 50, (7, 2)))
+        for res in results:
+            assert res.bracketed
+            assert (res.bracket[0] == 0.0) == collapsed, (gamma, res.m)
+            if collapsed:
+                assert res.r_star <= tol and not res.confident
+
+
 def test_gamma_to_infinity_radius_to_zero():
     res = r_G_fixed_point(l1_ball(32), gamma=1e6, m=10, tol=1e-4, draws=500, seed_path=(3,))
     assert res.bracketed
@@ -180,7 +197,7 @@ def test_one_m_functions_are_the_sample_drawn_for_that_m():
     dist, spec = DistributionSpec("symmetric_pareto", 64, tail_param=5.0), l1_ball(64)
     m, draws, path = 300, 250, (24, 1)
     sums = _sums_for_one_m(dist, 64, m, draws, path)
-    assert np.array_equal(_normalized_sums(dist, 64, [m], draws, rng_from_path(path, "X"))[0],
+    assert np.array_equal(_normalized_sums(dist, [m], draws, rng_from_path(path, "X"))[0],
                           sums)
     assert empirical_process_width(dist, spec, m, draws, 0.3, seed_path=path) == (
         _make_width_estimate(localized_support_batch(spec, sums, 0.3), spec, 0.3))
@@ -218,7 +235,7 @@ def test_nested_sums_are_prefix_sums(family, nu):
     rng = rng_from_path((25,), "X")
     X = np.concatenate([sample_coordinates(dist, (min(chunk, draws - done), ms[-1], dim), rng)
                         for done in range(0, draws, chunk)])
-    sums = _normalized_sums(dist, dim, ms, draws, rng_from_path((25,), "X"))
+    sums = _normalized_sums(dist, ms, draws, rng_from_path((25,), "X"))
     assert sums.shape == (3, draws, dim)
     for m, s in zip(ms, sums):
         assert np.abs(s - X[:, :m].sum(axis=1) / math.sqrt(m)).max() <= 1e-12
@@ -234,7 +251,7 @@ def test_nested_sums_of_drawn_rows_are_sums_of_row_slices():
         for lo, hi in zip([0, *ms], ms):
             total = total + X[:, lo:hi].sum(axis=1)
             expect.append(total * (1.0 / math.sqrt(hi)))
-        sums = _normalized_sums(dist, dim, ms, draws, rng_from_path((27, dim), "X"))
+        sums = _normalized_sums(dist, ms, draws, rng_from_path((27, dim), "X"))
         assert np.array_equal(sums, np.stack(expect))
 
 
@@ -254,7 +271,7 @@ def test_gaussian_nested_sums_are_one_gaussian_block_per_increment():
             total = block if k == 0 else total + block
             expect[k, done:done + take] = total * (1.0 / math.sqrt(m))
             prev = m
-    assert np.array_equal(_normalized_sums(dist, dim, ms, draws, rng_from_path((28,), "X")),
+    assert np.array_equal(_normalized_sums(dist, ms, draws, rng_from_path((28,), "X")),
                           expect)
 
 
@@ -263,7 +280,7 @@ def test_student_t_nested_sums_have_the_law_of_drawn_sums(nu):
     # the sums at two m, and their increment, against those of drawn
     # coordinates on another seed path (two-sample KS)
     dist, ms, draws, dim = DistributionSpec("student_t", 4, tail_param=nu), [3, 10], 3000, 4
-    sums = _normalized_sums(dist, dim, ms, draws, rng_from_path((29, 0), "X"))
+    sums = _normalized_sums(dist, ms, draws, rng_from_path((29, 0), "X"))
     X = sample_coordinates(dist, (draws, ms[-1], dim), rng_from_path((29, 1), "X"))
     drawn = [X[:, :m].sum(axis=1) / math.sqrt(m) for m in ms]
     pairs = [*zip(sums, drawn), (sums[1] * math.sqrt(10) - sums[0] * math.sqrt(3),
@@ -276,7 +293,7 @@ def test_exact_gaussian_sums_have_the_law_of_nested_sums():
     # m^{-1/2} sum_{i<=m} X_i is standard gaussian in each coordinate, and the
     # sums at m < m' correlate as sqrt(m/m'); each within 5 standard errors
     dist, ms, draws, dim = DistributionSpec("gaussian", 8), [2, 8, 32], 20000, 8
-    sums = _normalized_sums(dist, dim, ms, draws, rng_from_path((26,), "X"))
+    sums = _normalized_sums(dist, ms, draws, rng_from_path((26,), "X"))
     for s in sums:
         assert np.all(np.abs(s.mean(axis=0)) <= 5.0 / math.sqrt(draws))
         assert np.all(np.abs(s.var(axis=0, ddof=1) - 1.0) <= 5.0 * math.sqrt(2.0 / draws))

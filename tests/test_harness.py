@@ -20,7 +20,9 @@ from emplab.geometry import gaussian_width, l1_ball
 from emplab.harness import (
     _ADAPTERS,
     _GelfandAdapter,
+    _MomentsAdapter,
     _MultiplierAdapter,
+    _RecoveryAdapter,
     _WidthsAdapter,
     ExperimentConfig,
     IntegrityError,
@@ -487,16 +489,62 @@ def test_widths_trial_reads_every_radius_off_one_sample(tmp_path):
 
 
 def test_widths_criterion_per_set(tmp_path):
-    # two dims of one family share a label but are two sets: two criteria
+    # two dims of one family share a label but are two sets: two criteria; the
+    # l2 ball's exact width is that of its radius, read off d2; a sparse cap has
+    # no exact width and is not checked
     cfg = _widths_config(tmp_path / "out")
-    cfg.grids["sets"] = [{"family": "l1_ball", "dim": 16}, {"family": "l1_ball", "dim": 64}]
-    cfg.grids["radii"] = [0.2, 0.5]
+    cfg.grids["sets"] = [{"family": "l1_ball", "dim": 16}, {"family": "l1_ball", "dim": 64},
+                         {"family": "sparse_cap", "dim": 16, "s": 2},
+                         {"family": "l2_ball", "dim": 16, "r": 0.5}]
     run(cfg)
     crits = summarize(tmp_path / "out").criteria
     assert [(c["name"], c["status"]) for c in crits] == [
-        ("localized_width_ratio_monotone cell0 l1_ball(rho=1) n=16", "pass"),
-        ("localized_width_ratio_monotone cell1 l1_ball(rho=1) n=64", "pass"),
+        ("ball_width_exact cell0 l1_ball(rho=1) n=16", "pass"),
+        ("ball_width_exact cell1 l1_ball(rho=1) n=64", "pass"),
+        ("ball_width_exact cell3 l2_ball(r=0.5) n=16", "pass"),
     ]
+    # with no null radius no width is exact: one line says so
+    cfg = _widths_config(tmp_path / "radii")
+    cfg.grids["radii"] = [0.2, 0.5]
+    run(cfg)
+    assert [(c["name"], c["status"]) for c in summarize(tmp_path / "radii").criteria] == [
+        ("ball_width_exact", "insufficient-data")]
+
+
+def _ball_width_rows(t):
+    # three trials at pooled standard error 0.01: the mean is 4 t se above the exact width
+    exact = gaussian_width(l1_ball(16))
+    return [{"cell": 0, "family": "l1_ball(rho=1)", "n": 16, "r": None, "d2": 1.0,
+             "mean": exact + 4.0 * t * 0.01 + d, "stderr": 0.01 * math.sqrt(3.0)}
+            for d in (-0.02, 0.0, 0.02)]
+
+
+# rows on which a criterion reads t times its allowed deviation from its target
+_FABRICATED_ROWS = {
+    "ratio_two_scale growth": (_MultiplierAdapter, lambda t: [
+        {"n": 64, "ratio": 2.0}, {"n": 1024, "ratio": 2.0 * (1.0 + 0.5 * t)}]),
+    "ratio_two_scale cap": (_MultiplierAdapter, lambda t: [
+        {"n": 64, "ratio": 10.0 * t}, {"n": 1024, "ratio": 10.0 * t}]),
+    "lasso_error_rate": (_RecoveryAdapter, lambda t: [
+        {"n": 128, "s": 2, "family": "student_t", "lambda": 0.1, "N": N,
+         "err_l2_med": N ** (-0.5 + 0.15 * t)} for N in (256, 1024, 4096)]),
+    # 20 draws allow one above 2 r_G: t 0.99 puts one there, t 1.01 two
+    "kernel_diameter_bound": (_GelfandAdapter, lambda t: [
+        {"cell": 0, "r_G": 0.5, "diam_lb": 1.5 if i < math.ceil(t) else 0.5} for i in range(20)]),
+    "unit_variance_normalization": (_MomentsAdapter, lambda t: [
+        {"q": 2, "ratio": (1.0 - 0.05 * t) / math.sqrt(2.0)}]),
+    "ball_width_exact": (_WidthsAdapter, _ball_width_rows),
+}
+
+
+@pytest.mark.parametrize("t", [0.99, 1.01])
+@pytest.mark.parametrize("criterion", sorted(_FABRICATED_ROWS))
+def test_every_criterion_can_fail(criterion, t):
+    # just inside its bound a criterion passes, just past it it fails
+    adapter, rows = _FABRICATED_ROWS[criterion]
+    [crit] = adapter.criteria(rows(t))
+    assert crit["name"].startswith(criterion.split()[0])
+    assert crit["status"] == ("pass" if t < 1 else "fail"), crit
 
 
 # ---------------------------------------------------------------------------

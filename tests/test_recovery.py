@@ -123,7 +123,7 @@ def test_lasso_errors_lp_keys():
     rng = np.random.default_rng(9226)
     prob = _random_sparse_instance(8, 16, 2, rng, lam=0.05)
     res = lasso(prob)
-    assert set(res.errors_lp) == {1.0, 1.5, 2.0}
+    assert set(res.errors_lp) == {1.0, 2.0}
 
 
 @pytest.mark.parametrize("family", ["gaussian", "student_t"])
