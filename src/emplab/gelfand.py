@@ -21,9 +21,10 @@ one gaussian width curve against each threshold gamma*sqrt(m);
 
 ``kernel_section_diameters`` draws one m_max x n measurement matrix, and
 each m reads its first m rows: one reduced QR factorization of the
-transpose gives the orthogonal projector onto every prefix's kernel.  One
+transpose gives the orthogonal projector P onto every prefix's kernel.  One
 probe set is projected onto each kernel and rescaled to the boundary of V
-through the exact gauge, which certifies a lower bound on diam(ker cap V).
+through the exact gauge, which certifies a lower bound on diam(ker cap V);
+P is symmetric, so a projected probe P x is the row x^T P of one batch.
 The kernels are nested, so the bound at m is the largest at any m' >= m.
 The one-m functions (``r_G_fixed_point``, ``r_X_fixed_point``,
 ``empirical_process_width``, ``kernel_section_diameter``) are the grids of
@@ -279,7 +280,8 @@ def _kernel_projectors(Gamma: np.ndarray, ms: list[int]) -> list[tuple[np.ndarra
     before it exactly when its diagonal entry of R is nonzero, counted
     against max(m, n) * eps * max|diag R[:m]|.  With a full-rank prefix the
     first m columns of Q span its row space; otherwise the prefix's
-    independent rows are factored again.  P = I - Q_r Q_r^T.
+    independent rows are factored again.  P = I - Q_r Q_r^T, exactly
+    symmetric: numpy forms Q_r Q_r^T as a symmetric rank-r product.
     """
     n = Gamma.shape[1]
     if ms[-1] > 0:
@@ -331,13 +333,13 @@ def kernel_section_diameters(
 
     bounds, ranks = [], []
     for P, rank in _kernel_projectors(Gamma, grid):
-        kernel_probes = [P @ g, P, P[:, pairs[:, 0]] + signs * P[:, pairs[:, 1]]]
+        # one probe per row; P is symmetric, so its rows are its columns
+        kernel_probes = [(P @ g).T, P, P[pairs[:, 0]] + signs[:, None] * P[pairs[:, 1]]]
         if spec.family == "permutation_polytope":
             # V attains its Euclidean radius at w; the other families attain theirs
-            # at a basis vector, whose probe is a column of P
-            kernel_probes.append((P @ np.array(spec.w, dtype=np.float64))[:, None])
-        # one probe per row, C-ordered so that each row reduces as gauge(spec, row) does
-        C = np.ascontiguousarray(np.concatenate(kernel_probes, axis=1).T)
+            # at a basis vector, whose probe is a row of P
+            kernel_probes.append((P @ np.array(spec.w, dtype=np.float64))[None, :])
+        C = np.concatenate(kernel_probes)
         norms = np.linalg.norm(C, axis=1)
         gauges = gauge_batch(spec, C)
         ok = (norms > 1e-14) & np.isfinite(gauges) & (gauges > 0)
@@ -363,13 +365,13 @@ def kernel_section_diameter(
     """Lower-bound diam(ker(Gamma) cap V) over probe directions.
 
     Probes, all projected onto the kernel by P: gaussian vectors (with the
-    law of a gaussian in the kernel), every 1-sparse vector (the columns of
-    P), sampled 2-sparse sign vectors (the classical extremizers for the l1
-    ball) and, for the permutation polytope, w, along which it attains its
-    Euclidean radius (the other families attain theirs at a basis vector,
-    whose probe is a column of P).  Each probe is rescaled to the boundary
-    of V with the exact gauge; the bound is 2 * max ||probe|| after
-    rescaling.
+    law of a gaussian in the kernel), every 1-sparse vector (the rows of
+    the symmetric P), sampled 2-sparse sign vectors (the classical
+    extremizers for the l1 ball) and, for the permutation polytope, w,
+    along which it attains its Euclidean radius (the other families attain
+    theirs at a basis vector, whose probe is a row of P).  Each probe is
+    rescaled to the boundary of V with the exact gauge; the bound is
+    2 * max ||probe|| after rescaling.
     """
     return kernel_section_diameters(dist, spec, [m], probes, seed_path)[0]
 

@@ -14,8 +14,8 @@ indices and rows are merged in deterministic key order.
 Artifacts per run: ``<experiment>.csv`` (canonical formatting: fixed
 column order, repr floats, '.' decimal, '\\n' newlines), ``summary.json``
 (derived, deterministic) and ``manifest.json`` (config hash, version,
-timestamps, per-file checksums, seed ledger, workers, BLAS threads and
-peak RSS).
+timestamps, per-file checksums, seed ledger, workers, BLAS threads, peak
+RSS and the Python and numpy versions).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import json
 import math
 import multiprocessing
 import pickle
+import platform
 import resource
 import sys
 from contextlib import contextmanager
@@ -626,22 +627,16 @@ class _MomentsAdapter(_Adapter):
 
     @staticmethod
     def criteria(rows: list[dict]) -> list[dict]:
-        crits = []
         q2 = [r["ratio"] for r in rows if r.get("q") == 2]
-        if q2:
-            worst = max(abs(v * math.sqrt(2.0) - 1.0) for v in q2)
-            crits.append({
-                "name": "unit_variance_normalization",
-                "status": "pass" if worst <= 0.05 else "fail",
-                "detail": f"max |sqrt(2)*ratio(q=2) - 1| = {worst:.4f} (allowed 0.05)",
-            })
-        else:
-            crits.append({
-                "name": "unit_variance_normalization",
-                "status": "insufficient-data",
-                "detail": "no q=2 rows",
-            })
-        return crits
+        if not q2:
+            return [{"name": "unit_variance_normalization", "status": "insufficient-data",
+                     "detail": "no q=2 rows"}]
+        worst = max(abs(v * math.sqrt(2.0) - 1.0) for v in q2)
+        return [{
+            "name": "unit_variance_normalization",
+            "status": "pass" if worst <= 0.05 else "fail",
+            "detail": f"max |sqrt(2)*ratio(q=2) - 1| = {worst:.4f} (allowed 0.05)",
+        }]
 
 
 _ADAPTERS = {
@@ -671,6 +666,7 @@ class ExperimentManifest:
     workers: int
     blas_threads: int | None
     peak_rss_mb: float
+    versions: dict
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -838,15 +834,10 @@ def _one_blas_thread():
 def _format_value(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if math.isnan(f):
-            return "nan"
-        return repr(f)
+        return repr(float(v))  # "nan", "inf" and "-inf" too
     return str(v)
 
 
@@ -859,9 +850,7 @@ def _write_csv(path: Path, columns, rows) -> None:
 
 
 def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _peak_rss_mb() -> float:
@@ -958,6 +947,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
         workers=workers,
         blas_threads=blas_threads,
         peak_rss_mb=_peak_rss_mb(),
+        versions={"python": platform.python_version(), "numpy": np.__version__},
     )
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest.to_dict(), sort_keys=True, indent=1) + "\n"
@@ -1012,6 +1002,7 @@ class SummaryReport:
     aggregates: list
     criteria: list
     dropped_cells: list
+    versions: dict
 
     def format_lines(self) -> list[str]:
         lines = [f"experiment: {self.experiment}"]
@@ -1019,6 +1010,9 @@ class SummaryReport:
             desc = ", ".join(f"{k}={v}" for k, v in agg.items())
             lines.append("  " + desc)
         lines.append(f"dropped cells (a task failed): {self.dropped_cells or 'none'}")
+        # above "criteria:", whose following lines are all criteria
+        lines.append("versions: " + (", ".join(f"{k} {v}" for k, v in self.versions.items())
+                                     or "not recorded"))
         lines.append("criteria:")
         for crit in self.criteria:
             lines.append(f"  [{crit['status']:>17}] {crit['name']}: {crit['detail']}")
@@ -1097,4 +1091,5 @@ def summarize(results_dir: str | Path) -> SummaryReport:
         aggregates=aggregates,
         criteria=criteria,
         dropped_cells=dropped_cells(manifest["failed"]),
+        versions=versions if isinstance(versions := manifest.get("versions"), dict) else {},
     )

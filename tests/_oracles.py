@@ -5,7 +5,8 @@ is an unconverged iterate or a second simulation: supports are re-derived
 from vertex enumeration or a primal-dual sandwich, moments and gaussian
 means from quadrature or closed forms, and the solvers from exhaustive
 enumeration over supports / sign patterns.  The row-blocked mixture draw is
-checked bit for bit against the one-shot draw of the same stream.
+checked bit for bit against the one-shot draw of the same stream, and the
+row batch of kernel probes against the column batch, through one gauge.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy import integrate, stats
 from scipy.optimize import isotonic_regression, minimize_scalar
+
+from emplab.geometry import gauge_batch
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +242,28 @@ def kernel_projector_svd(Gamma: np.ndarray) -> tuple[np.ndarray, int]:
     _, sv, Vt = np.linalg.svd(Gamma)
     rank = int(np.count_nonzero(sv > max(Gamma.shape) * np.finfo(np.float64).eps * sv.max()))
     return np.eye(Gamma.shape[1]) - Vt[:rank].T @ Vt[:rank], rank
+
+
+# ---------------------------------------------------------------------------
+# kernel-section certificates from a column batch of probes
+
+def kernel_bound_column_batch(spec, P: np.ndarray, g: np.ndarray, pairs: np.ndarray,
+                              signs: np.ndarray) -> float:
+    """2 max ||u|| / gauge(u) over the probes u of one kernel projector P, each
+    probe a column: P g, the columns of P, P e_i + sign P e_j for each pair
+    (i, j) and, for the permutation polytope, P w.  The batch is transposed
+    into one C-ordered probe per row for ``gauge_batch``, which it shares with
+    the library: this checks the probe layout, not the gauge (``gauge_direct``
+    checks that)."""
+    probes = [P @ g, P, P[:, pairs[:, 0]] + signs * P[:, pairs[:, 1]]]
+    if spec.family == "permutation_polytope":
+        probes.append((P @ np.array(spec.w, dtype=np.float64))[:, None])
+    C = np.ascontiguousarray(np.concatenate(probes, axis=1).T)
+    norms = np.linalg.norm(C, axis=1)
+    gauges = gauge_batch(spec, C)
+    ok = (norms > 1e-14) & np.isfinite(gauges) & (gauges > 0)
+    scaled = np.divide(norms, gauges, out=np.zeros_like(norms), where=ok)
+    return 2.0 * float(scaled.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

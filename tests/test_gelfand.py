@@ -36,7 +36,7 @@ from emplab.geometry import (
 )
 from emplab.streams import rng_from_path
 
-from _oracles import gaussian_l2_norm_mean, kernel_projector_svd
+from _oracles import gaussian_l2_norm_mean, kernel_bound_column_batch, kernel_projector_svd
 
 GAUSS8 = DistributionSpec("gaussian", 8)
 
@@ -206,7 +206,8 @@ def test_one_m_functions_are_the_sample_drawn_for_that_m():
     # and a grid of one distinct m is the same sample
     assert r_X_fixed_points(dist, spec, 0.3, [m, m], 1e-3, draws, path) == [rx, rx]
 
-    # kernel_section_diameter: an m x n matrix, its QR projector and one probe set
+    # kernel_section_diameter: an m x n matrix, its QR projector and one probe set,
+    # one probe per row (P is symmetric)
     m, probes, path = 20, 30, (24, 2)
     Gamma = sample_coordinates(dist, (m, 64), rng_from_path(path, "X"))
     Q = np.linalg.qr(Gamma.T)[0]
@@ -215,9 +216,7 @@ def test_one_m_functions_are_the_sample_drawn_for_that_m():
     g = rng.standard_normal((64, probes))
     pairs = rng.integers(0, 64, size=(probes, 2))
     signs = 2.0 * rng.integers(0, 2, size=probes) - 1.0
-    e1 = np.eye(64)[0]
-    C = np.ascontiguousarray(np.concatenate(
-        [P @ g, P, P[:, pairs[:, 0]] + signs * P[:, pairs[:, 1]], (P @ e1)[:, None]], axis=1).T)
+    C = np.concatenate([(P @ g).T, P, P[pairs[:, 0]] + signs[:, None] * P[pairs[:, 1]]])
     norms = np.linalg.norm(C, axis=1)
     # a 2-sparse probe e_i - e_i is 0 and certifies nothing
     scaled = np.divide(norms, gauge_batch(spec, C), out=np.zeros_like(norms), where=norms > 1e-14)
@@ -316,16 +315,18 @@ def test_r_G_fixed_points_share_one_curve():
 # kernel sections
 
 def test_kernel_projector_matches_svd_oracle():
-    n, m = 24, 10
-    Gamma = sample_coordinates(GAUSS8, (m, n), rng_from_path((12,), "X"))
-    P, rank = _kernel_projectors(Gamma, [len(Gamma)])[0]
-    assert rank == m
-    assert np.abs(P - P.T).max() <= 1e-15
-    assert np.abs(P @ P - P).max() <= 1e-12
-    assert np.abs(Gamma @ P).max() <= 1e-12 * np.linalg.norm(Gamma)
-    oracle, oracle_rank = kernel_projector_svd(Gamma)
-    assert oracle_rank == rank
-    assert np.abs(P - oracle).max() <= 1e-12
+    for n, m in ((24, 10), (300, 150)):
+        Gamma = sample_coordinates(GAUSS8, (m, n), rng_from_path((12,), "X"))
+        P, rank = _kernel_projectors(Gamma, [len(Gamma)])[0]
+        assert rank == m
+        # Q_r @ Q_r.T is a symmetric rank-r product; at n 300 a general product of
+        # Q_r and a copy of its transpose is not exactly symmetric
+        assert np.array_equal(P, P.T)
+        assert np.abs(P @ P - P).max() <= 1e-12
+        assert np.abs(Gamma @ P).max() <= 1e-12 * np.linalg.norm(Gamma)
+        oracle, oracle_rank = kernel_projector_svd(Gamma)
+        assert oracle_rank == rank
+        assert np.abs(P - oracle).max() <= 1e-12
 
 
 def test_kernel_projector_rank_deficient_rows():
@@ -338,6 +339,11 @@ def test_kernel_projector_rank_deficient_rows():
     assert rank == 5
     assert np.abs(Gamma @ P).max() <= 1e-12 * np.linalg.norm(Gamma)
     assert np.abs(P - kernel_projector_svd(Gamma)[0]).max() <= 1e-12
+    # every prefix's projector, full-rank or factored again, is exactly symmetric:
+    # the kernel probes read its rows as its columns
+    ms = list(range(len(Gamma) + 1))
+    assert [rank for _, rank in _kernel_projectors(Gamma, ms)] == [0, 1, 2, 2, 3, 3, 4, 4, 5]
+    assert all(np.array_equal(P, P.T) for P, _ in _kernel_projectors(Gamma, ms))
 
     # two rademacher rows in dimension 3 are equal or antipodal with
     # probability 1/4: such a draw is flagged and keeps a 2-dimensional kernel
@@ -364,6 +370,7 @@ def test_prefix_projectors_match_svd_oracle():
         oracle, oracle_rank = kernel_projector_svd(Gamma[:m]) if m else (np.eye(n), 0)
         assert rank == oracle_rank
         assert np.abs(P - oracle).max() <= 1e-12
+        assert np.array_equal(P, P.T)
     assert [rank for _, rank in _kernel_projectors(Gamma, ms)] == [0, 1, 2, 2, 3, 3, 6]
 
 
@@ -382,6 +389,44 @@ def test_kernel_bounds_nonincreasing_in_m(family, nu):
         assert res[-1] == kernel_section_diameter(dist, spec, ms[-1], 20, (29, i))
         if family != "rademacher":
             assert [r.kernel_dim for r in res] == [24 - m for m in ms]
+
+
+_KERNEL_SETS = {
+    "l1_ball": lambda n: l1_ball(n, 1.5),
+    "l2_ball": lambda n: l2_ball(n, 0.8),
+    "sparse_cap": lambda n: sparse_cap(n, 3),
+    "l1_cap_l2": lambda n: l1_cap_l2(n, 2.0, 0.7),
+    "permutation_polytope": lambda n: permutation_polytope(np.linspace(1.0, 0.0, n)),
+}
+
+
+@pytest.mark.parametrize("law, nu", [
+    ("gaussian", None), ("student_t", 5.0), ("rademacher", None), ("symmetric_pareto", 4.5),
+])
+@pytest.mark.parametrize("family", list(_KERNEL_SETS))
+def test_kernel_bounds_equal_the_column_batch(family, law, nu):
+    # the row batch of probes gives the bounds of the column batch, bit for bit, at
+    # nested m; rademacher rows in dimension 8, on the seed paths of the 8 trials of
+    # a gelfand run at master seed 7, give a rank-deficient prefix on 3 of them
+    cases = [(17, [0, 5, 9, 14], (30, i)) for i in range(8)]
+    if law == "rademacher":
+        cases += [(8, [4, 6], (7, 0, i)) for i in range(8)]
+    deficient = 0
+    for n, ms, path in cases:
+        dist, spec = DistributionSpec(law, n, tail_param=nu), _KERNEL_SETS[family](n)
+        res = kernel_section_diameters(dist, spec, ms, 12, path)
+        Gamma = sample_coordinates(dist, (ms[-1], n), rng_from_path(path, "X"))
+        rng = rng_from_path(path, "probe")
+        g = rng.standard_normal((n, 12))
+        pairs = rng.integers(0, n, size=(12, 2))
+        signs = 2.0 * rng.integers(0, 2, size=12) - 1.0
+        bounds = [kernel_bound_column_batch(spec, P, g, pairs, signs)
+                  for P, _ in _kernel_projectors(Gamma, ms)]
+        for k in range(len(ms) - 2, -1, -1):
+            bounds[k] = max(bounds[k], bounds[k + 1])
+        assert [r.lower_bound for r in res] == bounds, (n, path)
+        deficient += any(r.rank_deficient for r in res)
+    assert deficient == (3 if law == "rademacher" else 0)
 
 
 def test_kernel_diameter_no_constraints_reaches_2d2():

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -313,8 +314,12 @@ def test_parallel_equals_serial(tmp_path, monkeypatch, make_config, failed, brea
         assert (manifest.workers, manifest.blas_threads) == (workers, blas_threads)
         on_disk = json.loads((tmp_path / f"w{workers}" / "manifest.json").read_text())
         assert on_disk["peak_rss_mb"] == manifest.peak_rss_mb > 0
+        # the stream pins hold for one numpy version: the manifest records it, unchecksummed
+        assert on_disk["versions"] == manifest.versions == {
+            "python": platform.python_version(), "numpy": np.__version__}
+        assert not {"manifest.json", "versions"} & set(on_disk["checksums"])
         summary = json.loads((tmp_path / f"w{workers}" / "summary.json").read_text())
-        assert not {"workers", "blas_threads", "peak_rss_mb"} & set(summary)
+        assert not {"workers", "blas_threads", "peak_rss_mb", "versions"} & set(summary)
         csv_path = tmp_path / f"w{workers}" / f"{cfg.experiment}.csv"
         with csv_path.open() as fh:
             cells = {int(row["cell"]) for row in csv.DictReader(fh)}
@@ -1087,9 +1092,20 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     cfg_path = tmp_path / "w.json"
     cfg_path.write_text(json.dumps(_widths_config(tmp_path / "out", trials=1).to_dict()))
     assert cli_main(["widths", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
     assert cli_main(["summarize", str(tmp_path / "out")]) == 0
-    out = capsys.readouterr().out
-    assert "experiment: widths" in out
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "experiment: widths"
+    # the versions print above "criteria:", since every line after it is a criterion
+    versions = f"versions: numpy {np.__version__}, python {platform.python_version()}"
+    assert out.index(versions) == out.index("criteria:") - 1
+    # a manifest from before the versions were recorded still summarizes
+    manifest_path = tmp_path / "out" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["versions"]
+    manifest_path.write_text(json.dumps(manifest))
+    assert cli_main(["summarize", str(tmp_path / "out")]) == 0
+    assert "versions: not recorded\ncriteria:\n" in capsys.readouterr().out
 
 
 def test_cli_seed_and_out_overrides(tmp_path):
