@@ -4,14 +4,13 @@
     lab summarize <dir>
 
 ``--seed`` and ``--out`` override the config's master_seed / output_dir.
-A run keeps the memory it frees mapped for reuse (``_keep_freed_memory``).
+A run sets its own process up (BLAS threads, allocator): see ``harness.run``.
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import sys
@@ -50,26 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _keep_freed_memory() -> None:
-    """Have glibc keep the memory this process frees, for the next allocation.
-
-    By default glibc hands freed blocks of a few MB back to the kernel, and
-    the next block faults its pages in again (numpy asks for huge pages only
-    from 4 MiB up).  A widths run, whose gaussian blocks and support curves
-    are 2 MB each, spent about a third of its time in those faults.  Forked
-    workers inherit the setting; without glibc's mallopt this does nothing.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # glibc's largest: smaller blocks come from the heap
-        mallopt(_M_TRIM_THRESHOLD, 64 << 20)  # and up to 64 MB of freed heap stays mapped
-
-
 def _run_experiment(args) -> int:
     try:
         config = ExperimentConfig.from_json(Path(args.config).read_text())
@@ -98,7 +77,6 @@ def _run_experiment(args) -> int:
         return 2
 
     try:
-        _keep_freed_memory()
         manifest = run(config, workers=args.workers)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

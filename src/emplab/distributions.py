@@ -84,7 +84,8 @@ class DistributionSpec:
 
     ``tail_param`` is the degrees of freedom for ``student_t``, the tail
     exponent for ``symmetric_pareto`` and the shape for
-    ``symmetric_weibull``; it is ignored for ``gaussian``/``rademacher``.
+    ``symmetric_weibull``; ``gaussian`` and ``rademacher`` have none, and
+    their ``tail_param`` is None whatever is passed.
     ``scale`` is derived: the value that makes each coordinate unit
     variance.
     """
@@ -99,7 +100,9 @@ class DistributionSpec:
             raise ConfigurationError(f"unknown coordinate family {self.family!r}")
         if self.dim < 1:
             raise ConfigurationError("dim must be >= 1")
-        if self.family == "student_t":
+        if self.family in ("gaussian", "rademacher"):
+            object.__setattr__(self, "tail_param", None)
+        elif self.family == "student_t":
             if self.tail_param is None or self.tail_param <= 2.0:
                 raise ConfigurationError(
                     f"student_t requires degrees of freedom > 2, got {self.tail_param}"

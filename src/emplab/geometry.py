@@ -223,22 +223,19 @@ def _l1_cap_l2_curve(A: np.ndarray, rho: float):
         if r > rho:
             # rho*B1 lies inside r*B2; the formula below would take inf * 0 at r = inf
             return rho * A[:, 0]
-        count = np.count_nonzero(ratio <= rho / r, axis=1)
-        best = np.full(len(A), np.inf)
-        for seg in (count - 2, count - 1, count):  # k - 1 for segment k and its neighbours
-            seg = np.clip(seg, 0, n - 1)
-            a = A[rows, seg]
-            width = a - np.where(seg < n - 1, A[rows, np.minimum(seg + 1, n - 1)], 0.0)
-            s1, s2, k = l1[rows, seg], q[rows, seg], seg + 1.0
-            # mu = a_k - x gives ||soft||_2^2 = q + x (2 l1 + k x), stationary at x = (u - l1)/k
-            # with u = rho sqrt(W/(k r^2 - rho^2)), W = k q - l1^2; where k r^2 <= rho^2,
-            # g increases in mu on the segment (u = inf, x at the lower end)
-            W = np.maximum(k * s2 - s1 * s1, 0.0)
-            denom = k * (r * r) - rho * rho
-            u = rho * np.sqrt(np.divide(W, denom, out=np.full_like(W, np.inf), where=denom > 0))
-            x = np.clip((u - s1) / k, 0.0, width)
-            best = np.minimum(best, rho * (a - x) + r * np.sqrt(s2 + x * (2.0 * s1 + k * x)))
-        return best
+        # k - 1 for segment k and its neighbours, one row each of a (3, rows) stack
+        seg = np.clip(np.count_nonzero(ratio <= rho / r, axis=1) + [[-2], [-1], [0]], 0, n - 1)
+        a = A[rows, seg]
+        width = a - np.where(seg < n - 1, A[rows, np.minimum(seg + 1, n - 1)], 0.0)
+        s1, s2, k = l1[rows, seg], q[rows, seg], seg + 1.0
+        # mu = a_k - x gives ||soft||_2^2 = q + x (2 l1 + k x), stationary at x = (u - l1)/k
+        # with u = rho sqrt(W/(k r^2 - rho^2)), W = k q - l1^2; where k r^2 <= rho^2,
+        # g increases in mu on the segment (u = inf, x at the lower end)
+        W = np.maximum(k * s2 - s1 * s1, 0.0)
+        denom = k * (r * r) - rho * rho
+        u = rho * np.sqrt(np.divide(W, denom, out=np.full_like(W, np.inf), where=denom > 0))
+        x = np.clip((u - s1) / k, 0.0, width)
+        return (rho * (a - x) + r * np.sqrt(s2 + x * (2.0 * s1 + k * x))).min(axis=0)
 
     return at
 
@@ -331,21 +328,19 @@ def _permpoly_curve(A: np.ndarray, w_star: np.ndarray):
     table, ix = np.stack([starts, lam[:, 1:], S, np.sqrt(S), np.sqrt(Q), P]), np.arange(rows)
 
     def at(r: float) -> np.ndarray:
-        count = np.count_nonzero(norm > r, axis=1)
-        best = np.full(rows, np.inf)
-        for k in (count - 2, count - 1, count):  # the named segment and its neighbours
-            lo, hi, s, root_s, root_q, p = table[:, ix, np.clip(k, 0, last)]
-            # r^2 - Q as (r - sqrt Q)(r + sqrt Q), which does not underflow at tiny r
-            gap, room = r - root_q, r + root_q
-            root_D = np.sqrt(np.maximum(gap, 0.0)) * np.sqrt(room)
-            # g is least at lam = sqrt(S/(r^2 - Q)), and nonincreasing where r^2 <= Q
-            stat = np.divide(root_s, root_D, out=np.full(rows, np.inf), where=root_D > 0)
-            x = np.clip(stat, lo, hi)
-            inside = x == stat
-            x[inside] = 0.0  # g at the clipped lam is read only where stat lies outside
-            end = p + np.divide(s, 2.0 * x, out=np.zeros(rows), where=x > 0) + 0.5 * x * gap * room
-            best = np.minimum(best, np.where(inside, p + root_s * root_D, end))
-        return best
+        # the named segment and its neighbours, one row each of a (3, rows) stack
+        k = np.clip(np.count_nonzero(norm > r, axis=1) + [[-2], [-1], [0]], 0, last)
+        lo, hi, s, root_s, root_q, p = table[:, ix, k]
+        # r^2 - Q as (r - sqrt Q)(r + sqrt Q), which does not underflow at tiny r
+        gap, room = r - root_q, r + root_q
+        root_D = np.sqrt(np.maximum(gap, 0.0)) * np.sqrt(room)
+        # g is least at lam = sqrt(S/(r^2 - Q)), and nonincreasing where r^2 <= Q
+        stat = np.divide(root_s, root_D, out=np.full_like(root_D, np.inf), where=root_D > 0)
+        x = np.clip(stat, lo, hi)
+        inside = x == stat
+        x[inside] = 0.0  # g at the clipped lam is read only where stat lies outside
+        end = p + np.divide(s, 2.0 * x, out=np.zeros_like(x), where=x > 0) + 0.5 * x * gap * room
+        return np.where(inside, p + root_s * root_D, end).min(axis=0)
 
     return at
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -779,8 +780,8 @@ def _sample_groups(cells: list[dict], nested: tuple) -> list[list[tuple[int, dic
     return list(groups.values())
 
 
-# (get, set) thread-count entry points of the OpenBLAS builds numpy and
-# scipy ship (64-bit and 32-bit integer interface), then of a plain build
+# (get, set) thread-count entry points of the OpenBLAS builds numpy ships
+# (64-bit and 32-bit integer interface), then of a plain build
 _OPENBLAS_THREAD_API = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -788,47 +789,64 @@ _OPENBLAS_THREAD_API = (
 )
 
 
-def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) functions of every OpenBLAS loaded into this process."""
+@functools.cache
+def _numpy_blas_threads() -> tuple | None:
+    """(get, set) thread-count functions of numpy's OpenBLAS; None without one.
+
+    A lookup on numpy's linalg extension also searches the libraries it links.
+    """
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split(maxsplit=5)[5].strip()
-                            for line in fh if "openblas" in line.lower()})
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
-        return []
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_API:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get_threads, set_threads = getattr(lib, get_name), getattr(lib, set_name)
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                controls.append((get_threads, set_threads))
-                break
-    return controls
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_API:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get_threads, set_threads = getattr(lib, get_name), getattr(lib, set_name)
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get_threads, set_threads
+    return None
 
 
 @contextmanager
 def _one_blas_thread():
-    """Pin every loaded OpenBLAS to one thread; restore the counts on exit.
+    """Pin numpy's OpenBLAS to one thread; restore its count on exit.
 
-    Yields the thread count in force, or None when no OpenBLAS is loaded.
+    Yields the thread count in force, or None when numpy's BLAS is no OpenBLAS.
     Worker processes forked inside inherit the pin, so k workers run k BLAS
     threads on k cores instead of each spinning up one per core.
     """
-    controls = _openblas_thread_controls()
-    previous = [get() for get, _ in controls]
-    for _, set_threads in controls:
-        set_threads(1)
+    controls = _numpy_blas_threads()
+    if controls is None:
+        yield None
+        return
+    get_threads, set_threads = controls
+    previous = get_threads()
+    set_threads(1)
     try:
-        yield 1 if controls else None
+        yield 1
     finally:
-        for (_, set_threads), n in zip(controls, previous):
-            set_threads(n)
+        set_threads(previous)
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep the memory this process frees, for the next allocation.
+
+    By default glibc hands freed blocks of a few MB back to the kernel, and
+    the next block faults its pages in again (numpy asks for huge pages only
+    from 4 MiB up).  A widths run, whose gaussian blocks and support curves
+    are 2 MB each, spent about a third of its time in those faults.  Forked
+    workers inherit the setting; without glibc's mallopt this does nothing.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # glibc's largest: smaller blocks come from the heap
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)  # and up to 64 MB of freed heap stays mapped
 
 
 def _format_value(v) -> str:
@@ -872,6 +890,8 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     at most workers - 1 forked children, none idle (see ``_run_tasks``).
     There is one task per (sample group, trial), and the groups' shared
     work (``adapter.cell``) is queued ahead of the trials, in group order.
+    Before any task, this process is set to keep the memory it frees, for
+    good (``_keep_freed_memory``): ``lab`` and a call from Python run alike.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -885,6 +905,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     shared = adapter.cell is not None and config.trials > 0
     tasks = ([(config, group, None) for group in groups] if shared else []) + [
         (config, group, ti) for group in groups for ti in range(config.trials)]
+    _keep_freed_memory()
     with _one_blas_thread() as blas_threads:
         outcomes = _run_tasks(tasks, workers)
 
@@ -920,9 +941,10 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     csv_path = out_dir / f"{config.experiment}.csv"
     _write_csv(csv_path, adapter.columns, rows)
 
+    chash = config_hash(config)
     summary = {
         "experiment": config.experiment,
-        "config_hash": config_hash(config),
+        "config_hash": chash,
         "cells": len(cells),
         "trials": config.trials,
         "rows": len(rows),
@@ -932,7 +954,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ExperimentManifest:
     summary_path.write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
 
     manifest = ExperimentManifest(
-        config_hash=config_hash(config),
+        config_hash=chash,
         experiment=config.experiment,
         version=__version__,
         started=started,

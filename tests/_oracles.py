@@ -18,7 +18,7 @@ import numpy as np
 from scipy import integrate, stats
 from scipy.optimize import isotonic_regression, minimize_scalar
 
-from emplab.geometry import gauge_batch
+from emplab.geometry import _permpoly_path, gauge_batch
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +157,97 @@ def support_l1_cap_l2_sandwich(Z: np.ndarray, rho: float, r: float) -> tuple[np.
         lower = np.where(l1 > 0, scale * (s * A).sum(axis=1), 0.0)
     lower = np.maximum(lower, min(rho, r) * top)
     return lower, upper
+
+
+# ---------------------------------------------------------------------------
+# localized support curves, one candidate segment at a time
+
+def support_curve_segment_loop(spec, Z: np.ndarray):
+    """r -> localized support, as ``geometry.support_curve``, its three segments in a loop.
+
+    For the families whose curve has segments: l1_ball, l1_cap_l2 and
+    permutation_polytope (l2_ball and sparse_cap scale one norm).  Each
+    evaluates g on the segment its count names and on its two neighbours;
+    the library stacks the three, this evaluates them one after another and
+    keeps a running minimum.  The breakpoint tables are built as in the
+    library (the permutation polytope's prox path is the library's
+    ``_permpoly_path``): only the evaluation at a radius is checked here.
+    """
+    A = np.sort(np.abs(np.asarray(Z, dtype=np.float64)), axis=1)[:, ::-1]
+    if spec.family == "l1_ball":
+        return _l1_cap_l2_curve_loop(A, spec.rho)
+    if spec.family == "l1_cap_l2":
+        l1_l2 = _l1_cap_l2_curve_loop(A, spec.rho)
+        return lambda r: l1_l2(min(spec.r, r))
+    w_star = np.sort(np.abs(np.asarray(spec.w)))[::-1]
+    below = _permpoly_curve_loop(A, w_star)
+    return lambda r: A @ w_star if r >= float(np.linalg.norm(spec.w)) else below(r)
+
+
+def _l1_cap_l2_curve_loop(A: np.ndarray, rho: float):
+    n = A.shape[1]
+    ks = np.arange(1, n + 1, dtype=np.float64)
+    gap = A[:, :-1] - A[:, 1:]
+    k_gap = ks[:-1] * gap
+    l1, q = np.zeros(A.shape), np.zeros(A.shape)
+    np.cumsum(k_gap, axis=1, out=l1[:, 1:])
+    np.cumsum(gap * (2.0 * l1[:, :-1] + k_gap), axis=1, out=q[:, 1:])
+    l2 = np.sqrt(q)
+    ratio = np.divide(l1, l2, out=l2, where=l2 > 0)
+    rows = np.arange(len(A))
+
+    def at(r: float) -> np.ndarray:
+        if r > rho:
+            return rho * A[:, 0]
+        count = np.count_nonzero(ratio <= rho / r, axis=1)
+        best = np.full(len(A), np.inf)
+        for seg in (count - 2, count - 1, count):
+            seg = np.clip(seg, 0, n - 1)
+            a = A[rows, seg]
+            width = a - np.where(seg < n - 1, A[rows, np.minimum(seg + 1, n - 1)], 0.0)
+            s1, s2, k = l1[rows, seg], q[rows, seg], seg + 1.0
+            W = np.maximum(k * s2 - s1 * s1, 0.0)
+            denom = k * (r * r) - rho * rho
+            u = rho * np.sqrt(np.divide(W, denom, out=np.full_like(W, np.inf), where=denom > 0))
+            x = np.clip((u - s1) / k, 0.0, width)
+            best = np.minimum(best, rho * (a - x) + r * np.sqrt(s2 + x * (2.0 * s1 + k * x)))
+        return best
+
+    return at
+
+
+def _permpoly_curve_loop(A: np.ndarray, w_star: np.ndarray):
+    (rows, n), c = A.shape, w_star.tolist()
+    lam = np.full((rows, n + 2), np.inf)
+    lam[:, 0] = 0.0
+    dS, dQ_dP = np.zeros((rows, n + 1)), np.zeros((2, rows, n + 1))
+    last = np.zeros(rows, dtype=np.intp)
+    for i, (row, k) in enumerate(zip(A, np.count_nonzero(A > 0, axis=1))):
+        events = np.transpose(_permpoly_path(row[:k].tolist(), c)).reshape(4, -1)
+        last[i] = e = events.shape[1]
+        lam[i, 1:e + 1], dS[i, 1:e + 1], dQ_dP[:, i, :e] = events[0], events[1], events[2:]
+    starts, S = lam[:, :-1], np.cumsum(dS, axis=1)
+    Q, P = np.cumsum(dQ_dP[:, :, ::-1], axis=2)[:, :, ::-1]
+    v2 = np.divide(S, starts, out=np.zeros_like(S), where=starts > 0)
+    norm = np.sqrt(Q + np.divide(v2, starts, out=v2, where=starts > 0))
+    table, ix = np.stack([starts, lam[:, 1:], S, np.sqrt(S), np.sqrt(Q), P]), np.arange(rows)
+
+    def at(r: float) -> np.ndarray:
+        count = np.count_nonzero(norm > r, axis=1)
+        best = np.full(rows, np.inf)
+        for k in (count - 2, count - 1, count):
+            lo, hi, s, root_s, root_q, p = table[:, ix, np.clip(k, 0, last)]
+            gap, room = r - root_q, r + root_q
+            root_D = np.sqrt(np.maximum(gap, 0.0)) * np.sqrt(room)
+            stat = np.divide(root_s, root_D, out=np.full(rows, np.inf), where=root_D > 0)
+            x = np.clip(stat, lo, hi)
+            inside = x == stat
+            x[inside] = 0.0
+            end = p + np.divide(s, 2.0 * x, out=np.zeros(rows), where=x > 0) + 0.5 * x * gap * room
+            best = np.minimum(best, np.where(inside, p + root_s * root_D, end))
+        return best
+
+    return at
 
 
 # ---------------------------------------------------------------------------

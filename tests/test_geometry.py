@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression
 
 from emplab import geometry
 from emplab.distributions import ConfigurationError
@@ -36,6 +37,7 @@ from _oracles import (
     support_l1_vertices,
     support_permutation_polytope_enum,
     support_permutation_polytope_localized_brent,
+    support_curve_segment_loop,
     support_sparse_cap_enum,
 )
 
@@ -287,6 +289,38 @@ def test_support_curve_matches_localized_support_batch(spec):
                    for i in range(0, len(Z), 3))
     with pytest.raises(ValueError):
         curve(0.0)
+
+
+def _segment_step_radii(spec, z):
+    """Radii at which the count naming z's segment steps: there it can round either way."""
+    if spec.family != "permutation_polytope":
+        return _breakpoint_radii(z, spec.rho)
+    # ||v(lam)|| at each event lam of the row's prox path
+    a, c = np.sort(np.abs(z))[::-1], np.sort(np.abs(spec.w))[::-1]
+    events = geometry._permpoly_path(a[a > 0].tolist(), c.tolist())
+    return [np.linalg.norm((a - np.maximum(isotonic_regression(a - lam * c, increasing=False).x,
+                                           0.0)) / lam) for lam, *_ in events if lam > 0]
+
+
+@pytest.mark.parametrize("family", ["l1_ball", "l1_cap_l2", "permutation_polytope"])
+def test_stacked_segments_equal_the_segment_loop(family):
+    # the three candidate segments evaluated as one (3, rows) stack give the
+    # bits of evaluating them one at a time, at any dimension, row count
+    # (none included) and radius, the radii where the segment count steps
+    # (and one ulp either side) included
+    rng = np.random.default_rng(7034)
+    for dim, rows in [(d, m) for d in (1, 2, 5, 16, 128) for m in (0, 1, 5, 100)]:
+        spec = {"l1_ball": l1_ball(dim, 1.5), "l1_cap_l2": l1_cap_l2(dim, 2.0, 0.7),
+                "permutation_polytope": permutation_polytope(np.linspace(1.0, -0.4, dim))}[family]
+        Z = rng.standard_normal((rows, dim)) * np.exp(rng.uniform(-2.0, 2.0, (rows, 1)))
+        Z[::4] = 0.0  # zero rows
+        Z[1::4] = np.round(Z[1::4])  # ties, and zero entries
+        radii = [1e-300, 1e-12, 1e-3, 0.05, 0.3, 0.7, 1.0, 1.5, 3.0, d2(spec), 1e300, math.inf]
+        for r in (r for z in Z[1:4] for r in _segment_step_radii(spec, z)):
+            radii += [np.nextafter(r, 0.0), r, np.nextafter(r, math.inf)]
+        curve, loop = support_curve(spec, Z), support_curve_segment_loop(spec, Z)
+        for r in radii:
+            assert np.array_equal(curve(r), loop(r))
 
 
 def test_localized_l1_equality_when_l2_binds():

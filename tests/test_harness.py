@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emplab.distributions import ConfigurationError, NoiseSpec
+from emplab.distributions import ConfigurationError, DistributionSpec, NoiseSpec
 import emplab
 from emplab import harness, recovery
 from emplab.geometry import gaussian_width, l1_ball
@@ -27,8 +27,8 @@ from emplab.harness import (
     _WidthsAdapter,
     ExperimentConfig,
     IntegrityError,
+    _numpy_blas_threads,
     _one_blas_thread,
-    _openblas_thread_controls,
     _sample_groups,
     config_hash,
     dropped_cells,
@@ -304,7 +304,7 @@ def test_parallel_equals_serial(tmp_path, monkeypatch, make_config, failed, brea
     if breakage is not None:
         breakage(monkeypatch)
     dropped = sorted({ci for ci, _ in failed})
-    blas_threads = 1 if _openblas_thread_controls() else None
+    blas_threads = 1 if _numpy_blas_threads() else None
     outputs = {}
     for workers in (1, 2):
         cfg = make_config(tmp_path / f"w{workers}")
@@ -381,10 +381,6 @@ def test_fresh_interpreter_runs_every_experiment_without_scipy(tmp_path, make_co
     assert (tmp_path / "w2" / csv_name).read_bytes() == (tmp_path / "w1" / csv_name).read_bytes()
 
 
-def _blas_threads():
-    return [get() for get, _ in _openblas_thread_controls()]
-
-
 def _in_forked_child(fn):
     """fn() as computed in a child forked from this process."""
     ctx = multiprocessing.get_context("fork")
@@ -401,25 +397,50 @@ def _in_forked_child(fn):
 
 
 def test_blas_pinned_to_one_thread_and_restored():
-    controls = _openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS loaded")
-    original = _blas_threads()
-    for _, set_threads in controls:
-        set_threads(2)
+    controls = _numpy_blas_threads()
+    if controls is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread API")
+    assert _numpy_blas_threads() is controls  # looked up once per process
+    get_threads, set_threads = controls
+    original = get_threads()
+    set_threads(2)
     try:
         with _one_blas_thread() as threads:
-            assert threads == 1
-            assert _blas_threads() == [1] * len(controls)
-            assert _in_forked_child(_blas_threads) == [1] * len(controls)
-        assert _blas_threads() == [2] * len(controls)
+            assert threads == get_threads() == 1
+            assert _in_forked_child(get_threads) == 1
+        assert get_threads() == 2
         with pytest.raises(RuntimeError, match="boom"):
             with _one_blas_thread():
                 raise RuntimeError("boom")
-        assert _blas_threads() == [2] * len(controls)
+        assert get_threads() == 2
     finally:
-        for (_, set_threads), n in zip(controls, original):
-            set_threads(n)
+        set_threads(original)
+
+
+# in a fresh interpreter: two in-process runs of one widths config, and the
+# minor page faults each took
+_PAGE_FAULTS_SCRIPT = """
+import json, resource, sys
+from emplab.harness import ExperimentConfig, run
+config = json.loads(sys.argv[1])
+faults = []
+for i in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run(ExperimentConfig.from_dict({**config, "output_dir": f"{sys.argv[2]}/run{i}"}))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator thresholds")
+def test_run_from_python_keeps_freed_memory(tmp_path):
+    # run sets glibc to keep freed blocks mapped, as lab did alone before:
+    # a second run reuses the first one's memory instead of faulting it in again
+    config = {"experiment": "widths", "trials": 2, "master_seed": 7, "grids": {
+        "sets": [{"family": "l1_ball", "dim": 128}], "radii": [None, 0.3], "draws": 20000}}
+    faults = _fresh_python(_PAGE_FAULTS_SCRIPT, json.dumps(config), str(tmp_path))
+    first, second = json.loads(faults)
+    assert second < 1000, (first, second)
 
 
 def test_seed_ledger_covers_rows(tmp_path):
@@ -596,10 +617,27 @@ def test_gelfand_reads_every_m_off_one_sample_per_law(tmp_path):
 
 def test_moments_law_without_tail_param_writes_an_empty_field(tmp_path):
     cfg = _moments_config(tmp_path / "out", trials=1)
-    cfg.grids["laws"] = [{"family": "gaussian"}, {"family": "rademacher", "tail_param": None}]
+    # a tail_param given to a law that has none is not written either
+    cfg.grids["laws"] = [{"family": "gaussian"}, {"family": "rademacher", "tail_param": None},
+                         {"family": "gaussian", "tail_param": 3}]
     run(cfg)
     with (tmp_path / "out" / "moments.csv").open() as fh:
         assert {row["tail_param"] for row in csv.DictReader(fh)} == {""}
+
+
+def test_recovery_nu_is_not_written_for_a_law_without_a_tail(tmp_path):
+    # gaussian and rademacher have no tail parameter: a config's nu is
+    # dropped from their spec and rows, and no draw moves
+    assert DistributionSpec("gaussian", 4, tail_param=3.0) == DistributionSpec("gaussian", 4)
+    assert DistributionSpec("rademacher", 4, tail_param=5.0).tail_param is None
+    for nu in (5.0, None):
+        cfg = _recovery_config(tmp_path / f"recovery-{nu}", trials=1)
+        cfg.grids.update(x_family=["gaussian", "rademacher"], nu=nu)
+        run(cfg)
+    with_nu, without = (tmp_path / f"recovery-{nu}" / "recovery.csv" for nu in (5.0, None))
+    with with_nu.open() as fh:
+        assert {row["nu"] for row in csv.DictReader(fh)} == {""}
+    assert with_nu.read_bytes() == without.read_bytes()
 
 
 def test_summarize_single_row_mean_is_value(tmp_path):
