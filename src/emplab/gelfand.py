@@ -29,10 +29,6 @@ The kernels are nested, so the bound at m is the largest at any m' >= m.
 The one-m functions (``r_G_fixed_point``, ``r_X_fixed_point``,
 ``empirical_process_width``, ``kernel_section_diameter``) are the grids of
 one m, and read the sample that one m alone draws.
-
-``calibrate_kernel_constant`` reads gamma off one gaussian sample: since
-phi is nonincreasing there, r_G reaches a target radius rho exactly when
-gamma * sqrt(m) <= phi(rho).
 """
 
 from __future__ import annotations
@@ -375,30 +371,3 @@ def kernel_section_diameter(
     """
     return kernel_section_diameters(dist, spec, [m], probes, seed_path)[0]
 
-
-def calibrate_kernel_constant(
-    dist: DistributionSpec,
-    spec: IndexSetSpec,
-    m: int,
-    calibration_draws: int,
-    seed_path: SeedPath,
-    probes: int = 1000,
-    width_draws: int = 2000,
-    margin: float = 1.05,
-) -> float:
-    """Fit the width-condition constant from one calibration run.
-
-    Returns the largest gamma whose fixed-point radius on one gaussian
-    sample reaches rho = min(margin * max of the calibration kernel
-    diameters / 2, d2(V)), so that 2*r_G >= margin * max diameter; freezing
-    it leaves fresh draws above 2*r_G(V, gamma) only in the tail beyond the
-    margin.  On the sample phi(r) = width(r)/r is nonincreasing, so
-    r_G >= rho exactly when gamma * sqrt(m) <= phi(rho): the constant is
-    phi(rho) / sqrt(m), read off the sample with no search over gamma.
-    """
-    lbs = [kernel_section_diameter(dist, spec, m, probes, (*seed_path, i)).lower_bound
-           for i in range(calibration_draws)]
-    rho = min(margin * float(np.max(lbs)) / 2.0, d2(spec))
-    blocks = _gaussian_blocks(spec.dim, width_draws, (*seed_path, 10_000))
-    width = _width_curve(spec, np.concatenate(list(blocks)))
-    return width(rho).mean / (rho * math.sqrt(m))

@@ -9,11 +9,11 @@ flips (so the associated sup-norm is 1-unconditional):
 - ``l1_cap_l2``: rho * B_1^n  intersected with  r * B_2^n
 - ``permutation_polytope``: convex hull of all signed permutations of w
 
-Support values sup_{v in V cap rB2} |<v, z>| are exact at every r: closed
-forms, and for the l1 families and the permutation polytope a dual path
-built once per row, on which one count finds the segment holding the dual
-minimizer and a closed form gives its minimum.  The gaussian mean widths
-of the two balls are exact (``gaussian_width``).
+Support values sup_{v in V cap rB2} |<v, z>| are exact at every r, all read
+off ``support_curve`` (``support_batch`` is its r = inf): closed forms, and
+for the l1 families and the permutation polytope a dual path built once per
+row, read at each r by one count and a closed-form segment minimum.  The
+gaussian mean widths of the two balls are exact (``gaussian_width``).
 Monte-Carlo gaussian mean widths carry standard errors; every Monte-Carlo
 reduction is a numpy pairwise-summation mean, reproducible for a fixed
 seed path to the last bit and order-independent to ~1e-12 relative.
@@ -241,18 +241,11 @@ def _l1_cap_l2_curve(A: np.ndarray, rho: float):
 
 
 def support_batch(spec: IndexSetSpec, Z: np.ndarray) -> np.ndarray:
-    """sup_{v in V} |<v, z>| for each row z of Z.  Exact."""
-    Z = _as_batch(Z, spec.dim)
+    """sup_{v in V} |<v, z>| for each row z of Z, exact: ``support_curve`` at r = inf,
+    but for the l1 ball's rho * max|z|, which needs no sort."""
     if spec.family == "l1_ball":
-        return spec.rho * np.abs(Z).max(axis=1)
-    if spec.family == "l2_ball":
-        return spec.r * np.linalg.norm(Z, axis=1)
-    if spec.family == "sparse_cap":
-        return _top_s_norms(Z, spec.s)
-    if spec.family == "l1_cap_l2":
-        return _l1_cap_l2_curve(_sorted_abs_desc(Z), spec.rho)(spec.r)
-    w_star = np.sort(np.abs(np.asarray(spec.w)))[::-1]
-    return _sorted_abs_desc(Z) @ w_star
+        return spec.rho * np.abs(_as_batch(Z, spec.dim)).max(axis=1)
+    return support_curve(spec, Z)(math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +339,7 @@ def _permpoly_curve(A: np.ndarray, w_star: np.ndarray):
 
 
 def support_curve(spec: IndexSetSpec, Z: np.ndarray):
-    """r -> localized_support_batch(spec, Z, r), for many radii on one Z.
+    """r -> localized_support_batch(spec, Z, r) for many radii on one Z; support_batch at inf.
 
     The work that does not depend on r (sorting |z|, the breakpoint ratios
     of the l1 families and the prox path of the permutation polytope, the
@@ -367,8 +360,10 @@ def support_curve(spec: IndexSetSpec, Z: np.ndarray):
         at = lambda r: l1_l2(min(spec.r, r))
     else:
         A, w_star = _sorted_abs_desc(Z), np.sort(np.abs(np.asarray(spec.w)))[::-1]
-        below = _permpoly_curve(A, w_star)  # from r = ||w||_2 on, support_batch's value
-        at = lambda r: A @ w_star if r >= d2(spec) else below(r)
+        # from r = ||w||_2 on the whole polytope's A @ w_star; the prox paths are
+        # built at the first radius below it
+        below = functools.cache(lambda: _permpoly_curve(A, w_star))
+        at = lambda r: A @ w_star if r >= d2(spec) else below()(r)
 
     def curve(radius: float) -> np.ndarray:
         if radius <= 0:

@@ -16,8 +16,8 @@ downdate on each drop, so no step solves a linear system.  Its
 ``converged`` flag is the KKT certificate of the returned v, checked from
 scratch.
 ``basis_pursuit`` solves min ||v||_1 s.t. Gamma v = y exactly, on the same
-path run to t = 0, and certifies the result by primal feasibility and the
-path's dual point.
+path run to t = 0, and certifies the result by primal feasibility and a
+dual point: the path's, or the least-norm one on its support.
 ``bp_recovers`` is the one exact-recovery rule: whether basis pursuit
 recovers v0 from y = Gamma v0.  ``certifies_recovery``, the minimum-norm
 dual certificate, decides it in closed form where it holds, and
@@ -349,11 +349,12 @@ def basis_pursuit(problem: RecoveryProblem) -> RecoveryResult:
 
     The result is converged only if it carries a primal-dual certificate:
     the primal residual ||Gamma v - y|| <= 1e-8 max(1, ||y||), and
-    ||v||_1 <= (1 + 1e-9) times the path's dual lower bound (see
-    ``_lasso_path``), so that no feasible point has a norm below
-    ||v||_1 / (1 + 1e-9).  The residual check is on Gamma, not R, since the
-    reduced system cannot see an inconsistent y when N > n.  Otherwise
-    v_hat is 0.  ``iterations`` counts homotopy steps.
+    ||v||_1 <= (1 + 1e-9) times a dual lower bound, so that no feasible
+    point has a norm below ||v||_1 / (1 + 1e-9): the path's (see
+    ``_lasso_path``), raised where it misses by y^T z / ||Gamma^T z||_inf
+    for z = ``_min_norm_dual`` on v's support and signs.  The residual
+    check is on Gamma, not R, since the reduced system cannot see an
+    inconsistent y when N > n.  Otherwise v_hat is 0.  ``iterations`` counts homotopy steps.
     """
     Gamma, y = problem.Gamma, problem.y
     N, n = Gamma.shape
@@ -363,8 +364,14 @@ def basis_pursuit(problem: RecoveryProblem) -> RecoveryResult:
     Rb = np.linalg.qr(Gy, mode="r")[: min(N, n)]
     v, steps, _, bound = _lasso_path(Rb[:, :n], Rb[:, n], 0.0)
     residual = float(np.linalg.norm(Gamma @ v - y))
-    converged = (residual <= 1e-8 * max(1.0, float(np.linalg.norm(y)))
-                 and float(np.abs(v).sum()) <= (1.0 + 1e-9) * bound)
+    feasible, norm = residual <= 1e-8 * max(1.0, float(np.linalg.norm(y))), float(np.abs(v).sum())
+    if feasible and norm > (1.0 + 1e-9) * bound:
+        # the path's last dual points inherit its kept inverse's drift as |A| nears N
+        on = np.flatnonzero(v)
+        z = _min_norm_dual(Gamma, on, np.sign(v[on]))
+        if z is not None:
+            bound = max(bound, float(y @ z) / float(np.abs(Gamma.T @ z).max()))
+    converged = feasible and norm <= (1.0 + 1e-9) * bound
     if not converged:
         v = np.zeros(n)
     return RecoveryResult(
@@ -377,6 +384,20 @@ def basis_pursuit(problem: RecoveryProblem) -> RecoveryResult:
     )
 
 
+def _min_norm_dual(Gamma: np.ndarray, supp: np.ndarray, signs: np.ndarray) -> np.ndarray | None:
+    """The least-norm z with Gamma_S^T z = signs (S = supp): Q R^-T signs from a
+    reduced QR of Gamma_S, or None where the rank rule of
+    ``gelfand._kernel_projectors`` on diag R fails (|S| > N included)."""
+    N, s = Gamma.shape[0], supp.size
+    if s > N:
+        return None
+    Q, R = np.linalg.qr(Gamma[:, supp])
+    diag = np.abs(np.diag(R))
+    if not np.all(diag > max(N, s) * np.finfo(np.float64).eps * diag.max()):
+        return None
+    return Q @ np.linalg.solve(R.T, signs)
+
+
 def certifies_recovery(Gamma: np.ndarray, v0: np.ndarray) -> bool:
     """Whether the minimum-norm dual certificate proves v0 the unique
     solution of min ||v||_1 subject to Gamma v = Gamma v0.
@@ -384,25 +405,18 @@ def certifies_recovery(Gamma: np.ndarray, v0: np.ndarray) -> bool:
     With S = supp(v0) and Gamma_S of full column rank, z = Gamma_S
     (Gamma_S^T Gamma_S)^-1 sign(v0_S) has Gamma_S^T z = sign(v0_S); if
     also |Gamma_j^T z| < 1 off S, v0 is the unique minimizer (Fuchs 2004;
-    Tropp 2006).  z = Q R^-T sign(v0_S) from a reduced QR of Gamma_S, whose
-    rank is read off diag R by the rule of ``gelfand._kernel_projectors``.
-    The test asks for |Gamma_j^T z| <= 1 - 1e-6 off S, a margin far above
-    the rounding in z.  v0 = 0 certifies: 0 is the one point of norm 0.
+    Tropp 2006); ``_min_norm_dual`` computes z.  The test asks for
+    |Gamma_j^T z| <= 1 - 1e-6 off S, a margin far above the rounding in z.  v0 = 0 certifies: 0 is the one point of norm 0.
     A sufficient test: False (never an exception) when Gamma_S is rank
     deficient, s > N included, or when the certificate misses the margin.
     """
-    N, n = Gamma.shape
     supp = np.flatnonzero(v0)
-    s = supp.size
-    if s == 0:
+    if supp.size == 0:
         return True
-    if s > N:
+    z = _min_norm_dual(Gamma, supp, np.sign(v0[supp]))
+    if z is None:
         return False
-    Q, R = np.linalg.qr(Gamma[:, supp])
-    diag = np.abs(np.diag(R))
-    if not np.all(diag > max(N, s) * np.finfo(np.float64).eps * diag.max()):
-        return False
-    c = Gamma.T @ (Q @ np.linalg.solve(R.T, np.sign(v0[supp])))
+    c = Gamma.T @ z
     c[supp] = 0.0
     return bool(np.abs(c).max() <= 1.0 - CERTIFICATE_MARGIN)
 

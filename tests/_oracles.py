@@ -184,6 +184,30 @@ def support_curve_segment_loop(spec, Z: np.ndarray):
     return lambda r: A @ w_star if r >= float(np.linalg.norm(spec.w)) else below(r)
 
 
+def support_batch_closed_form(spec, Z: np.ndarray) -> np.ndarray:
+    """sup_{v in V} |<v, z>| per row of Z, by one closed form per family.
+
+    rho ||z||_inf, r ||z||_2, the l2 norm of the s largest |z_i|, the
+    l1-cap-l2 segment loop at r (rho ||z||_inf beyond rho), and sorted |z|
+    against sorted |w| (the rearrangement inequality), each with the numpy
+    operations that give ``geometry.support_batch``'s bits.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    if spec.family == "l1_ball":
+        return spec.rho * np.abs(Z).max(axis=1)
+    if spec.family == "l2_ball":
+        return spec.r * np.linalg.norm(Z, axis=1)
+    A = np.sort(np.abs(Z), axis=1)[:, ::-1]
+    if spec.family == "sparse_cap":
+        n, squares = Z.shape[1], Z * Z
+        if spec.s >= n:
+            return np.sqrt(squares.sum(axis=1))
+        return np.sqrt(np.partition(squares, n - spec.s, axis=1)[:, n - spec.s:].sum(axis=1))
+    if spec.family == "l1_cap_l2":
+        return _l1_cap_l2_curve_loop(A, spec.rho)(spec.r)
+    return A @ np.sort(np.abs(np.asarray(spec.w)))[::-1]
+
+
 def _l1_cap_l2_curve_loop(A: np.ndarray, rho: float):
     n = A.shape[1]
     ks = np.arange(1, n + 1, dtype=np.float64)

@@ -20,7 +20,6 @@ from emplab.distributions import (
     sample_noise,
 )
 from emplab.gelfand import (
-    calibrate_kernel_constant,
     kernel_section_diameter,
     r_G_fixed_point,
     r_X_fixed_point,
@@ -52,6 +51,7 @@ from emplab.recovery import (
 )
 from emplab.streams import rng_from_path
 
+from _calibration import calibrate_kernel_constant
 from _oracles import (
     basis_pursuit_enum,
     gaussian_max_abs_mean_quad,

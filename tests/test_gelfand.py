@@ -11,7 +11,6 @@ from emplab.gelfand import (
     _kernel_projectors,
     _normalized_sums,
     _width_curve,
-    calibrate_kernel_constant,
     empirical_process_width,
     kernel_section_diameter,
     kernel_section_diameters,
@@ -36,6 +35,7 @@ from emplab.geometry import (
 )
 from emplab.streams import rng_from_path
 
+from _calibration import calibrate_kernel_constant
 from _oracles import gaussian_l2_norm_mean, kernel_bound_column_batch, kernel_projector_svd
 
 GAUSS8 = DistributionSpec("gaussian", 8)

@@ -36,6 +36,7 @@ from _oracles import (
     support_l1_cap_l2_sandwich,
     support_l1_vertices,
     support_permutation_polytope_enum,
+    support_batch_closed_form,
     support_permutation_polytope_localized_brent,
     support_curve_segment_loop,
     support_sparse_cap_enum,
@@ -189,6 +190,45 @@ def test_radius_beyond_rho_is_the_l1_ball_support(n):
         for spec in all_specs(n, rng):
             assert np.array_equal(localized_support_batch(spec, Z, math.inf),
                                   support_batch(spec, Z))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 16, 33, 128])
+def test_support_batch_is_each_familys_closed_form(dim):
+    # support_batch is support_curve at r = inf (the l1 ball's max|z| aside):
+    # the bits of each family's closed form, zero rows and ties included
+    rng = np.random.default_rng(7080 + dim)
+    w = np.round(2.0 * rng.standard_normal(dim)) / 2.0  # ties, and zeros
+    w[0] = w[0] or 1.0
+    specs = all_specs(dim, rng) + [sparse_cap(dim, dim), sparse_cap(dim, dim + 3),
+                                   l1_cap_l2(dim, 0.5, 2.0), permutation_polytope(w)]
+    for rows in (1, 7, 100):
+        Z = rng.standard_normal((rows, dim)) * np.exp(rng.uniform(-2.0, 2.0, (rows, 1)))
+        Z[::5] = 0.0  # zero rows
+        Z[1::3] = np.round(Z[1::3])  # ties, and zero entries
+        for spec in specs:
+            want = support_batch_closed_form(spec, Z)
+            assert np.array_equal(support_batch(spec, Z), want), spec.label()
+            assert np.array_equal(localized_support_batch(spec, Z, None), want), spec.label()
+            assert np.array_equal(support_curve(spec, Z)(math.inf), want), spec.label()
+
+
+def test_whole_permutation_polytope_walks_no_prox_path(monkeypatch):
+    # from r = ||w||_2 on, the support is sorted |z| against sorted |w|: the
+    # prox paths are built only at the first radius below ||w||_2
+    def refuse(a, c):
+        raise AssertionError("a prox path was built")
+
+    spec = permutation_polytope(np.linspace(1.0, -0.4, 32))
+    Z = np.random.default_rng(7081).standard_normal((9, 32))
+    want = support_batch_closed_form(spec, Z)
+    monkeypatch.setattr(geometry, "_permpoly_path", refuse)
+    assert np.array_equal(support_batch(spec, Z), want)
+    assert np.array_equal(localized_support_batch(spec, Z, None), want)
+    curve = support_curve(spec, Z)
+    for r in (d2(spec), 2.0 * d2(spec), math.inf):
+        assert np.array_equal(curve(r), want)
+    with pytest.raises(AssertionError, match="prox path"):
+        curve(0.5 * d2(spec))
 
 
 def test_unlocalized_width_reads_the_localized_curve():

@@ -358,6 +358,20 @@ def test_bp_certifies_the_optimum_on_tied_designs(n, N, s, trials):
         assert res.objective == pytest.approx(_lp_optimum(prob.Gamma, prob.y), rel=1e-10), t
 
 
+@pytest.mark.parametrize("j", [46, 60, 111])
+def test_bp_recertifies_where_the_active_set_fills_the_rows(j):
+    # column j of a 110 x 128 gaussian matrix from the other 127: the path
+    # ends with 110 = N nonzeros at the optimum, where its kept inverse has
+    # drifted and its last dual points miss ||v||_1 by more than 1e-9; the
+    # least-norm dual point on v's own support certifies it
+    Gamma = np.random.default_rng(0).standard_normal((110, 128))
+    rest, y = np.delete(Gamma, j, axis=1), Gamma[:, j]
+    res = basis_pursuit(RecoveryProblem(rest, y, np.zeros(127), 0))
+    assert res.converged and res.v_hat.any()
+    assert np.count_nonzero(res.v_hat) == 110
+    assert res.objective == pytest.approx(_lp_optimum(rest, y), rel=1e-9)
+
+
 def _path_events(fn, *args):
     """fn(*args), with the count of the drops, refused joins and NNLS
     recomputes that every ``_lasso_path`` run inside it made, read off the
